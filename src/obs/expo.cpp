@@ -49,8 +49,7 @@ std::string prometheus_name(std::string_view name) {
 }
 
 std::string prometheus_text() {
-  Registry& registry = Registry::instance();
-  const MetricsSnapshot snap = registry.snapshot();
+  const MetricsSnapshot snap = Registry::instance().snapshot();
   std::string out;
 
   for (const auto& c : snap.counters) {
@@ -72,91 +71,7 @@ std::string prometheus_text() {
     append_sample(out, family + "_sum", "", std::to_string(h.sum));
     append_sample(out, family + "_count", "", std::to_string(h.count));
   }
-
-  // Rolling windows: compute all ladder rungs up front, then render each
-  // family once with one sample per {window[,quantile]} label set (a
-  // Prometheus family may appear only once per exposition).  The delta
-  // lists come from the same sorted registry maps, so the three rungs
-  // are index-aligned.
-  WindowStats windows[std::size(kExpoWindows)];
-  bool any_valid = false;
-  for (std::size_t w = 0; w < std::size(kExpoWindows); ++w) {
-    windows[w] = registry.window_delta(kExpoWindows[w].seconds);
-    any_valid = any_valid || windows[w].valid;
-  }
-  if (!any_valid) return out;
-
-  {
-    const std::string family = "socet_window_covered_seconds";
-    append_type(out, family, "gauge");
-    for (std::size_t w = 0; w < std::size(kExpoWindows); ++w) {
-      append_sample(out, family,
-                    std::string("{window=\"") + kExpoWindows[w].label + "\"}",
-                    fmt_double(windows[w].covered_seconds));
-    }
-  }
-  for (std::size_t c = 0; c < windows[0].counters.size(); ++c) {
-    const std::string family =
-        "socet_window_" + prometheus_name(windows[0].counters[c].name);
-    append_type(out, family, "gauge");
-    for (std::size_t w = 0; w < std::size(kExpoWindows); ++w) {
-      append_sample(out, family,
-                    std::string("{window=\"") + kExpoWindows[w].label + "\"}",
-                    std::to_string(windows[w].counters[c].delta));
-    }
-  }
-  for (std::size_t h = 0; h < windows[0].histograms.size(); ++h) {
-    const std::string family =
-        "socet_window_" + prometheus_name(windows[0].histograms[h].name);
-    append_type(out, family, "gauge");
-    for (std::size_t w = 0; w < std::size(kExpoWindows); ++w) {
-      const WindowStats::HistogramDelta& d = windows[w].histograms[h];
-      const std::string prefix =
-          std::string("{window=\"") + kExpoWindows[w].label + "\",quantile=\"";
-      append_sample(out, family, prefix + "0.5\"}", fmt_double(d.p50));
-      append_sample(out, family, prefix + "0.95\"}", fmt_double(d.p95));
-      append_sample(out, family, prefix + "0.99\"}", fmt_double(d.p99));
-    }
-    append_type(out, family + "_count", "gauge");
-    for (std::size_t w = 0; w < std::size(kExpoWindows); ++w) {
-      append_sample(out, family + "_count",
-                    std::string("{window=\"") + kExpoWindows[w].label + "\"}",
-                    std::to_string(windows[w].histograms[h].count));
-    }
-  }
   return out;
-}
-
-WindowTicker::~WindowTicker() { stop(); }
-
-void WindowTicker::start(std::chrono::milliseconds interval) {
-  stop();
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    stop_ = false;
-  }
-  // The baseline slot must exist before start() returns: a daemon
-  // ticks here before accepting traffic, so the first window delta
-  // covers every request it ever serves.
-  Registry::instance().window_tick();
-  thread_ = std::thread([this, interval] {
-    std::unique_lock<std::mutex> lock(mutex_);
-    while (!cv_.wait_for(lock, interval, [this] { return stop_; })) {
-      lock.unlock();
-      Registry::instance().window_tick();
-      lock.lock();
-    }
-  });
-}
-
-void WindowTicker::stop() {
-  if (!thread_.joinable()) return;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    stop_ = true;
-  }
-  cv_.notify_all();
-  thread_.join();
 }
 
 }  // namespace socet::obs

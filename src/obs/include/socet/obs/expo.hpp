@@ -2,30 +2,19 @@
 //
 // Renders the process-wide metrics registry (metrics.hpp) as the
 // Prometheus text format, for a live daemon to serve over HTTP
-// (`socet serve --metrics-port`, src/service/httpd.hpp) or over the
-// framed protocol (`metrics` verb).  Layout:
+// (`socet serve --metrics-port`, src/service/httpd.hpp).  Layout:
 //
 //   - counters   -> `socet_<name>_total` (counter)
 //   - gauges     -> `socet_<name>` (gauge)
 //   - histograms -> `socet_<name>{quantile="0.5|0.9|0.99"}` summaries
 //                   plus `_sum` / `_count`
-//   - rolling windows (Registry::window_delta over 1m/5m/15m) ->
-//     `socet_window_<name>{window="1m",...}` gauge families plus
-//     `socet_window_covered_seconds{window="..."}`, so a long-running
-//     daemon reports tail latency over the recent past, not since boot
 //
 // Metric names are sanitized with prometheus_name (docs/OBSERVABILITY.md
-// "Live daemon telemetry" documents the full exposition).  Window
-// families only appear once the ring has at least one slot — run a
-// WindowTicker (below) to keep it fed.
+// "Live daemon telemetry" documents the full exposition).
 #pragma once
 
-#include <chrono>
-#include <condition_variable>
-#include <mutex>
 #include <string>
 #include <string_view>
-#include <thread>
 
 namespace socet::obs {
 
@@ -33,40 +22,9 @@ namespace socet::obs {
 /// [a-zA-Z0-9_] becomes '_' (a leading digit gains a '_' prefix).
 std::string prometheus_name(std::string_view name);
 
-/// One rolling window rendered by prometheus_text.
-struct ExpoWindow {
-  const char* label;  ///< `window` label value, e.g. "1m"
-  double seconds;     ///< lookback passed to Registry::window_delta
-};
-
-/// The default 1m/5m/15m ladder.
-inline constexpr ExpoWindow kExpoWindows[] = {
-    {"1m", 60.0}, {"5m", 300.0}, {"15m", 900.0}};
-
-/// Render the whole registry (plus the rolling windows) as Prometheus
-/// text.  Safe to call from any thread at any time; concurrent metric
-/// mutation only skews individual samples, never the format.
+/// Render the whole registry as Prometheus text.  Safe to call from any
+/// thread at any time; concurrent metric mutation only skews individual
+/// samples, never the format.
 std::string prometheus_text();
-
-/// Background thread that calls Registry::window_tick() on a fixed
-/// interval, keeping the window ring fed while the daemon runs.  One
-/// tick fires immediately on start() so the ring always has a baseline.
-class WindowTicker {
- public:
-  WindowTicker() = default;
-  ~WindowTicker();
-  WindowTicker(const WindowTicker&) = delete;
-  WindowTicker& operator=(const WindowTicker&) = delete;
-
-  void start(std::chrono::milliseconds interval);
-  void stop();  ///< idempotent; joins the thread
-  [[nodiscard]] bool running() const { return thread_.joinable(); }
-
- private:
-  std::thread thread_;
-  std::mutex mutex_;
-  std::condition_variable cv_;
-  bool stop_ = false;
-};
 
 }  // namespace socet::obs

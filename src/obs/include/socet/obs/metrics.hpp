@@ -106,17 +106,15 @@ class Histogram {
 
 /// Quantile estimate over a raw power-of-two bucket array laid out like
 /// Histogram's (`buckets` must have Histogram::kBuckets entries).  The
-/// rank walk interpolates linearly inside the landing bucket.  When
-/// `observed` is true, `observed_min`/`observed_max` are the exact
-/// sample extremes: the first occupied bucket's floor and the final
-/// occupied bucket's ceiling interpolate against them (a latency
-/// histogram whose top bucket spans [2^19, 2^20] but whose slowest
-/// sample was 600k reports p99 inside [2^19, 600k], not pegged at the
-/// bucket bound), and the estimate is clamped to [min, max].  When
-/// false (rolling-window deltas, where extremes are unknown) only the
-/// bucket bounds are used and the overflow bucket reports its floor.
+/// rank walk interpolates linearly inside the landing bucket.
+/// `observed_min`/`observed_max` are the exact sample extremes: the
+/// first occupied bucket's floor and the final occupied bucket's ceiling
+/// interpolate against them (a latency histogram whose top bucket spans
+/// [2^19, 2^20] but whose slowest sample was 600k reports p99 inside
+/// [2^19, 600k], not pegged at the bucket bound), and the estimate is
+/// clamped to [min, max].
 double bucket_quantile(const std::uint64_t* buckets, std::uint64_t count,
-                       double q, bool observed, std::uint64_t observed_min,
+                       double q, std::uint64_t observed_min,
                        std::uint64_t observed_max);
 
 /// Point-in-time copy of every registered metric, in registration-stable
@@ -151,31 +149,6 @@ struct MetricsSnapshot {
   }
 };
 
-/// Aggregation of every registered counter/histogram over a trailing
-/// time window, computed as live-minus-baseline between the current
-/// values and a ring snapshot (see Registry::window_tick).  A counter's
-/// `delta` divided by `covered_seconds` is its rate; histogram
-/// quantiles are estimated from the bucket deltas (bucket_quantile with
-/// observed=false — exact extremes are not tracked per window).
-struct WindowStats {
-  struct CounterDelta {
-    std::string name;
-    std::uint64_t delta = 0;
-  };
-  struct HistogramDelta {
-    std::string name;
-    std::uint64_t count = 0;
-    std::uint64_t sum = 0;
-    double p50 = 0;
-    double p95 = 0;
-    double p99 = 0;
-  };
-  bool valid = false;          ///< false until the first window_tick()
-  double covered_seconds = 0;  ///< actual span (a young ring covers less)
-  std::vector<CounterDelta> counters;
-  std::vector<HistogramDelta> histograms;
-};
-
 /// Process-wide name -> metric table.  Lookup takes a mutex; handles are
 /// stable for the process lifetime, so call sites cache the reference in
 /// a function-local static (the SOCET_* macros below do exactly that).
@@ -193,23 +166,9 @@ class Registry {
   /// JSON object rendering (embedded in the run report).
   [[nodiscard]] std::string json() const;
 
-  /// Rolling windows: window_tick() captures a cumulative snapshot of
-  /// every counter/histogram into a bounded ring (call it on a fixed
-  /// interval — expo.hpp's WindowTicker does).  window_delta() picks the
-  /// newest ring slot at least `lookback_seconds` old (or the oldest
-  /// available when the ring is younger than the window) and returns the
-  /// live-minus-baseline deltas, so a week-old daemon reports latency
-  /// quantiles and hit-rates over the last 1m/5m/15m instead of
-  /// since-boot averages.
-  void window_tick();
-  [[nodiscard]] WindowStats window_delta(double lookback_seconds) const;
-  /// Bound the ring (default 128 slots; oldest slots are dropped first).
-  void window_configure(std::size_t max_slots);
-  [[nodiscard]] std::size_t window_slot_count() const;
-
-  /// Zero every metric and drop the window ring (tests; the registry
-  /// itself never shrinks).
+  /// Zero every metric (tests; the registry itself never shrinks).
   void reset();
+
 
  private:
   Registry() = default;

@@ -154,6 +154,12 @@ void name_this_thread(const std::string& name);
 /// sorted by start time.  See the export caveat above.
 std::vector<TraceEvent> collect_trace_events();
 
+/// A nanosecond offset from a trace's epoch as a Chrome `ts`/`dur`
+/// value: fixed-point microseconds ("1500000.250").  Six significant
+/// digits would print a short span's end before its start once the
+/// trace runs past one second.
+std::string chrome_trace_us(std::uint64_t ns);
+
 /// Full Chrome trace-event JSON document: matched B/E pairs per span,
 /// one `tid` lane per recording thread, thread-name metadata events,
 /// timestamps in microseconds relative to the first span.

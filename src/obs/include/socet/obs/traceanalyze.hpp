@@ -4,9 +4,9 @@
 // Input: any Chrome trace-event document the system emits — a local
 // `--trace` file (matched B/E pairs per tid lane, trace.cpp), a merged
 // client/daemon trace (`X` slices with hex `args.span`/`args.parent`
-// ids, tracemerge.cpp), a `socet trace-merge` concatenation of either —
-// or a `socet-journal-v1` JSONL document (events folded into per-corr
-// envelope spans keyed by their `span` field).  `load_trace` normalizes
+// ids, tracemerge.cpp) — or a `socet-journal-v1` JSONL document
+// (events folded into per-corr envelope spans keyed by their `span`
+// field).  `load_trace` normalizes
 // all of them into one span forest; parse failures carry 1-based line
 // numbers so a truncated artifact names the break point.
 //
@@ -97,7 +97,7 @@ std::vector<CriticalPath> critical_paths(const TraceData& trace);
 
 /// Latency distribution of one span name (or one stage) across every
 /// analyzed trace.  Quantiles come from the 64-bucket power-of-two
-/// rank walk (`bucket_quantile`, observed=true) over integer
+/// rank walk (`bucket_quantile`) over integer
 /// microseconds, clamped to the exact extremes.
 struct NameStats {
   std::string name;

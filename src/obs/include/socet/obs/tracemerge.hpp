@@ -1,5 +1,4 @@
-// Cross-process trace assembly for `batch --connect --trace` and
-// `socet trace-merge`.
+// Cross-process trace assembly for `batch --connect --trace`.
 //
 // The client and the daemon run on the same machine or not — either
 // way their steady clocks have unrelated epochs, so daemon-side span
@@ -71,17 +70,5 @@ struct MergeInput {
 /// One Chrome trace-event JSON document with client and daemon spans
 /// on aligned timelines (see the file comment for the layout).
 std::string merged_chrome_trace(const MergeInput& input);
-
-/// Offline tool behind `socet trace-merge`: concatenate two Chrome
-/// trace documents into one, remapping the overlay's pids past the
-/// base's and shifting overlay timestamps by `overlay_offset_us`.
-/// Overlay span/flow ids that collide with base ids (both processes
-/// seed new_span_id from the clock, so reuse is possible) are remapped
-/// to fresh values in first-appearance order rather than silently
-/// merging two unrelated spans into one tree.
-bool merge_chrome_trace_files(const std::string& base_json,
-                              const std::string& overlay_json,
-                              double overlay_offset_us, std::string* out,
-                              std::string* error = nullptr);
 
 }  // namespace socet::obs

@@ -1,10 +1,7 @@
 #include "socet/obs/metrics.hpp"
 
 #include <algorithm>
-#include <array>
 #include <bit>
-#include <chrono>
-#include <deque>
 #include <map>
 #include <mutex>
 
@@ -72,11 +69,11 @@ double Histogram::quantile(double q) const {
   for (std::size_t b = 0; b < kBuckets; ++b) {
     buckets[b] = buckets_[b].load(std::memory_order_relaxed);
   }
-  return bucket_quantile(buckets, count(), q, /*observed=*/true, min(), max());
+  return bucket_quantile(buckets, count(), q, min(), max());
 }
 
 double bucket_quantile(const std::uint64_t* buckets, std::uint64_t count,
-                       double q, bool observed, std::uint64_t observed_min,
+                       double q, std::uint64_t observed_min,
                        std::uint64_t observed_max) {
   if (count == 0) return 0;
   q = std::clamp(q, 0.0, 1.0);
@@ -98,37 +95,29 @@ double bucket_quantile(const std::uint64_t* buckets, std::uint64_t count,
       double lo =
           b == 0 ? 0.0 : static_cast<double>(Histogram::bucket_bound(b - 1));
       double hi = static_cast<double>(Histogram::bucket_bound(b));
-      if (observed) {
-        // The exact extremes tighten the open-ended edges: the final
-        // occupied bucket's ceiling is the observed max (not the bucket
-        // bound, which pegs p99 at a power of two or worse — UINT64_MAX
-        // for the overflow bucket), and the first occupied bucket's
-        // floor is the observed min.
-        if (b == last_occupied) hi = static_cast<double>(observed_max);
-        if (b == first_occupied) {
-          lo = std::min(static_cast<double>(observed_min), hi);
-        }
-      } else if (b + 1 >= Histogram::kBuckets) {
-        hi = lo;  // overflow bucket with unknown max: report its floor
+      // The exact extremes tighten the open-ended edges: the final
+      // occupied bucket's ceiling is the observed max (not the bucket
+      // bound, which pegs p99 at a power of two or worse — UINT64_MAX
+      // for the overflow bucket), and the first occupied bucket's floor
+      // is the observed min.
+      if (b == last_occupied) hi = static_cast<double>(observed_max);
+      if (b == first_occupied) {
+        lo = std::min(static_cast<double>(observed_min), hi);
       }
       if (hi < lo) hi = lo;
       const double within =
           (rank - static_cast<double>(cumulative)) / static_cast<double>(here);
-      double estimate = lo + (hi - lo) * std::clamp(within, 0.0, 1.0);
-      if (observed) {
-        // Degenerate histograms (single sample, all-equal samples)
-        // report exact values.
-        estimate = std::clamp(estimate, static_cast<double>(observed_min),
-                              static_cast<double>(observed_max));
-      }
-      return estimate;
+      const double estimate = lo + (hi - lo) * std::clamp(within, 0.0, 1.0);
+      // Degenerate histograms (single sample, all-equal samples) report
+      // exact values.
+      return std::clamp(estimate, static_cast<double>(observed_min),
+                        static_cast<double>(observed_max));
     }
     cumulative += here;
   }
   // count said more samples than the buckets hold (racy relaxed reads);
   // answer with the best upper bound we have.
-  return observed ? static_cast<double>(observed_max)
-                  : static_cast<double>(Histogram::bucket_bound(last_occupied));
+  return static_cast<double>(observed_max);
 }
 
 void Histogram::reset() {
@@ -144,37 +133,11 @@ void Histogram::reset() {
 // std::map keeps iteration sorted by name and never invalidates the
 // mapped objects, so handles returned once stay valid forever.
 struct Registry::Impl {
-  // One cumulative capture of every counter/histogram (window_tick).
-  // Slots store cumulative values, not per-interval deltas, so a window
-  // delta is just live-minus-baseline regardless of tick cadence.
-  struct WindowSlot {
-    std::chrono::steady_clock::time_point at;
-    std::map<std::string, std::uint64_t, std::less<>> counters;
-    struct Hist {
-      std::uint64_t count = 0;
-      std::uint64_t sum = 0;
-      std::array<std::uint64_t, Histogram::kBuckets> buckets{};
-    };
-    std::map<std::string, Hist, std::less<>> histograms;
-  };
-
   mutable std::mutex mutex;
   std::map<std::string, Counter, std::less<>> counters;
   std::map<std::string, Gauge, std::less<>> gauges;
   std::map<std::string, Histogram, std::less<>> histograms;
-  std::deque<WindowSlot> window_ring;
-  std::size_t window_max_slots = 128;
 };
-
-namespace {
-
-// a - b, saturating at 0: a reset() between a tick and a delta query
-// must not wrap the difference around.
-std::uint64_t sat_sub(std::uint64_t a, std::uint64_t b) {
-  return a >= b ? a - b : 0;
-}
-
-}  // namespace
 
 Registry& Registry::instance() {
   static Registry registry;
@@ -294,93 +257,12 @@ std::string Registry::json() const {
   return out;
 }
 
-void Registry::window_tick() {
-  Impl& i = impl();
-  std::lock_guard<std::mutex> lock(i.mutex);
-  Impl::WindowSlot slot;
-  slot.at = std::chrono::steady_clock::now();
-  for (const auto& [name, counter] : i.counters) {
-    slot.counters.emplace(name, counter.value());
-  }
-  for (const auto& [name, histogram] : i.histograms) {
-    Impl::WindowSlot::Hist h;
-    h.count = histogram.count();
-    h.sum = histogram.sum();
-    for (std::size_t b = 0; b < Histogram::kBuckets; ++b) {
-      h.buckets[b] = histogram.bucket_count(b);
-    }
-    slot.histograms.emplace(name, std::move(h));
-  }
-  i.window_ring.push_back(std::move(slot));
-  while (i.window_ring.size() > i.window_max_slots) i.window_ring.pop_front();
-}
-
-WindowStats Registry::window_delta(double lookback_seconds) const {
-  Impl& i = impl();
-  std::lock_guard<std::mutex> lock(i.mutex);
-  WindowStats stats;
-  if (i.window_ring.empty()) return stats;
-  const auto now = std::chrono::steady_clock::now();
-  // Newest slot at least `lookback_seconds` old; a ring younger than the
-  // window falls back to its oldest slot (covered_seconds says so).
-  const Impl::WindowSlot* baseline = &i.window_ring.front();
-  for (auto it = i.window_ring.rbegin(); it != i.window_ring.rend(); ++it) {
-    if (std::chrono::duration<double>(now - it->at).count() >=
-        lookback_seconds) {
-      baseline = &*it;
-      break;
-    }
-  }
-  stats.valid = true;
-  stats.covered_seconds =
-      std::chrono::duration<double>(now - baseline->at).count();
-  for (const auto& [name, counter] : i.counters) {
-    const auto it = baseline->counters.find(name);
-    const std::uint64_t base =
-        it == baseline->counters.end() ? 0 : it->second;
-    stats.counters.push_back({name, sat_sub(counter.value(), base)});
-  }
-  for (const auto& [name, histogram] : i.histograms) {
-    WindowStats::HistogramDelta d;
-    d.name = name;
-    std::uint64_t buckets[Histogram::kBuckets] = {};
-    const auto it = baseline->histograms.find(name);
-    const Impl::WindowSlot::Hist* base =
-        it == baseline->histograms.end() ? nullptr : &it->second;
-    d.count = sat_sub(histogram.count(), base ? base->count : 0);
-    d.sum = sat_sub(histogram.sum(), base ? base->sum : 0);
-    for (std::size_t b = 0; b < Histogram::kBuckets; ++b) {
-      buckets[b] =
-          sat_sub(histogram.bucket_count(b), base ? base->buckets[b] : 0);
-    }
-    d.p50 = bucket_quantile(buckets, d.count, 0.50, /*observed=*/false, 0, 0);
-    d.p95 = bucket_quantile(buckets, d.count, 0.95, /*observed=*/false, 0, 0);
-    d.p99 = bucket_quantile(buckets, d.count, 0.99, /*observed=*/false, 0, 0);
-    stats.histograms.push_back(std::move(d));
-  }
-  return stats;
-}
-
-void Registry::window_configure(std::size_t max_slots) {
-  Impl& i = impl();
-  std::lock_guard<std::mutex> lock(i.mutex);
-  i.window_max_slots = std::max<std::size_t>(1, max_slots);
-  while (i.window_ring.size() > i.window_max_slots) i.window_ring.pop_front();
-}
-
-std::size_t Registry::window_slot_count() const {
-  Impl& i = impl();
-  std::lock_guard<std::mutex> lock(i.mutex);
-  return i.window_ring.size();
-}
-
 void Registry::reset() {
   Impl& i = impl();
   std::lock_guard<std::mutex> lock(i.mutex);
   for (auto& [name, counter] : i.counters) counter.reset();
   for (auto& [name, gauge] : i.gauges) gauge.reset();
   for (auto& [name, histogram] : i.histograms) histogram.reset();
-  i.window_ring.clear();
 }
 
 }  // namespace socet::obs

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <map>
@@ -194,11 +195,17 @@ std::vector<TraceEvent> collect_trace_events() {
   return events;
 }
 
+std::string chrome_trace_us(std::uint64_t ns) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%.3f", static_cast<double>(ns) / 1e3);
+  return buf;
+}
+
 std::string chrome_trace_json() {
   const std::vector<TraceEvent> events = collect_trace_events();
   const std::uint64_t epoch = events.empty() ? 0 : events.front().start_ns;
   const auto ts_us = [epoch](std::uint64_t ns) {
-    return json_number(static_cast<double>(ns - epoch) / 1e3);
+    return chrome_trace_us(ns - epoch);
   };
 
   std::string out = "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";

@@ -362,9 +362,9 @@ struct Acc {
     s.min_us = count == 0 ? 0 : static_cast<double>(min_us);
     s.max_us = static_cast<double>(max_us);
     const std::uint64_t lo = count == 0 ? 0 : min_us;
-    s.p50_us = bucket_quantile(buckets, count, 0.50, true, lo, max_us);
-    s.p90_us = bucket_quantile(buckets, count, 0.90, true, lo, max_us);
-    s.p99_us = bucket_quantile(buckets, count, 0.99, true, lo, max_us);
+    s.p50_us = bucket_quantile(buckets, count, 0.50, lo, max_us);
+    s.p90_us = bucket_quantile(buckets, count, 0.90, lo, max_us);
+    s.p99_us = bucket_quantile(buckets, count, 0.99, lo, max_us);
     return s;
   }
 };

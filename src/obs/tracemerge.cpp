@@ -4,7 +4,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <map>
-#include <set>
 
 #include "socet/obs/jsonin.hpp"
 #include "socet/obs/report.hpp"
@@ -44,52 +43,6 @@ std::vector<std::size_t> assign_lanes(
     lanes[i] = lane;
   }
   return lanes;
-}
-
-/// Minimal JSON writer for re-serializing parsed trace documents
-/// (merge_chrome_trace_files); mirrors what json_parse accepts.
-void write_json(const JsonValue& value, std::string* out) {
-  switch (value.kind) {
-    case JsonValue::Kind::kNull:
-      *out += "null";
-      break;
-    case JsonValue::Kind::kBool:
-      *out += value.bool_value ? "true" : "false";
-      break;
-    case JsonValue::Kind::kNumber:
-      *out += json_number(value.number_value);
-      break;
-    case JsonValue::Kind::kString:
-      *out += '"';
-      *out += json_escape(value.string_value);
-      *out += '"';
-      break;
-    case JsonValue::Kind::kArray: {
-      *out += '[';
-      bool first = true;
-      for (const JsonValue& item : value.array_value) {
-        if (!first) *out += ',';
-        first = false;
-        write_json(item, out);
-      }
-      *out += ']';
-      break;
-    }
-    case JsonValue::Kind::kObject: {
-      *out += '{';
-      bool first = true;
-      for (const auto& [key, item] : value.object_value) {
-        if (!first) *out += ',';
-        first = false;
-        *out += '"';
-        *out += json_escape(key);
-        *out += "\":";
-        write_json(item, out);
-      }
-      *out += '}';
-      break;
-    }
-  }
 }
 
 }  // namespace
@@ -191,11 +144,10 @@ std::string merged_chrome_trace(const MergeInput& input) {
   for (const SpanRecord& span : daemon) consider(span.start_ns);
 
   const auto us = [epoch](std::uint64_t ns) {
-    return json_number(static_cast<double>(ns - epoch) / 1e3);
+    return chrome_trace_us(ns - epoch);
   };
   const auto dur_us = [](const SpanRecord& span) {
-    return json_number(static_cast<double>(span.end_ns - span.start_ns) /
-                       1e3);
+    return chrome_trace_us(span.end_ns - span.start_ns);
   };
 
   std::string out = "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
@@ -309,117 +261,6 @@ std::string merged_chrome_trace(const MergeInput& input) {
 
   out += "]}";
   return out;
-}
-
-bool merge_chrome_trace_files(const std::string& base_json,
-                              const std::string& overlay_json,
-                              double overlay_offset_us, std::string* out,
-                              std::string* error) {
-  const auto load = [error](const std::string& text, const char* which,
-                            JsonValue* doc) -> const JsonValue* {
-    std::string parse_error;
-    if (!json_parse(text, doc, &parse_error)) {
-      if (error != nullptr) {
-        *error = std::string(which) + ": " + parse_error;
-      }
-      return nullptr;
-    }
-    const JsonValue* events = doc->get("traceEvents");
-    if (events == nullptr || !events->is_array()) {
-      if (error != nullptr) {
-        *error = std::string(which) + ": no traceEvents array";
-      }
-      return nullptr;
-    }
-    return events;
-  };
-  JsonValue base_doc;
-  JsonValue overlay_doc;
-  const JsonValue* base_events = load(base_json, "base", &base_doc);
-  if (base_events == nullptr) return false;
-  const JsonValue* overlay_events = load(overlay_json, "overlay", &overlay_doc);
-  if (overlay_events == nullptr) return false;
-
-  double base_max_pid = 0;
-  for (const JsonValue& event : base_events->array_value) {
-    const JsonValue* pid = event.get("pid");
-    if (pid != nullptr) base_max_pid = std::max(base_max_pid, pid->number_or(0));
-  }
-
-  // Span ids are only unique within one document (time-seeded per
-  // process, new_span_id); two captures can reuse an id.  When the
-  // overlay shares any id with the base, remap every colliding overlay
-  // id to a fresh value past everything either document uses —
-  // first-appearance order, so the remap is deterministic and the
-  // overlay's own parent chains stay intact.  Collision-free merges
-  // are re-serialized byte-identically (empty remap).
-  const auto collect_ids = [](const JsonValue* events,
-                              std::set<std::uint64_t>* ids,
-                              std::vector<std::uint64_t>* order) {
-    for (const JsonValue& event : events->array_value) {
-      for (const char* key : {"id", "span", "parent"}) {
-        const JsonValue* field =
-            key[0] == 'i' ? event.get(key)
-                          : (event.get("args") != nullptr
-                                 ? event.get("args")->get(key)
-                                 : nullptr);
-        if (field == nullptr || !field->is_string()) continue;
-        const std::uint64_t id = parse_u64(field->string_value, 16);
-        if (id == 0) continue;
-        if (ids->insert(id).second && order != nullptr) order->push_back(id);
-      }
-    }
-  };
-  std::set<std::uint64_t> base_ids;
-  collect_ids(base_events, &base_ids, nullptr);
-  std::set<std::uint64_t> overlay_ids;
-  std::vector<std::uint64_t> overlay_order;  ///< first-appearance order
-  collect_ids(overlay_events, &overlay_ids, &overlay_order);
-  std::map<std::uint64_t, std::uint64_t> remap;
-  std::uint64_t next_id =
-      std::max(base_ids.empty() ? 0 : *base_ids.rbegin(),
-               overlay_ids.empty() ? 0 : *overlay_ids.rbegin()) +
-      1;
-  for (const std::uint64_t id : overlay_order) {
-    if (base_ids.count(id) != 0) remap[id] = next_id++;
-  }
-
-  *out = "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
-  bool first = true;
-  for (const JsonValue& event : base_events->array_value) {
-    if (!first) *out += ',';
-    first = false;
-    write_json(event, out);
-  }
-  for (JsonValue event : overlay_events->array_value) {
-    for (auto& [key, value] : event.object_value) {
-      if (key == "pid" && value.is_number()) {
-        value.number_value += base_max_pid;
-      } else if (key == "ts" && value.is_number()) {
-        value.number_value += overlay_offset_us;
-      }
-    }
-    if (!remap.empty()) {
-      const auto rewrite = [&remap](JsonValue& field) {
-        if (!field.is_string()) return;
-        const auto it = remap.find(parse_u64(field.string_value, 16));
-        if (it != remap.end()) field.string_value = hex_id(it->second);
-      };
-      for (auto& [key, value] : event.object_value) {
-        if (key == "id") rewrite(value);
-        if (key == "args" && value.is_object()) {
-          for (auto& [arg_key, arg_value] : value.object_value) {
-            if (arg_key == "span" || arg_key == "parent") rewrite(arg_value);
-          }
-        }
-      }
-    }
-    if (!first) *out += ',';
-    first = false;
-    write_json(event, out);
-  }
-  *out += "]}";
-  return true;
 }
 
 }  // namespace socet::obs

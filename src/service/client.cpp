@@ -125,10 +125,10 @@ std::vector<obs::SpanRecord> Client::collect_spans(std::uint64_t trace_id) {
   std::vector<obs::SpanRecord> spans;
   if (newline != std::string::npos) {
     std::string error;
-    util::require(obs::parse_remote_spans_jsonl(
-                      std::string_view(*response).substr(newline + 1), &spans,
-                      &error),
-                  "span collection failed: " + error);
+    // Parse first: the message must be built after `error` is filled.
+    const bool ok = obs::parse_remote_spans_jsonl(
+        std::string_view(*response).substr(newline + 1), &spans, &error);
+    util::require(ok, "span collection failed: " + error);
   }
   return spans;
 }

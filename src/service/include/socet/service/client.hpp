@@ -74,7 +74,7 @@ class Client {
   /// responses.  Throws util::Error if the server closes mid-batch.
   ClientReport run_lines(const std::vector<std::string>& lines);
 
-  /// One control round-trip (`stats`, `health`, `journal`, ...);
+  /// One control round-trip (`stats`, `journal`, ...);
   /// returns the raw response payload.
   std::string query(const std::string& verb);
 

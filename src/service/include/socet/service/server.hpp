@@ -25,7 +25,7 @@
 //
 // Responses are written in request order per connection (a FIFO of
 // slots per connection; workers may finish out of order).  Control
-// verbs (`stats`, `health`) are answered inline by the event loop and
+// verbs (`stats`, `clock`, ...) are answered inline by the event loop and
 // occupy a slot like any request, so their position in the response
 // stream is deterministic too.
 //
@@ -34,7 +34,6 @@
 // close, join.  See docs/SERVICE.md "Running as a daemon".
 #pragma once
 
-#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -71,16 +70,14 @@ struct ServerOptions {
 
   /// Serve GET /metrics (Prometheus text), /healthz, and /readyz over an
   /// embedded HTTP/1.0 listener (httpd.hpp).  Readiness flips to 503
-  /// while draining.
+  /// while draining.  The only switch that turns on metrics collection.
   bool metrics_http = false;
   std::string metrics_host = "127.0.0.1";
   unsigned short metrics_port = 0;  ///< 0 = ephemeral
   /// If non-empty, the bound metrics port is written here (CI/scripts).
   std::string metrics_port_file;
   /// JSONL access log: one `serve.access` object per request
-  /// (FORMATS.md §7) — empty = off.  Any telemetry flag (this or
-  /// metrics_http) turns on metrics collection and the rolling-window
-  /// ticker, so the `metrics` protocol verb and `socet top` have data.
+  /// (FORMATS.md §7) — empty = off.
   std::string access_log;
   /// Rotate the access log once it reaches this many bytes: the
   /// current file moves to `<path>.1` (replacing any previous rollover)
@@ -91,8 +88,6 @@ struct ServerOptions {
   /// journal tap, so decision events are rendered while the daemon
   /// runs — same stdout guarantee as every other telemetry flag.
   std::size_t journal_ring = 0;
-  /// Rolling-window tick cadence (obs::WindowTicker granularity).
-  std::chrono::milliseconds window_interval{10000};
 
   /// Test hook: runs on the worker thread before each job executes
   /// (admission-control and drain tests park workers here).

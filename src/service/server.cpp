@@ -173,7 +173,6 @@ struct Server::Impl {
     std::string corr;
     std::string verb;
     double wall_us = 0;
-    double queue_us = 0;  ///< admission → worker pickup
     bool ok = false;
     bool cache_hit = false;
     bool job = true;  ///< false for verb completions (e.g. profile)
@@ -200,7 +199,6 @@ struct Server::Impl {
 
   // Telemetry plane (all dormant unless the options enable it).
   Httpd httpd;
-  obs::WindowTicker ticker;
   std::ofstream access_log;  ///< written only by the event-loop thread
   std::uint64_t access_log_bytes = 0;  ///< rotation accounting
   Clock::time_point start_time = Clock::now();
@@ -242,21 +240,6 @@ struct Server::Impl {
   std::atomic<bool> profiling{false};
   std::thread profile_thread;
 
-  // Slowest-recent-requests ring for GET /debug/slowreqs.
-  struct SlowReq {
-    std::uint64_t ts_us = 0;
-    std::uint64_t conn = 0;
-    std::string corr;
-    std::string verb;
-    double wall_us = 0;
-    double queue_us = 0;
-    bool ok = false;
-    bool cache_hit = false;
-  };
-  static constexpr std::size_t kSlowRingCap = 256;
-  std::mutex slow_mutex;
-  std::deque<SlowReq> slow_ring;
-
   WorkQueue<Task> queue;
   std::mutex completions_mutex;
   std::vector<Completion> completions;
@@ -285,10 +268,6 @@ struct Server::Impl {
   void worker_main(unsigned index) {
     obs::name_this_thread("serve-worker-" + std::to_string(index + 1));
     Executor executor(cache);
-    // Per-worker busy-time counter (the `socet top` busy% source).  The
-    // name varies by worker, so the SOCET_COUNT_N macro's function-local
-    // static cannot be used — cache the handle manually.
-    obs::Counter* busy_us = nullptr;
     while (auto task = queue.pop()) {
       queue_depth.fetch_sub(1, std::memory_order_relaxed);
       inflight.fetch_add(1, std::memory_order_relaxed);
@@ -333,13 +312,6 @@ struct Server::Impl {
           std::chrono::duration<double, std::micro>(Clock::now() - start)
               .count();
       SOCET_HISTOGRAM("serve/request_us", request_us);
-      if (obs::metrics_enabled()) {
-        if (busy_us == nullptr) {
-          busy_us = &obs::counter("serve/worker" + std::to_string(index + 1) +
-                                  "_busy_us");
-        }
-        busy_us->add(static_cast<std::uint64_t>(request_us));
-      }
       responses.fetch_add(1, std::memory_order_relaxed);
       inflight.fetch_sub(1, std::memory_order_relaxed);
       completion.conn = std::move(task->conn);
@@ -347,8 +319,6 @@ struct Server::Impl {
       completion.corr = std::move(task->corr);
       completion.verb = std::move(task->verb);
       completion.wall_us = request_us;
-      completion.queue_us =
-          static_cast<double>(start_ns - task->admit_ns) / 1e3;
       completion.depth_at_admit = task->depth_at_admit;
       completion.trace_id = task->trace_id;
       completion.parent_span = task->parent_span;
@@ -422,56 +392,6 @@ struct Server::Impl {
     if (!tap_installed) return;
     tap_installed = false;
     obs::journal_set_tap({});
-  }
-
-  void record_slow(std::uint64_t conn_id, const Completion& completion) {
-    const auto ts_us = std::chrono::duration_cast<std::chrono::microseconds>(
-                           Clock::now() - start_time)
-                           .count();
-    SlowReq req;
-    req.ts_us = static_cast<std::uint64_t>(ts_us);
-    req.conn = conn_id;
-    req.corr = completion.corr;
-    req.verb = completion.verb;
-    req.wall_us = completion.wall_us;
-    req.queue_us = completion.queue_us;
-    req.ok = completion.ok;
-    req.cache_hit = completion.cache_hit;
-    std::lock_guard<std::mutex> lock(slow_mutex);
-    slow_ring.push_back(std::move(req));
-    while (slow_ring.size() > kSlowRingCap) slow_ring.pop_front();
-  }
-
-  /// GET /debug/slowreqs: the slowest recent requests (top 32 of a
-  /// 256-deep ring), newest window first sorted by wall time.
-  [[nodiscard]] std::string slowreqs_json() {
-    std::vector<SlowReq> reqs;
-    {
-      std::lock_guard<std::mutex> lock(slow_mutex);
-      reqs.assign(slow_ring.begin(), slow_ring.end());
-    }
-    std::sort(reqs.begin(), reqs.end(),
-              [](const SlowReq& a, const SlowReq& b) {
-                return a.wall_us > b.wall_us;
-              });
-    if (reqs.size() > 32) reqs.resize(32);
-    std::string out = "{\"window\":" + std::to_string(reqs.size()) +
-                      ",\"slowest\":[";
-    for (std::size_t i = 0; i < reqs.size(); ++i) {
-      const auto& r = reqs[i];
-      if (i > 0) out += ',';
-      out += "{\"corr\":\"" + obs::json_escape(r.corr) + "\",\"verb\":\"" +
-             obs::json_escape(r.verb) + "\",\"wall_us\":" +
-             std::to_string(static_cast<std::uint64_t>(r.wall_us)) +
-             ",\"queue_us\":" +
-             std::to_string(static_cast<std::uint64_t>(r.queue_us)) +
-             ",\"cache\":\"" + (r.cache_hit ? "hit" : "miss") +
-             "\",\"status\":\"" + (r.ok ? "ok" : "error") + "\",\"conn\":" +
-             std::to_string(r.conn) + ",\"ts_us\":" + std::to_string(r.ts_us) +
-             "}";
-    }
-    out += "]}\n";
-    return out;
   }
 
   /// One profiling window, on its own thread: arm the SIGPROF sampler,
@@ -625,7 +545,6 @@ struct Server::Impl {
                  completion.wall_us,
                  completion.job ? (completion.cache_hit ? "hit" : "miss")
                                 : nullptr);
-      if (completion.job) record_slow(conn->id, completion);
       if (completion.trace_id != 0) {
         // The respond span covers worker-finish → event-loop pickup:
         // the tail latency a client sees past the job itself.
@@ -808,21 +727,6 @@ struct Server::Impl {
     const std::uint64_t depth = queue_depth.load(std::memory_order_relaxed);
     if (verb == "stats") {
       add_done_slot(conn, "ok stats " + snapshot().text());
-      log_access(conn->id, corr, verb, "ok", depth, 0, nullptr);
-      return;
-    }
-    if (verb == "health") {
-      add_done_slot(conn, std::string("ok health ") +
-                              (draining.load(std::memory_order_relaxed)
-                                   ? "draining"
-                                   : "serving"));
-      log_access(conn->id, corr, verb, "ok", depth, 0, nullptr);
-      return;
-    }
-    if (verb == "metrics") {
-      // Prometheus text over the framed protocol — what `socet top`
-      // polls so it needs no HTTP listener.
-      add_done_slot(conn, "ok metrics\n" + exposition());
       log_access(conn->id, corr, verb, "ok", depth, 0, nullptr);
       return;
     }
@@ -1194,14 +1098,10 @@ void Server::start() {
                                    impl_->options.port_file + "'");
   }
   // Telemetry plane: set up before any thread runs so the event loop
-  // never races the access-log open and the first scrape finds a window
-  // baseline.  Any telemetry flag turns metrics collection on — the
-  // registry renders to HTTP/side files only, so wire responses and
-  // stdout are untouched.
-  if (impl_->options.metrics_http || !impl_->options.access_log.empty()) {
-    obs::set_metrics_enabled(true);
-    impl_->ticker.start(impl_->options.window_interval);
-  }
+  // never races the access-log open.  The HTTP listener turns metrics
+  // collection on — the registry renders to HTTP only, so wire
+  // responses and stdout are untouched.
+  if (impl_->options.metrics_http) obs::set_metrics_enabled(true);
   if (!impl_->options.access_log.empty()) {
     impl_->access_log.open(impl_->options.access_log, std::ios::app);
     util::require(impl_->access_log.is_open(),
@@ -1234,10 +1134,6 @@ void Server::start() {
           }
           if (path == "/healthz") {
             return {200, "text/plain; charset=utf-8", "ok\n"};
-          }
-          if (path == "/debug/slowreqs") {
-            return {200, "application/json; charset=utf-8",
-                    impl->slowreqs_json()};
           }
           if (path == "/readyz") {
             // Readiness flips during drain so a load balancer stops
@@ -1278,7 +1174,6 @@ void Server::wait() {
   // answers 503 for the whole drain, and the last scrape still sees the
   // final counters.  Stop it only once the daemon is fully quiesced.
   impl_->httpd.stop();
-  impl_->ticker.stop();
   if (impl_->access_log.is_open()) impl_->access_log.close();
   impl_->joined = true;
 }

@@ -1,12 +1,8 @@
-// Prometheus exposition and the rolling-window machinery: name
-// sanitization, counter/gauge/summary rendering, window tick/delta
-// semantics (baseline selection, saturating deltas, ring bounds), and
-// the WindowTicker background thread.
+// Prometheus exposition: name sanitization and counter/gauge/summary
+// rendering.
 #include <gtest/gtest.h>
 
-#include <chrono>
 #include <string>
-#include <thread>
 
 #include "socet/obs/expo.hpp"
 #include "socet/obs/metrics.hpp"
@@ -14,33 +10,10 @@
 namespace socet {
 namespace {
 
-using namespace std::chrono_literals;
-
-// The registry is process-global and never shrinks (reset() only
-// zeroes values), so when the whole binary runs in one process the
-// delta lists carry every metric any test registered: look entries up
-// by name instead of asserting list sizes.
-const obs::WindowStats::CounterDelta* counter_delta(
-    const obs::WindowStats& stats, const std::string& name) {
-  for (const auto& c : stats.counters) {
-    if (c.name == name) return &c;
-  }
-  return nullptr;
-}
-
-const obs::WindowStats::HistogramDelta* histogram_delta(
-    const obs::WindowStats& stats, const std::string& name) {
-  for (const auto& h : stats.histograms) {
-    if (h.name == name) return &h;
-  }
-  return nullptr;
-}
-
 class ExpoTest : public ::testing::Test {
  protected:
   void SetUp() override {
     obs::Registry::instance().reset();
-    obs::Registry::instance().window_configure(128);
     obs::set_metrics_enabled(true);
   }
   void TearDown() override {
@@ -81,119 +54,8 @@ TEST_F(ExpoTest, RendersCountersGaugesAndSummaries) {
             std::string::npos);
   EXPECT_NE(text.find("socet_serve_request_us_sum 5050"), std::string::npos);
   EXPECT_NE(text.find("socet_serve_request_us_count 100"), std::string::npos);
-  // No ticks yet: the window families must be absent, not zero-filled.
+  // Cumulative families only: there are no rolling-window families.
   EXPECT_EQ(text.find("socet_window_"), std::string::npos) << text;
-}
-
-TEST_F(ExpoTest, WindowFamiliesAppearAfterATick) {
-  obs::Registry::instance().counter("serve/requests").add(5);
-  obs::Registry::instance().window_tick();
-  obs::Registry::instance().counter("serve/requests").add(3);
-  obs::Registry::instance().histogram("serve/request_us").record(40);
-
-  const std::string text = obs::prometheus_text();
-  for (const char* window : {"1m", "5m", "15m"}) {
-    EXPECT_NE(text.find("socet_window_serve_requests{window=\"" +
-                        std::string(window) + "\"}"),
-              std::string::npos)
-        << window << "\n" << text;
-  }
-  EXPECT_NE(text.find("socet_window_covered_seconds{window=\"1m\"}"),
-            std::string::npos);
-  EXPECT_NE(
-      text.find(
-          "socet_window_serve_request_us{window=\"1m\",quantile=\"0.5\"}"),
-      std::string::npos)
-      << text;
-  EXPECT_NE(text.find("socet_window_serve_request_us_count{window=\"1m\"} 1"),
-            std::string::npos)
-      << text;
-  // The test runs in well under a minute, so every window falls back to
-  // the oldest slot: the since-tick delta is 3, not the lifetime 8.
-  EXPECT_NE(text.find("socet_window_serve_requests{window=\"1m\"} 3"),
-            std::string::npos)
-      << text;
-}
-
-// ------------------------------------------------------------ window delta
-
-TEST_F(ExpoTest, WindowDeltaSubtractsTheChosenBaseline) {
-  auto& registry = obs::Registry::instance();
-  EXPECT_FALSE(registry.window_delta(60.0).valid);
-
-  registry.counter("jobs").add(10);
-  auto& h = registry.histogram("lat");
-  h.record(100);
-  registry.window_tick();  // baseline: jobs=10, lat count=1
-  registry.counter("jobs").add(4);
-  h.record(200);
-  h.record(300);
-
-  // Lookback 0 picks the newest slot at least 0s old — the tick above.
-  const auto recent = registry.window_delta(0.0);
-  ASSERT_TRUE(recent.valid);
-  const auto* jobs = counter_delta(recent, "jobs");
-  ASSERT_NE(jobs, nullptr);
-  EXPECT_EQ(jobs->delta, 4u);
-  const auto* lat = histogram_delta(recent, "lat");
-  ASSERT_NE(lat, nullptr);
-  EXPECT_EQ(lat->count, 2u);
-  EXPECT_EQ(lat->sum, 500u);
-  EXPECT_GT(lat->p50, 0.0);
-  EXPECT_LE(lat->p50, lat->p99);
-
-  // A lookback far beyond the ring's age falls back to the oldest slot.
-  const auto old = registry.window_delta(900.0);
-  ASSERT_TRUE(old.valid);
-  const auto* old_jobs = counter_delta(old, "jobs");
-  ASSERT_NE(old_jobs, nullptr);
-  EXPECT_EQ(old_jobs->delta, 4u);
-  EXPECT_GE(old.covered_seconds, 0.0);
-}
-
-TEST_F(ExpoTest, WindowDeltaSaturatesInsteadOfUnderflowing) {
-  auto& registry = obs::Registry::instance();
-  registry.counter("jobs").add(10);
-  registry.window_tick();
-  // reset() zeroes the live value below the baseline; the ring is also
-  // dropped, so re-tick and make sure nothing wrapped around.
-  registry.reset();
-  EXPECT_EQ(registry.window_slot_count(), 0u);
-  registry.counter("jobs").add(2);
-  registry.window_tick();
-  const auto delta = registry.window_delta(0.0);
-  ASSERT_TRUE(delta.valid);
-  const auto* jobs = counter_delta(delta, "jobs");
-  ASSERT_NE(jobs, nullptr);
-  EXPECT_EQ(jobs->delta, 0u);  // live 2 - baseline 2
-}
-
-TEST_F(ExpoTest, WindowRingIsBounded) {
-  auto& registry = obs::Registry::instance();
-  registry.window_configure(4);
-  for (int tick = 0; tick < 10; ++tick) registry.window_tick();
-  EXPECT_EQ(registry.window_slot_count(), 4u);
-  registry.reset();
-  EXPECT_EQ(registry.window_slot_count(), 0u);
-}
-
-// ----------------------------------------------------------------- ticker
-
-TEST_F(ExpoTest, WindowTickerFeedsTheRingUntilStopped) {
-  auto& registry = obs::Registry::instance();
-  obs::WindowTicker ticker;
-  EXPECT_FALSE(ticker.running());
-  ticker.start(1ms);
-  EXPECT_TRUE(ticker.running());
-  // The first tick fires synchronously inside start().
-  EXPECT_GE(registry.window_slot_count(), 1u);
-  while (registry.window_slot_count() < 3) std::this_thread::sleep_for(1ms);
-  ticker.stop();
-  EXPECT_FALSE(ticker.running());
-  ticker.stop();  // idempotent
-  const auto frozen = registry.window_slot_count();
-  std::this_thread::sleep_for(5ms);
-  EXPECT_EQ(registry.window_slot_count(), frozen);
 }
 
 }  // namespace

@@ -503,9 +503,12 @@ struct CliRun {
   std::string output;
 };
 
-CliRun run_cli(const std::string& arguments) {
+/// Runs the CLI and captures stdout; `redirect` picks the streams
+/// (" 2>&1 >/dev/null" captures stderr instead).
+CliRun run_cli(const std::string& arguments,
+               const std::string& redirect = " 2>/dev/null") {
   const std::string command =
-      std::string(SOCET_CLI_PATH) + " " + arguments + " 2>/dev/null";
+      std::string(SOCET_CLI_PATH) + " " + arguments + redirect;
   FILE* pipe = popen(command.c_str(), "r");
   EXPECT_NE(pipe, nullptr);
   CliRun run;
@@ -550,6 +553,23 @@ TEST(Cli, JournalRecordAndExplainRoundTrip) {
 
   EXPECT_EQ(run_cli("explain route CPU").exit_code, 1);  // needs --journal
   EXPECT_EQ(run_cli("explain nonsense --journal " + journal).exit_code, 1);
+  std::remove(journal.c_str());
+}
+
+TEST(Cli, TruncatedJournalReportsTheReasonAndLine) {
+  const std::string journal = testing::TempDir() + "socet_cli_truncated.jsonl";
+  {
+    std::ofstream file(journal);
+    file << "{\"schema\":\"socet-journal-v1\",\"events\":2}\n"
+            "{\"seq\":0,\"type\":\"route\"}\n"
+            "{\"seq\":1,\"ty";
+  }
+  const CliRun run =
+      run_cli("explain route CPU --journal " + journal, " 2>&1 >/dev/null");
+  EXPECT_EQ(run.exit_code, 1);
+  EXPECT_NE(run.output.find("bad journal '" + journal + "': line 3"),
+            std::string::npos)
+      << run.output;
   std::remove(journal.c_str());
 }
 

@@ -193,17 +193,6 @@ TEST_F(ObsTest, TopBucketInterpolatesToTheObservedMaxNotTheBound) {
   EXPECT_LE(p50, 128.0);
 }
 
-TEST_F(ObsTest, BucketQuantileWithoutObservedExtremesFloorsTheOverflow) {
-  // Window deltas only have bucket counts — no live min/max.  All mass
-  // in the overflow bucket must report that bucket's floor (the largest
-  // finite bound), not infinity or the ~0 sentinel.
-  std::uint64_t buckets[obs::Histogram::kBuckets] = {};
-  buckets[obs::Histogram::kBuckets - 1] = 5;
-  const double q = obs::bucket_quantile(buckets, 5, 0.99, false, 0, 0);
-  EXPECT_EQ(q, static_cast<double>(
-                   obs::Histogram::bucket_bound(obs::Histogram::kBuckets - 2)));
-}
-
 TEST_F(ObsTest, ResetClearsEverything) {
   obs::Histogram h;
   h.record(5);

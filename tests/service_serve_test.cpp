@@ -297,7 +297,7 @@ service::Client connect_to(const service::Server& server,
   return service::Client(options);
 }
 
-TEST(Serve, HealthAndStatsRoundTrip) {
+TEST(Serve, StatsRoundTrip) {
   service::ServerOptions options;
   options.threads = 2;
   service::Server server(std::move(options));
@@ -305,7 +305,18 @@ TEST(Serve, HealthAndStatsRoundTrip) {
   ASSERT_GT(server.port(), 0);
 
   auto client = connect_to(server);
-  EXPECT_EQ(client.query("health"), "ok health serving");
+  // `health` and `metrics` are not verbs: each falls through to the job
+  // parser and gets exactly one error record, and the connection stays
+  // usable (the next reply on it is the stats answer).
+  for (const char* removed : {"health", "metrics"}) {
+    const std::string reply = client.query(removed);
+    EXPECT_EQ(reply.rfind("error unknown verb '" + std::string(removed) + "'",
+                          0),
+              0u)
+        << reply;
+    EXPECT_NE(reply.find("(column 1)"), std::string::npos) << reply;
+    EXPECT_EQ(client.query("stats").rfind("ok stats workers=2 ", 0), 0u);
+  }
   const std::string stats = client.query("stats");
   EXPECT_EQ(stats.rfind("ok stats workers=2 ", 0), 0u) << stats;
   EXPECT_NE(stats.find(" draining=0 "), std::string::npos) << stats;
@@ -366,7 +377,7 @@ TEST(Serve, OversizedFrameKillsOnlyThatConnection) {
   server.start();
 
   auto good = connect_to(server);
-  EXPECT_EQ(good.query("health"), "ok health serving");
+  EXPECT_EQ(good.query("stats").rfind("ok stats ", 0), 0u);
 
   // A raw connection announcing a 4 GiB frame: the server answers with
   // one error frame and closes; the stream cannot be resynchronized.
@@ -379,7 +390,7 @@ TEST(Serve, OversizedFrameKillsOnlyThatConnection) {
   ::close(bad_fd);
 
   // The well-behaved connection is unaffected.
-  EXPECT_EQ(good.query("health"), "ok health serving");
+  EXPECT_EQ(good.query("stats").rfind("ok stats ", 0), 0u);
   const auto report = good.run_lines({"plan system=barcode"});
   EXPECT_EQ(report.errors, 0u);
   EXPECT_EQ(server.stats().bad_frames, 1u);
@@ -486,6 +497,9 @@ TEST(Serve, GracefulDrainFinishesAdmittedWorkAndRejectsTheRest) {
   service::write_frame(fd, "plan system=barcode");   // in flight
   gate.wait_entered(1);
   service::write_frame(fd, "explore system=barcode");  // admitted, queued
+  // Drain only once the event loop has admitted it; otherwise a slow
+  // loop (e.g. under a sanitizer) reads it after the drain began.
+  while (server.stats().queue_depth < 1) std::this_thread::sleep_for(1ms);
 
   server.request_drain();
   while (!server.stats().draining) std::this_thread::sleep_for(1ms);
@@ -521,7 +535,7 @@ TEST(Serve, DrainClosesIdleConnections) {
   service::Server server(std::move(options));
   server.start();
   const int fd = service::net_connect("127.0.0.1", server.port());
-  service::write_frame(fd, "health");
+  service::write_frame(fd, "stats");
   ASSERT_TRUE(service::read_frame(fd).has_value());
   server.request_drain();
   EXPECT_FALSE(service::read_frame(fd).has_value());  // server-side close
@@ -576,36 +590,24 @@ TEST(Serve, StatsReportTheQueueHighWaterMark) {
   EXPECT_NE(text.find(" queue_hwm=2 "), std::string::npos) << text;
 }
 
-TEST(Serve, MetricsVerbAndAccessLogCarryTheTelemetry) {
+TEST(Serve, AccessLogCarriesPerRequestTelemetry) {
   const std::string log_path = testing::TempDir() + "serve_access.jsonl";
   std::remove(log_path.c_str());
   service::ServerOptions options;
   // One worker: the duplicate plan job deterministically hits the
   // cache (with more, it can race the first copy's fill and miss).
   options.threads = 1;
-  options.access_log = log_path;  // any telemetry flag enables metrics
+  options.access_log = log_path;
+  // The access log is self-contained: it does not switch on the
+  // metrics registry (only the HTTP listener does).
+  obs::set_metrics_enabled(false);
   service::Server server(std::move(options));
   server.start();
+  EXPECT_FALSE(obs::metrics_enabled());
   {
     auto client = connect_to(server);
     EXPECT_EQ(client.run_lines(kJobFile).errors, 1u);
-    const std::string reply = client.query("metrics");
-    EXPECT_EQ(reply.rfind("ok metrics\n", 0), 0u) << reply;
-    EXPECT_NE(reply.find("socet_serve_requests_total"), std::string::npos)
-        << reply;
-    EXPECT_NE(reply.find("socet_serve_up 1"), std::string::npos) << reply;
-    // The 1m window must already hold this batch: the baseline slot is
-    // captured when the server starts, so the delta sees every job.
-    EXPECT_NE(reply.find("socet_window_serve_request_us{window=\"1m\","
-                         "quantile=\"0.5\"}"),
-              std::string::npos)
-        << reply;
-    const std::string count_key =
-        "socet_window_serve_request_us_count{window=\"1m\"} ";
-    const auto at = reply.find(count_key);
-    ASSERT_NE(at, std::string::npos) << reply;
-    // kJobFile carries 8 jobs (comments/blanks are skipped).
-    EXPECT_GE(std::stod(reply.substr(at + count_key.size())), 8.0) << reply;
+    EXPECT_EQ(client.query("stats").rfind("ok stats ", 0), 0u);
   }
   server.request_drain();
   server.wait();
@@ -618,7 +620,7 @@ TEST(Serve, MetricsVerbAndAccessLogCarryTheTelemetry) {
   EXPECT_NE(lines.find("\"type\":\"serve.access\""), std::string::npos);
   EXPECT_NE(lines.find("\"corr\":\"job-1\""), std::string::npos) << lines;
   EXPECT_NE(lines.find("\"verb\":\"plan\""), std::string::npos);
-  EXPECT_NE(lines.find("\"verb\":\"metrics\""), std::string::npos);
+  EXPECT_NE(lines.find("\"verb\":\"stats\""), std::string::npos);
   EXPECT_NE(lines.find("\"status\":\"error\""), std::string::npos);
   EXPECT_NE(lines.find("\"cache\":\"hit\""), std::string::npos) << lines;
   std::remove(log_path.c_str());
@@ -869,7 +871,7 @@ TEST(Serve, TailRejectsUnknownFilters) {
   EXPECT_EQ(client.query("tail nope=3"),
             "error bad tail filter 'nope=3'");
   // The reject did not subscribe the connection: normal traffic works.
-  EXPECT_EQ(client.query("health"), "ok health serving");
+  EXPECT_EQ(client.query("stats").rfind("ok stats ", 0), 0u);
 }
 
 TEST(Serve, JournalRingServesTheJournalVerb) {
@@ -968,7 +970,7 @@ TEST(Serve, AccessLogRotatesAtTheByteBound) {
   std::remove(rolled_path.c_str());
 }
 
-TEST(Serve, HttpSlowreqsAndBuildInfoExposeTheIntrospectionPlane) {
+TEST(Serve, HttpMetricsCarryBuildInfo) {
   service::ServerOptions options;
   options.threads = 2;
   options.metrics_http = true;
@@ -986,13 +988,6 @@ TEST(Serve, HttpSlowreqsAndBuildInfoExposeTheIntrospectionPlane) {
       << metrics;
   EXPECT_NE(metrics.find("git=\""), std::string::npos);
   EXPECT_NE(metrics.find("socet_start_time_seconds "), std::string::npos);
-
-  const std::string slow = http_get(mport, "GET /debug/slowreqs HTTP/1.0");
-  EXPECT_NE(slow.find("200 OK\r\n"), std::string::npos) << slow;
-  EXPECT_NE(slow.find("\"window\":"), std::string::npos) << slow;
-  EXPECT_NE(slow.find("\"slowest\":["), std::string::npos);
-  EXPECT_NE(slow.find("\"wall_us\":"), std::string::npos);
-  EXPECT_NE(slow.find("\"corr\":\"job-"), std::string::npos) << slow;
 }
 
 // --------------------------------------------------------------------- CLI
@@ -1042,9 +1037,9 @@ TEST(Cli, ClientAndBatchConnectMatchLocalBatch) {
   EXPECT_EQ(remote_batch.exit_code, 1);
   EXPECT_EQ(remote_batch.output, local.output);
 
-  const CliRun health = run_cli("client --connect " + connect + " health");
-  EXPECT_EQ(health.exit_code, 0);
-  EXPECT_EQ(health.output, "ok health serving\n");
+  // `health` and `metrics` are no longer client verbs.
+  EXPECT_EQ(run_cli("client --connect " + connect + " health").exit_code, 1);
+  EXPECT_EQ(run_cli("client --connect " + connect + " metrics").exit_code, 1);
   const CliRun stats = run_cli("client --connect " + connect + " stats");
   EXPECT_EQ(stats.exit_code, 0);
   EXPECT_EQ(stats.output.rfind("ok stats workers=2 ", 0), 0u);
@@ -1058,34 +1053,6 @@ TEST(Cli, ClientRejectsBadArguments) {
   // Nothing is listening on a fresh ephemeral port's neighbour; a
   // connect failure is an error, not a hang.
   EXPECT_EQ(run_cli("serve --threads 0").exit_code, 1);
-}
-
-TEST(Cli, TopAndMetricsVerbRenderLiveTelemetry) {
-  const std::string log_path = testing::TempDir() + "top_access.jsonl";
-  std::remove(log_path.c_str());
-  service::ServerOptions options;
-  options.threads = 2;
-  options.access_log = log_path;  // turns the telemetry plane on
-  service::Server server(std::move(options));
-  server.start();
-  const std::string connect =
-      "127.0.0.1:" + std::to_string(server.port());
-  auto client = connect_to(server);  // seed some traffic to display
-  client.run_lines({"plan system=barcode", "explore system=barcode",
-                    "plan system=barcode"});
-
-  const CliRun top = run_cli("top --connect " + connect +
-                             " --iterations 2 --interval-ms 10");
-  EXPECT_EQ(top.exit_code, 0) << top.output;
-  EXPECT_NE(top.output.find("socet top"), std::string::npos) << top.output;
-  EXPECT_NE(top.output.find("p95_us"), std::string::npos) << top.output;
-  EXPECT_NE(top.output.find("1m"), std::string::npos) << top.output;
-
-  const CliRun metrics = run_cli("client --connect " + connect + " metrics");
-  EXPECT_EQ(metrics.exit_code, 0);
-  EXPECT_EQ(metrics.output.rfind("ok metrics", 0), 0u) << metrics.output;
-  EXPECT_NE(metrics.output.find("socet_serve_up 1"), std::string::npos);
-  std::remove(log_path.c_str());
 }
 
 TEST(Cli, BatchConnectTraceKeepsStdoutIdenticalAndWritesOneMergedTrace) {
@@ -1155,51 +1122,6 @@ TEST(Cli, TailFollowsTheLiveJournalOverTheWire) {
                                         tail.output.end(), '\n')),
             2)
       << tail.output;
-}
-
-TEST(Cli, TopPrintsAReconnectBannerWhenTheDaemonIsGone) {
-  // Nothing listens on the discard port; top must not crash or hang —
-  // it banners, backs off (500ms then 1000ms), and exits cleanly.
-  const CliRun top =
-      run_cli("top --connect 127.0.0.1:9 --iterations 2 --interval-ms 10");
-  EXPECT_EQ(top.exit_code, 0) << top.output;
-  EXPECT_NE(top.output.find("reconnecting in 500ms"), std::string::npos)
-      << top.output;
-  EXPECT_NE(top.output.find("reconnecting in 1000ms"), std::string::npos)
-      << top.output;
-}
-
-TEST(Cli, TraceMergeCombinesTwoChromeTraces) {
-  const std::string base_path = testing::TempDir() + "merge_base.json";
-  const std::string overlay_path = testing::TempDir() + "merge_overlay.json";
-  const std::string out_path = testing::TempDir() + "merge_out.json";
-  {
-    std::ofstream base(base_path);
-    base << R"({"traceEvents":[{"name":"alpha","ph":"X","ts":1,"dur":2,"pid":1,"tid":1}]})";
-    std::ofstream overlay(overlay_path);
-    overlay << R"({"traceEvents":[{"name":"beta","ph":"X","ts":1,"dur":2,"pid":1,"tid":1}]})";
-  }
-  const CliRun merge =
-      run_cli("trace-merge --base " + base_path + " --overlay " +
-              overlay_path + " --offset-us 100 --out " + out_path);
-  EXPECT_EQ(merge.exit_code, 0) << merge.output;
-  std::ifstream file(out_path);
-  ASSERT_TRUE(file.is_open());
-  std::ostringstream raw;
-  raw << file.rdbuf();
-  const std::string merged = raw.str();
-  EXPECT_NE(merged.find("\"alpha\""), std::string::npos) << merged;
-  EXPECT_NE(merged.find("\"beta\""), std::string::npos);
-  EXPECT_NE(merged.find("\"ts\":101"), std::string::npos) << merged;
-
-  // A document without traceEvents is a structured failure.
-  EXPECT_EQ(run_cli("trace-merge --base " + base_path +
-                    " --overlay /nonexistent.json --out " + out_path)
-                .exit_code,
-            1);
-  std::remove(base_path.c_str());
-  std::remove(overlay_path.c_str());
-  std::remove(out_path.c_str());
 }
 
 }  // namespace

@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "socet/obs/trace.hpp"
 #include "socet/obs/traceanalyze.hpp"
 
 namespace socet {
@@ -385,6 +386,42 @@ TEST(LoadTrace, JournalFoldsIntoPerCorrEnvelopes) {
   EXPECT_TRUE(saw_plan);
 }
 
+TEST(LoadTrace, ExportedSpansPastOneSecondKeepTheirNesting) {
+  // 1.5 s into a trace, microsecond gaps need more than six significant
+  // digits: the exporter must not collapse or reorder these B/E events.
+  obs::reset_trace();
+  constexpr std::uint64_t kEpoch = 1'000'000'000;
+  constexpr std::uint64_t kLate = kEpoch + 1'500'000'000;
+  obs::detail::record_span("t/epoch", kEpoch, kEpoch + 1'000);
+  obs::detail::record_span("t/outer", kLate, kLate + 3'000);
+  obs::detail::record_span("t/inner", kLate + 1'000, kLate + 2'000);
+  obs::detail::record_span("t/after", kLate + 3'000, kLate + 3'500);
+  const std::string json = obs::chrome_trace_json();
+  obs::reset_trace();
+
+  const TraceData trace = load_ok(json);
+  ASSERT_EQ(trace.spans.size(), 4u) << json;
+  const auto index_of = [&trace](const std::string& name) {
+    for (std::size_t i = 0; i < trace.spans.size(); ++i) {
+      if (trace.spans[i].name == name) return static_cast<int>(i);
+    }
+    return -1;
+  };
+  const int outer = index_of("t/outer");
+  const int inner = index_of("t/inner");
+  const int after = index_of("t/after");
+  ASSERT_GE(outer, 0);
+  ASSERT_GE(inner, 0);
+  ASSERT_GE(after, 0);
+  EXPECT_EQ(trace.spans[inner].parent_index, outer) << json;
+  EXPECT_EQ(trace.spans[outer].parent_index, -1);
+  EXPECT_EQ(trace.spans[after].parent_index, -1);
+  EXPECT_DOUBLE_EQ(trace.spans[outer].start_us, 1'500'000.0);
+  EXPECT_DOUBLE_EQ(trace.spans[outer].dur_us(), 3.0);
+  EXPECT_DOUBLE_EQ(trace.spans[inner].dur_us(), 1.0);
+  EXPECT_DOUBLE_EQ(trace.spans[after].dur_us(), 0.5);
+}
+
 TEST(LoadTrace, EmptyTraceEventsIsValidAndEmpty) {
   const TraceData trace = load_ok("{\"traceEvents\":[]}");
   EXPECT_TRUE(trace.spans.empty());
@@ -401,11 +438,14 @@ struct CliRun {
   std::string output;
 };
 
+/// Runs the CLI and captures stdout; `redirect` picks the streams
+/// (" 2>&1 >/dev/null" captures stderr instead).
 CliRun run_cli(const std::string& arguments,
-               const std::string& env_prefix = "") {
+               const std::string& env_prefix = "",
+               const std::string& redirect = " 2>/dev/null") {
   const std::string command = env_prefix + (env_prefix.empty() ? "" : " ") +
                               std::string(SOCET_CLI_PATH) + " " + arguments +
-                              " 2>/dev/null";
+                              redirect;
   FILE* pipe = popen(command.c_str(), "r");
   EXPECT_NE(pipe, nullptr);
   CliRun run;
@@ -494,6 +534,24 @@ TEST(CliTraceAnalyze, BadInputFailsWithAUsefulError) {
   std::remove(path.c_str());
   EXPECT_NE(run_cli("trace-analyze").exit_code, 0);
   EXPECT_NE(run_cli("trace-analyze --diff only_one.json").exit_code, 0);
+}
+
+TEST(CliTraceAnalyze, TruncatedTraceReportsTheReasonAndLine) {
+  const std::string path = testing::TempDir() + "ta_truncated.json";
+  {
+    std::ofstream file(path);
+    file << "{\"traceEvents\":[\n"
+            "{\"name\":\"a\",\"ph\":\"X\",\"ts\":0,\"dur\":5,\"pid\":1,\"tid\":1},\n"
+            "{\"name\":\"b\",\"ph\":\"X\",\"ts\":1,";
+  }
+  const CliRun run =
+      run_cli("trace-analyze " + path, "", " 2>&1 >/dev/null");
+  EXPECT_EQ(run.exit_code, 1);
+  // The reason follows the path and names the break line; an empty
+  // reason would leave "<path>: " at the end of the message.
+  EXPECT_NE(run.output.find(path + ": line 3"), std::string::npos)
+      << run.output;
+  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -8,11 +8,8 @@
 //   socet parallel [--system ...] [--selection 1,2,3]  # session schedule
 //   socet batch    --jobs FILE [--threads N] # planning service (one job/line)
 //   socet serve    [--port N] [--threads N]  # persistent planning daemon
-//   socet client   --connect HOST:PORT (--jobs FILE | stats | health | metrics
-//                  | journal | profile)
-//   socet top      --connect HOST:PORT [--interval-ms N]  # live dashboard
+//   socet client   --connect HOST:PORT (--jobs FILE | stats | journal | profile)
 //   socet tail     --connect HOST:PORT [--corr ID] [--type PREFIX]  # live journal
-//   socet trace-merge --base A.json --overlay B.json  # one Chrome timeline
 //   socet trace-analyze TRACE.json [--diff A B]  # critical path / attribution
 //   socet sweep    [--system ...] [--threads N]  # parallel explore
 //   socet program  [--system ...]            # assembled test program
@@ -24,18 +21,13 @@
 // Core names: CPU, PREPROCESSOR, DISPLAY, GRAPHICS, GCD, X25.
 #include <unistd.h>
 
-#include <algorithm>
-#include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
 #include <iterator>
 #include <map>
-#include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "socet/core/serialize.hpp"
@@ -49,7 +41,6 @@
 #include "socet/obs/sampler.hpp"
 #include "socet/obs/trace.hpp"
 #include "socet/obs/traceanalyze.hpp"
-#include "socet/obs/tracemerge.hpp"
 #include "socet/opt/optimize.hpp"
 #include "socet/service/client.hpp"
 #include "socet/service/protocol.hpp"
@@ -364,9 +355,6 @@ int cmd_serve(const Args& args) {
   options.access_log_max_bytes =
       parse_option_count(args, "access-log-max-bytes", 0);
   options.journal_ring = parse_option_count(args, "journal-ring", 0);
-  options.window_interval = std::chrono::milliseconds(parse_option_count(
-      args, "metrics-interval-ms",
-      static_cast<unsigned long>(options.window_interval.count())));
   const std::string host = options.host;
   const unsigned threads = options.threads;
   const bool metrics_http = options.metrics_http;
@@ -389,8 +377,7 @@ int cmd_serve(const Args& args) {
 
 int cmd_client(const Args& args) {
   const std::string verb = args.positional(0);
-  if (verb == "stats" || verb == "health" || verb == "metrics" ||
-      verb == "journal") {
+  if (verb == "stats" || verb == "journal") {
     service::Client client(client_options(args));
     std::printf("%s\n", client.query(verb).c_str());
     return 0;
@@ -407,8 +394,7 @@ int cmd_client(const Args& args) {
   }
   util::require(verb.empty(),
                 "unknown client verb '" + verb +
-                    "' (use stats|health|metrics|journal|profile or "
-                    "--jobs FILE)");
+                    "' (use stats|journal|profile or --jobs FILE)");
   return run_remote_jobs(args, "client");
 }
 
@@ -446,38 +432,6 @@ int cmd_tail(const Args& args) {
   return 0;
 }
 
-/// `socet trace-merge --base A.json --overlay B.json [--offset-us X]`:
-/// concatenate two Chrome trace documents onto one timeline (overlay
-/// pids remapped past the base's, timestamps shifted by the offset).
-int cmd_trace_merge(const Args& args) {
-  const auto read_text = [](const std::string& path, const char* what) {
-    util::require(!path.empty(),
-                  std::string("trace-merge needs --") + what + " FILE");
-    std::ifstream file(path);
-    util::require(file.good(), "cannot open '" + path + "'");
-    return std::string((std::istreambuf_iterator<char>(file)),
-                       std::istreambuf_iterator<char>());
-  };
-  const std::string base = read_text(args.get("base", ""), "base");
-  const std::string overlay = read_text(args.get("overlay", ""), "overlay");
-  const double offset_us =
-      std::strtod(args.get("offset-us", "0").c_str(), nullptr);
-  std::string merged;
-  std::string error;
-  util::require(
-      obs::merge_chrome_trace_files(base, overlay, offset_us, &merged, &error),
-      "trace-merge: " + error);
-  const std::string out_path = args.get("out", "");
-  if (out_path.empty()) {
-    std::printf("%s", merged.c_str());
-    return 0;
-  }
-  std::ofstream out(out_path);
-  out << merged;
-  util::require(out.good(), "cannot write '" + out_path + "'");
-  return 0;
-}
-
 /// `socet trace-analyze FILE... [--json] [--folded] [--top N] [--out F]`
 /// or `socet trace-analyze --diff A.json B.json [--json]`: offline
 /// analytics over Chrome-trace / journal artifacts — critical path,
@@ -493,8 +447,9 @@ int cmd_trace_analyze(const Args& args) {
   const auto load = [&read_text](const std::string& path) {
     obs::analyze::TraceData trace;
     std::string error;
-    util::require(obs::analyze::load_trace(read_text(path), &trace, &error),
-                  "trace-analyze: " + path + ": " + error);
+    // Parse first: the message must be built after `error` is filled.
+    const bool ok = obs::analyze::load_trace(read_text(path), &trace, &error);
+    util::require(ok, "trace-analyze: " + path + ": " + error);
     return trace;
   };
   // parse_args folds the token after a bare flag into its value, so a
@@ -548,183 +503,6 @@ int cmd_trace_analyze(const Args& args) {
   std::ofstream out(out_path);
   out << rendered;
   util::require(out.good(), "cannot write '" + out_path + "'");
-  return 0;
-}
-
-/// Parse one Prometheus exposition into {sample line -> value}, keyed
-/// by the full sample name including labels.
-std::map<std::string, double> parse_exposition(const std::string& text) {
-  std::map<std::string, double> samples;
-  std::size_t start = 0;
-  while (start < text.size()) {
-    std::size_t end = text.find('\n', start);
-    if (end == std::string::npos) end = text.size();
-    const std::string line = text.substr(start, end - start);
-    start = end + 1;
-    if (line.empty() || line[0] == '#') continue;
-    const std::size_t space = line.rfind(' ');
-    if (space == std::string::npos || space == 0) continue;
-    samples[line.substr(0, space)] =
-        std::strtod(line.c_str() + space + 1, nullptr);
-  }
-  return samples;
-}
-
-/// Parse "ok stats k=v k=v ..." into {k -> v}.
-std::map<std::string, std::uint64_t> parse_stats(const std::string& reply) {
-  std::map<std::string, std::uint64_t> stats;
-  std::size_t pos = 0;
-  while (pos < reply.size()) {
-    std::size_t end = reply.find(' ', pos);
-    if (end == std::string::npos) end = reply.size();
-    const std::string token = reply.substr(pos, end - pos);
-    pos = end + 1;
-    const std::size_t eq = token.find('=');
-    if (eq == std::string::npos) continue;
-    stats[token.substr(0, eq)] =
-        std::strtoull(token.c_str() + eq + 1, nullptr, 10);
-  }
-  return stats;
-}
-
-double window_sample(const std::map<std::string, double>& samples,
-                     const char* window, const char* quantile) {
-  const std::string key = std::string("socet_window_serve_request_us{window=\"") +
-                          window + "\",quantile=\"" + quantile + "\"}";
-  const auto it = samples.find(key);
-  return it == samples.end() ? 0.0 : it->second;
-}
-
-/// `socet top`: poll stats + metrics over the framed protocol and
-/// render a refreshing dashboard.  Requires a daemon started with a
-/// telemetry flag (--metrics-port or --access-log) for the window
-/// quantiles and busy%; throughput and queue figures work regardless.
-int cmd_top(const Args& args) {
-  const auto interval_ms = parse_option_count(args, "interval-ms", 1000);
-  // 0 = until interrupted; tests and CI pass a small bound.
-  const auto iterations = parse_option_count(args, "iterations", 0);
-  const bool tty = ::isatty(STDOUT_FILENO) != 0;
-
-  // The dashboard survives a daemon restart: a failed connect or query
-  // drops the connection, prints a reconnecting banner, and retries
-  // with capped exponential backoff instead of exiting.
-  std::unique_ptr<service::Client> client;
-  unsigned long backoff_ms = 0;
-  bool have_prev = false;
-  std::map<std::string, std::uint64_t> prev_stats;
-  std::map<std::string, double> prev_samples;
-  auto prev_at = std::chrono::steady_clock::now();
-  for (unsigned long i = 0; iterations == 0 || i < iterations; ++i) {
-    if (i > 0) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(interval_ms));
-    }
-    std::map<std::string, std::uint64_t> stats;
-    std::map<std::string, double> samples;
-    try {
-      if (!client) {
-        client = std::make_unique<service::Client>(client_options(args));
-      }
-      stats = parse_stats(client->query("stats"));
-      samples = parse_exposition(client->query("metrics"));
-      backoff_ms = 0;
-    } catch (const std::exception& e) {
-      client.reset();
-      have_prev = false;  // rates restart once the daemon is back
-      backoff_ms =
-          backoff_ms == 0 ? 500 : std::min<unsigned long>(backoff_ms * 2, 5000);
-      std::printf("socet top — %s — reconnecting in %lums (%s)\n",
-                  args.get("connect", "").c_str(), backoff_ms, e.what());
-      std::fflush(stdout);
-      std::this_thread::sleep_for(std::chrono::milliseconds(backoff_ms));
-      continue;
-    }
-    const auto now = std::chrono::steady_clock::now();
-    const double elapsed_s =
-        std::chrono::duration<double>(now - prev_at).count();
-    const auto stat = [&stats](const char* key) -> std::uint64_t {
-      const auto it = stats.find(key);
-      return it == stats.end() ? 0 : it->second;
-    };
-    const auto rate = [&](const char* key) -> double {
-      if (!have_prev || elapsed_s <= 0) return 0.0;
-      const auto it = prev_stats.find(key);
-      const std::uint64_t prev = it == prev_stats.end() ? 0 : it->second;
-      return static_cast<double>(stat(key) - prev) / elapsed_s;
-    };
-
-    if (tty) std::printf("\033[H\033[2J");
-    std::printf("socet top — %s — workers=%llu conns=%llu draining=%llu\n",
-                args.get("connect", "").c_str(),
-                static_cast<unsigned long long>(stat("workers")),
-                static_cast<unsigned long long>(stat("connections")),
-                static_cast<unsigned long long>(stat("draining")));
-    std::printf(
-        "requests=%llu (%.1f/s)  responses=%llu (%.1f/s)  errors=%llu  "
-        "busy=%llu\n",
-        static_cast<unsigned long long>(stat("requests")), rate("requests"),
-        static_cast<unsigned long long>(stat("responses")), rate("responses"),
-        static_cast<unsigned long long>(stat("errors")),
-        static_cast<unsigned long long>(stat("busy")));
-    std::printf("queue depth=%llu hwm=%llu inflight=%llu\n",
-                static_cast<unsigned long long>(stat("queue_depth")),
-                static_cast<unsigned long long>(stat("queue_hwm")),
-                static_cast<unsigned long long>(stat("inflight")));
-    const std::uint64_t hits = stat("cache_hits");
-    const std::uint64_t misses = stat("cache_misses");
-    std::printf(
-        "cache hits=%llu misses=%llu hit%%=%.1f evictions=%llu "
-        "evicted_bytes=%llu entries=%llu bytes=%llu\n",
-        static_cast<unsigned long long>(hits),
-        static_cast<unsigned long long>(misses),
-        hits + misses == 0
-            ? 0.0
-            : 100.0 * static_cast<double>(hits) /
-                  static_cast<double>(hits + misses),
-        static_cast<unsigned long long>(stat("cache_evictions")),
-        static_cast<unsigned long long>(stat("cache_evicted_bytes")),
-        static_cast<unsigned long long>(stat("cache_entries")),
-        static_cast<unsigned long long>(stat("cache_bytes")));
-
-    util::Table windows({"window", "p50_us", "p95_us", "p99_us", "count"});
-    for (const char* window : {"1m", "5m", "15m"}) {
-      const auto count_it = samples.find(
-          std::string("socet_window_serve_request_us_count{window=\"") +
-          window + "\"}");
-      windows.add_row(
-          {window, util::Table::num(window_sample(samples, window, "0.5")),
-           util::Table::num(window_sample(samples, window, "0.95")),
-           util::Table::num(window_sample(samples, window, "0.99")),
-           count_it == samples.end()
-               ? "-"
-               : std::to_string(
-                     static_cast<std::uint64_t>(count_it->second))});
-    }
-    std::printf("%s", windows.to_text().c_str());
-
-    std::printf("worker busy%%:");
-    const std::uint64_t workers = stat("workers");
-    for (std::uint64_t w = 1; w <= workers; ++w) {
-      const std::string key =
-          "socet_serve_worker" + std::to_string(w) + "_busy_us_total";
-      const auto it = samples.find(key);
-      const double busy_us = it == samples.end() ? 0.0 : it->second;
-      const auto prev_it = prev_samples.find(key);
-      const double prev_us =
-          prev_it == prev_samples.end() ? 0.0 : prev_it->second;
-      const double pct =
-          (!have_prev || elapsed_s <= 0)
-              ? 0.0
-              : 100.0 * (busy_us - prev_us) / (elapsed_s * 1e6);
-      std::printf(" w%llu=%.1f%%", static_cast<unsigned long long>(w), pct);
-    }
-    std::printf("\n");
-    std::fflush(stdout);
-
-    have_prev = true;
-    prev_stats = std::move(stats);
-    prev_samples = std::move(samples);
-    prev_at = now;
-  }
   return 0;
 }
 
@@ -828,8 +606,8 @@ int cmd_explain(const Args& args) {
   const std::string source = args.has("connect")
                                  ? args.get("connect", "")
                                  : args.get("journal", "");
-  util::require(obs::load_journal(text, &doc, &error),
-                "bad journal '" + source + "': " + error);
+  const bool ok = obs::load_journal(text, &doc, &error);
+  util::require(ok, "bad journal '" + source + "': " + error);
 
   const std::string query = args.positional(0);
   util::require(!query.empty(),
@@ -873,27 +651,19 @@ int usage() {
       "            [--metrics-port N] [--metrics-host H]\n"
       "            [--metrics-port-file FILE] [--access-log FILE]\n"
       "            [--access-log-max-bytes N] [--journal-ring N]\n"
-      "            [--metrics-interval-ms N]\n"
       "            (persistent planning daemon, docs/SERVICE.md; drain\n"
       "            with SIGTERM; wire protocol in docs/FORMATS.md §6;\n"
-      "            --metrics-port serves GET /metrics /healthz /readyz\n"
-      "            /debug/slowreqs, --access-log writes one serve.access\n"
-      "            JSONL line per request (docs/FORMATS.md §7, rotated to\n"
-      "            .1 past --access-log-max-bytes), --journal-ring keeps\n"
-      "            the newest N decision events for `journal`/explain)\n"
-      "  client    --connect HOST:PORT (--jobs FILE|- | stats | health |\n"
-      "            metrics | journal | profile [--seconds S]) [--window N]\n"
-      "  top       --connect HOST:PORT [--interval-ms N] [--iterations N]\n"
-      "            (live dashboard over stats+metrics; daemon needs a\n"
-      "            telemetry flag for window quantiles and busy%%;\n"
-      "            reconnects with backoff if the daemon restarts)\n"
+      "            --metrics-port serves GET /metrics /healthz /readyz,\n"
+      "            --access-log writes one serve.access JSONL line per\n"
+      "            request (docs/FORMATS.md §7, rotated to .1 past\n"
+      "            --access-log-max-bytes), --journal-ring keeps the\n"
+      "            newest N decision events for `journal`/explain)\n"
+      "  client    --connect HOST:PORT (--jobs FILE|- | stats | journal |\n"
+      "            profile [--seconds S]) [--window N]\n"
       "  tail      --connect HOST:PORT [--corr ID] [--type PREFIX]\n"
       "            [--count N] (stream the daemon's decision journal\n"
       "            live, one JSONL event per line)\n"
-      "  trace-merge --base FILE --overlay FILE [--offset-us X]\n"
-      "            [--out FILE] (concatenate two Chrome traces onto one\n"
-      "            timeline; overlay pids and colliding span ids are\n"
-      "            remapped)\n"
+
       "  trace-analyze FILE... [--json] [--folded] [--top N] [--out FILE]\n"
       "            (critical path + per-stage latency distributions over\n"
       "            Chrome-trace / journal artifacts)\n"
@@ -931,9 +701,7 @@ const std::map<std::string, Command>& commands() {
       {"optimize", cmd_optimize}, {"explore", cmd_explore},
       {"batch", cmd_batch},       {"sweep", cmd_sweep},
       {"serve", cmd_serve},       {"client", cmd_client},
-      {"top", cmd_top},           {"tail", cmd_tail},
-      {"trace-merge", cmd_trace_merge},
-      {"trace-analyze", cmd_trace_analyze},
+      {"tail", cmd_tail},         {"trace-analyze", cmd_trace_analyze},
       {"program", cmd_program},
       {"parallel", cmd_parallel}, {"verilog", cmd_verilog},
       {"dot", cmd_dot},           {"interface", cmd_interface},
