@@ -1,6 +1,14 @@
 #include "socet/faultsim/seq_sim.hpp"
 
 #include <algorithm>
+#include <cstdint>
+#include <string>
+#include <tuple>
+
+#include "socet/faultsim/lane.hpp"
+#include "socet/faultsim/scan_sim.hpp"
+#include "socet/obs/metrics.hpp"
+#include "socet/util/error.hpp"
 
 namespace socet::faultsim {
 
@@ -9,65 +17,314 @@ namespace {
 using gate::Gate;
 using gate::GateId;
 using gate::GateKind;
+using gate::GateNetlist;
 
-/// Faults injected on one gate for the current pass.
-struct SiteFaults {
-  /// Machine mask and forced value for output-stem faults.
-  std::uint64_t stem_mask = 0;
-  std::uint64_t stem_value = 0;
-  /// Input-pin faults need per-machine scalar fix-up.
-  struct PinFault {
-    std::uint64_t machine_bit;
-    std::int32_t pin;
-    bool stuck_at;
+/// Lane width for `live_faults` faulty machines plus the good machine:
+/// the policy ScanFaultSim applies to the same number of patterns.
+unsigned lane_words_for(std::size_t live_faults) {
+  return ScanFaultSim::auto_lane_words(live_faults + 1);
+}
+
+/// The netlist flattened for the per-cycle sweep.  Every gate gets a
+/// slot: primary inputs first (in inputs() order), then DFFs (in dffs()
+/// order), then logic gates level by level.  Within a level the gates are
+/// grouped by kind so the evaluator's switch predicts well; any order
+/// inside a level is topological.  Fanins are slot numbers in one shared
+/// array, so the sweep reads no per-gate heap vectors.
+struct FlatNetlist {
+  struct Node {
+    GateKind kind;
+    std::uint32_t fanin_begin;  ///< range in `fanins`
+    std::uint32_t fanin_end;
   };
-  std::vector<PinFault> pins;
+
+  explicit FlatNetlist(const GateNetlist& netlist) {
+    const auto& inputs = netlist.inputs();
+    const auto& dffs = netlist.dffs();
+    slot_of.assign(netlist.gate_count(), 0);
+    std::uint32_t slot = 0;
+    for (GateId id : inputs) slot_of[id.index()] = slot++;
+    for (GateId id : dffs) slot_of[id.index()] = slot++;
+    first_logic = slot;
+
+    std::vector<std::uint32_t> level(netlist.gate_count(), 0);
+    std::vector<GateId> order;
+    std::size_t fanin_count = 0;
+    for (GateId id : netlist.topo_order()) {
+      const Gate& g = netlist.gate(id);
+      if (g.kind == GateKind::kInput || g.kind == GateKind::kDff) continue;
+      for (GateId f : g.fanin) {
+        level[id.index()] = std::max(level[id.index()], level[f.index()] + 1);
+      }
+      fanin_count += g.fanin.size();
+      order.push_back(id);
+    }
+    std::stable_sort(order.begin(), order.end(), [&](GateId a, GateId b) {
+      return std::tuple(level[a.index()], netlist.gate(a).kind) <
+             std::tuple(level[b.index()], netlist.gate(b).kind);
+    });
+    for (GateId id : order) slot_of[id.index()] = slot++;
+
+    logic.reserve(order.size());
+    fanins.reserve(fanin_count);
+    for (GateId id : order) {
+      const Gate& g = netlist.gate(id);
+      Node node{g.kind, static_cast<std::uint32_t>(fanins.size()), 0};
+      for (GateId f : g.fanin) fanins.push_back(slot_of[f.index()]);
+      node.fanin_end = static_cast<std::uint32_t>(fanins.size());
+      logic.push_back(node);
+    }
+    for (GateId po : netlist.outputs()) outputs.push_back(slot_of[po.index()]);
+    for (GateId dff : dffs) {
+      dff_d.push_back(slot_of[netlist.gate(dff).fanin[0].index()]);
+    }
+  }
+
+  std::vector<std::uint32_t> slot_of;  ///< gate index -> slot
+  std::uint32_t first_logic = 0;       ///< slot of logic[0]
+  std::vector<Node> logic;
+  std::vector<std::uint32_t> fanins;
+  std::vector<std::uint32_t> outputs;  ///< PO slots
+  std::vector<std::uint32_t> dff_d;    ///< D-driver slot of each DFF
 };
 
-std::uint64_t eval_gate_scalar(const Gate& g, std::uint64_t machine_bit,
-                               const std::vector<std::uint64_t>& values,
-                               std::int32_t forced_pin, bool forced_value) {
-  auto in = [&](std::size_t p) -> bool {
-    if (static_cast<std::int32_t>(p) == forced_pin) return forced_value;
-    return (values[g.fanin[p].index()] & machine_bit) != 0;
+/// Value of logic node `g` in every machine of a pass.  Fanin
+/// `forced_pin` (-1 for none) reads `forced` instead of its net: the
+/// sweep passes -1, and an input-pin fault re-evaluates its gate with the
+/// pin held at the stuck value.
+template <unsigned W>
+Lane<W> eval_gate(const FlatNetlist& flat, const FlatNetlist::Node& g,
+                  const std::vector<Lane<W>>& values, std::int32_t forced_pin,
+                  const Lane<W>& forced) {
+  using L = Lane<W>;
+  const std::uint32_t* fanin = flat.fanins.data() + g.fanin_begin;
+  const std::size_t count = g.fanin_end - g.fanin_begin;
+  auto in = [&](std::size_t p) -> const L& {
+    return static_cast<std::int32_t>(p) == forced_pin ? forced
+                                                      : values[fanin[p]];
   };
-  bool v = false;
+  L v = L::zero();
   switch (g.kind) {
+    case GateKind::kConst0:
+      return L::zero();
+    case GateKind::kConst1:
+      return L::ones();
     case GateKind::kBuf:
-      v = in(0);
-      break;
+      return in(0);
     case GateKind::kNot:
-      v = !in(0);
-      break;
+      return ~in(0);
     case GateKind::kAnd:
     case GateKind::kNand:
-      v = true;
-      for (std::size_t p = 0; p < g.fanin.size(); ++p) v = v && in(p);
-      if (g.kind == GateKind::kNand) v = !v;
-      break;
+      v = L::ones();
+      for (std::size_t p = 0; p < count; ++p) v &= in(p);
+      return g.kind == GateKind::kNand ? ~v : v;
     case GateKind::kOr:
     case GateKind::kNor:
-      v = false;
-      for (std::size_t p = 0; p < g.fanin.size(); ++p) v = v || in(p);
-      if (g.kind == GateKind::kNor) v = !v;
-      break;
+      for (std::size_t p = 0; p < count; ++p) v |= in(p);
+      return g.kind == GateKind::kNor ? ~v : v;
     case GateKind::kXor:
-      v = in(0) != in(1);
-      break;
+      return in(0) ^ in(1);
     case GateKind::kXnor:
-      v = in(0) == in(1);
-      break;
-    default:
-      // Inputs and constants have no input pins, and DFF D-pin faults
-      // are applied at capture, never here.  Returning a value would
-      // silently force the faulty machine to 0 (the seed did exactly
-      // that); fail loudly instead.
-      util::raise(
-          "eval_gate_scalar: pin fault on a gate without evaluable input "
-          "pins (input/constant)");
+      return ~(in(0) ^ in(1));
+    case GateKind::kInput:
+    case GateKind::kDff:
+      break;  // value sources are loaded every cycle, never evaluated
   }
-  return v ? machine_bit : 0;
+  util::raise("SequentialFaultSim: cannot evaluate a value source");
 }
+
+/// Faults injected in one pass.  Only faulted gates get an entry, found
+/// through `site_of` (by slot; -1: fault-free), so the table holds a few
+/// hundred lanes however large the netlist is.
+template <unsigned W>
+class SiteTable {
+ public:
+  using L = Lane<W>;
+
+  explicit SiteTable(std::size_t slots) : site_of_(slots, -1) {}
+
+  /// Load the faults of `group` (machine m + 1 carries fault group[m]).
+  void build(const GateNetlist& netlist, const FlatNetlist& flat,
+             const std::vector<Fault>& faults,
+             const std::vector<std::size_t>& group) {
+    for (const Site& s : sites_) site_of_[s.slot] = -1;
+    sites_.clear();
+    pins_.clear();
+    for (std::size_t m = 0; m < group.size(); ++m) {
+      const Fault& f = faults[group[m]];
+      const auto machine = static_cast<unsigned>(m + 1);
+      const std::uint32_t slot = flat.slot_of[f.gate.index()];
+      std::int32_t& s = site_of_[slot];
+      if (s < 0) {
+        s = static_cast<std::int32_t>(sites_.size());
+        sites_.push_back(Site{slot});
+      }
+      Site& site = sites_[s];
+      if (f.pin < 0) {
+        site.stem_mask.set_bit(machine);
+        if (f.stuck_at) site.stem_value.set_bit(machine);
+        continue;
+      }
+      // Inputs and constants have no pins; a pin fault there is a
+      // malformed list, not something to simulate as a silent no-op.
+      if (static_cast<std::size_t>(f.pin) >=
+          netlist.gate(f.gate).fanin.size()) {
+        util::raise("SequentialFaultSim::run: pin fault on gate '" +
+                    netlist.gate(f.gate).name + "', which has no pin " +
+                    std::to_string(f.pin));
+      }
+      PinFault pf{f.pin, f.stuck_at, L::zero(), site.first_pin};
+      pf.machine.set_bit(machine);
+      site.first_pin = static_cast<std::int32_t>(pins_.size());
+      pins_.push_back(pf);
+    }
+  }
+
+  /// Site index of `slot` in this pass, or -1.
+  [[nodiscard]] std::int32_t site_of(std::uint32_t slot) const {
+    return site_of_[slot];
+  }
+
+  /// Force the stem-faulted machines of site `s` onto their stuck values.
+  [[nodiscard]] L inject_stem(std::int32_t s, const L& v) const {
+    const Site& site = sites_[s];
+    return (v & ~site.stem_mask) | site.stem_value;
+  }
+
+  /// Faulty value of logic node `g` (site `s`): each pin fault
+  /// re-evaluates the gate with its pin forced, then stem faults override
+  /// the output.
+  [[nodiscard]] L inject(const FlatNetlist& flat, const FlatNetlist::Node& g,
+                         std::int32_t s, L v,
+                         const std::vector<L>& values) const {
+    for (std::int32_t k = sites_[s].first_pin; k >= 0; k = pins_[k].next) {
+      const PinFault& pf = pins_[k];
+      const L faulty =
+          eval_gate(flat, g, values, pf.pin, L::fill(pf.stuck_at));
+      v = (v & ~pf.machine) | (faulty & pf.machine);
+    }
+    return inject_stem(s, v);
+  }
+
+  /// Value DFF site `s` captures: a D-pin fault (uncollapsed lists only)
+  /// forces the captured bit, leaving this cycle's Q untouched.
+  [[nodiscard]] L capture(std::int32_t s, L d) const {
+    for (std::int32_t k = sites_[s].first_pin; k >= 0; k = pins_[k].next) {
+      const PinFault& pf = pins_[k];
+      d = (d & ~pf.machine) | (L::fill(pf.stuck_at) & pf.machine);
+    }
+    return d;
+  }
+
+ private:
+  struct Site {
+    std::uint32_t slot;
+    L stem_mask = L::zero();   ///< machines with an output-stem fault
+    L stem_value = L::zero();  ///< their stuck values (within stem_mask)
+    std::int32_t first_pin = -1;  ///< head of this site's list in pins_
+  };
+  /// One machine whose fault holds an input pin at a stuck value.
+  struct PinFault {
+    std::int32_t pin;
+    bool stuck_at;
+    L machine;          ///< the machine's bit
+    std::int32_t next;  ///< next pin fault on the same site, or -1
+  };
+
+  std::vector<std::int32_t> site_of_;
+  std::vector<Site> sites_;
+  std::vector<PinFault> pins_;
+};
+
+/// One SequentialFaultSim::run call: the fault cursor shared by the
+/// passes of every lane width, plus the counters they feed.
+struct SeqRun {
+  const GateNetlist& netlist;
+  const FlatNetlist& flat;
+  const std::vector<Fault>& faults;
+  const std::vector<util::BitVector>& sequence;
+  std::vector<FaultStatus>& statuses;
+  std::size_t next_fault = 0;  ///< first fault no pass has taken yet
+  std::size_t live = 0;        ///< undetected faults from next_fault on
+  std::uint64_t passes = 0;
+  std::uint64_t gate_evals = 0;
+
+  /// Run passes of 64·W − 1 faulty machines while W is still the right
+  /// width for the live fault count.
+  template <unsigned W>
+  void run_passes() {
+    using L = Lane<W>;
+    const std::size_t n_inputs = netlist.inputs().size();
+    const std::size_t n_dffs = netlist.dffs().size();
+    std::vector<L> values(netlist.gate_count(), L::zero());
+    std::vector<L> state(n_dffs, L::zero());
+    SiteTable<W> table(netlist.gate_count());
+    std::vector<std::size_t> group;
+
+    while (live > 0 && lane_words_for(live) == W) {
+      // Bit 0 is the good machine; bits 1..group.size() the faulty ones.
+      group.clear();
+      while (group.size() < L::kPatterns - 1 && next_fault < faults.size()) {
+        if (statuses[next_fault] == FaultStatus::kUndetected) {
+          group.push_back(next_fault);
+        }
+        ++next_fault;
+      }
+      live -= group.size();
+      table.build(netlist, flat, faults, group);
+      L machines = L::zero();
+      for (std::size_t m = 1; m <= group.size(); ++m) {
+        machines.set_bit(static_cast<unsigned>(m));
+      }
+      ++passes;
+
+      std::fill(state.begin(), state.end(), L::zero());
+      L detected = L::zero();
+      for (const auto& vector : sequence) {
+        // Drive PIs (same pattern for all machines) and DFF state; their
+        // slots are 0..n_inputs-1 and the n_dffs after.
+        for (std::uint32_t i = 0; i < n_inputs + n_dffs; ++i) {
+          L v = i < n_inputs ? L::fill(vector.get(i)) : state[i - n_inputs];
+          const std::int32_t s = table.site_of(i);
+          if (s >= 0) v = table.inject_stem(s, v);
+          values[i] = v;
+        }
+
+        // Full topological sweep with in-line fault injection.
+        std::uint32_t slot = flat.first_logic;
+        for (const FlatNetlist::Node& g : flat.logic) {
+          L v = eval_gate(flat, g, values, -1, L::zero());
+          const std::int32_t s = table.site_of(slot);
+          if (s >= 0) v = table.inject(flat, g, s, v, values);
+          values[slot++] = v;
+        }
+        gate_evals += flat.logic.size();
+
+        // Observe primary outputs; stop once every machine is caught.
+        for (std::uint32_t po : flat.outputs) {
+          const L& word = values[po];
+          detected |= word ^ L::fill(word.bit(0));
+        }
+        if (!(~detected).any(machines)) break;
+
+        // Capture next state.
+        for (std::size_t i = 0; i < n_dffs; ++i) {
+          L d = values[flat.dff_d[i]];
+          const std::int32_t s = table.site_of(
+              static_cast<std::uint32_t>(n_inputs + i));
+          if (s >= 0) d = table.capture(s, d);
+          state[i] = d;
+        }
+      }
+
+      for (std::size_t m = 0; m < group.size(); ++m) {
+        if (detected.bit(static_cast<unsigned>(m + 1))) {
+          statuses[group[m]] = FaultStatus::kDetected;
+        }
+      }
+    }
+  }
+};
 
 }  // namespace
 
@@ -79,159 +336,31 @@ void SequentialFaultSim::run(const std::vector<Fault>& faults,
                              std::vector<FaultStatus>& statuses) {
   util::require(statuses.size() == faults.size(),
                 "SequentialFaultSim::run: status vector size mismatch");
-  const auto& inputs = netlist_.inputs();
-  const auto& dffs = netlist_.dffs();
-  const auto& order = netlist_.topo_order();
-  const std::size_t n = netlist_.gate_count();
+  const auto live = static_cast<std::size_t>(
+      std::count(statuses.begin(), statuses.end(), FaultStatus::kUndetected));
+  if (live == 0) return;
+  const FlatNetlist flat(netlist_);
+  SeqRun r{netlist_, flat, faults, sequence, statuses};
+  r.live = live;
 
-  // Scratch shared by every group pass (hoisted: allocating gate_count
-  // sized vectors per 63-fault group dominated small-circuit runs).
-  std::vector<SiteFaults> site(n);
-  std::vector<char> has_fault(n, 0);
-  std::vector<std::uint64_t> values(n, 0);
-  std::vector<std::uint64_t> state(dffs.size(), 0);
-  std::vector<std::size_t> faulted_gates;  ///< site/has_fault reset list
-
-  // Process faults in groups of up to 63 (bit 0 = good machine).
-  std::vector<std::size_t> group;
-  std::size_t next_fault = 0;
-  while (next_fault < faults.size() || !group.empty()) {
-    group.clear();
-    while (next_fault < faults.size() && group.size() < 63) {
-      if (statuses[next_fault] == FaultStatus::kUndetected) {
-        group.push_back(next_fault);
-      }
-      ++next_fault;
-    }
-    if (group.empty()) break;
-
-    // Per-gate fault tables for this pass (clearing only last pass's
-    // entries instead of reallocating the whole table).
-    for (std::size_t idx : faulted_gates) {
-      site[idx].stem_mask = 0;
-      site[idx].stem_value = 0;
-      site[idx].pins.clear();
-      has_fault[idx] = 0;
-    }
-    faulted_gates.clear();
-    for (std::size_t m = 0; m < group.size(); ++m) {
-      const Fault& f = faults[group[m]];
-      const std::uint64_t machine_bit = 1ULL << (m + 1);
-      auto& s = site[f.gate.index()];
-      if (!has_fault[f.gate.index()]) {
-        has_fault[f.gate.index()] = 1;
-        faulted_gates.push_back(f.gate.index());
-      }
-      if (f.pin < 0) {
-        s.stem_mask |= machine_bit;
-        if (f.stuck_at) s.stem_value |= machine_bit;
-      } else {
-        s.pins.push_back(SiteFaults::PinFault{machine_bit, f.pin, f.stuck_at});
-      }
-    }
-
-    std::fill(state.begin(), state.end(), 0);
-    std::uint64_t detected = 0;
-
-    auto apply_site = [&](GateId id, std::uint64_t v) -> std::uint64_t {
-      const SiteFaults& s = site[id.index()];
-      v = (v & ~s.stem_mask) | (s.stem_value & s.stem_mask);
-      const Gate& g = netlist_.gate(id);
-      if (g.kind == GateKind::kDff) {
-        // A DFF D-pin fault (uncollapsed lists only) changes what the
-        // flop *captures*, handled in the capture loop below; the Q
-        // value this cycle is the stored state, untouched by the pin.
-        return v;
-      }
-      for (const auto& pf : s.pins) {
-        v = (v & ~pf.machine_bit) |
-            eval_gate_scalar(g, pf.machine_bit, values, pf.pin, pf.stuck_at);
-      }
-      return v;
-    };
-
-    for (const auto& vector : sequence) {
-      // Drive PIs (same pattern for all machines) and DFF state.
-      for (std::size_t i = 0; i < inputs.size(); ++i) {
-        std::uint64_t v = vector.get(i) ? ~0ULL : 0;
-        if (has_fault[inputs[i].index()]) v = apply_site(inputs[i], v);
-        values[inputs[i].index()] = v;
-      }
-      for (std::size_t i = 0; i < dffs.size(); ++i) {
-        std::uint64_t v = state[i];
-        if (has_fault[dffs[i].index()]) v = apply_site(dffs[i], v);
-        values[dffs[i].index()] = v;
-      }
-
-      // Topological evaluation with in-line fault injection.
-      for (GateId id : order) {
-        const Gate& g = netlist_.gate(id);
-        std::uint64_t v;
-        switch (g.kind) {
-          case GateKind::kInput:
-          case GateKind::kDff:
-            continue;  // already loaded
-          case GateKind::kConst0:
-            v = 0;
-            break;
-          case GateKind::kConst1:
-            v = ~0ULL;
-            break;
-          case GateKind::kBuf:
-            v = values[g.fanin[0].index()];
-            break;
-          case GateKind::kNot:
-            v = ~values[g.fanin[0].index()];
-            break;
-          case GateKind::kAnd:
-          case GateKind::kNand:
-            v = ~0ULL;
-            for (GateId f : g.fanin) v &= values[f.index()];
-            if (g.kind == GateKind::kNand) v = ~v;
-            break;
-          case GateKind::kOr:
-          case GateKind::kNor:
-            v = 0;
-            for (GateId f : g.fanin) v |= values[f.index()];
-            if (g.kind == GateKind::kNor) v = ~v;
-            break;
-          case GateKind::kXor:
-            v = values[g.fanin[0].index()] ^ values[g.fanin[1].index()];
-            break;
-          case GateKind::kXnor:
-            v = ~(values[g.fanin[0].index()] ^ values[g.fanin[1].index()]);
-            break;
-          default:
-            v = 0;
-        }
-        if (has_fault[id.index()]) v = apply_site(id, v);
-        values[id.index()] = v;
-      }
-
-      // Observe primary outputs.
-      for (GateId po : netlist_.outputs()) {
-        const std::uint64_t word = values[po.index()];
-        const std::uint64_t good = (word & 1) ? ~0ULL : 0;
-        detected |= word ^ good;
-      }
-
-      // Capture next state.  DFF input-pin faults (present only in
-      // uncollapsed fault lists) force the captured bit directly.
-      for (std::size_t i = 0; i < dffs.size(); ++i) {
-        std::uint64_t v = values[netlist_.gate(dffs[i]).fanin[0].index()];
-        for (const auto& pf : site[dffs[i].index()].pins) {
-          v = (v & ~pf.machine_bit) | (pf.stuck_at ? pf.machine_bit : 0);
-        }
-        state[i] = v;
-      }
-    }
-
-    for (std::size_t m = 0; m < group.size(); ++m) {
-      if (detected & (1ULL << (m + 1))) {
-        statuses[group[m]] = FaultStatus::kDetected;
-      }
+  // Widths only shrink as the live count falls: many 511-machine passes,
+  // then at most one narrower pass for the remainder.
+  while (r.live > 0) {
+    switch (lane_words_for(r.live)) {
+      case 1:
+        r.run_passes<1>();
+        break;
+      case 4:
+        r.run_passes<4>();
+        break;
+      default:
+        r.run_passes<8>();
+        break;
     }
   }
+
+  SOCET_COUNT_N("faultsim/seq_passes", r.passes);
+  SOCET_COUNT_N("faultsim/seq_gate_evals", r.gate_evals);
 }
 
 }  // namespace socet::faultsim

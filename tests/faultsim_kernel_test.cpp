@@ -1,8 +1,11 @@
 // Tests for the multi-lane fault-simulation kernels (block_engine.hpp),
 // the partitioned simulator (parallel_sim.hpp), the 64-bit scratch
-// stamps, and the sequential simulator's pin-fault handling.
+// stamps, and the sequential simulator's lane kernel and pin-fault
+// handling.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "socet/faultsim/block_engine.hpp"
@@ -10,6 +13,7 @@
 #include "socet/faultsim/parallel_sim.hpp"
 #include "socet/faultsim/scan_sim.hpp"
 #include "socet/faultsim/seq_sim.hpp"
+#include "socet/obs/metrics.hpp"
 #include "socet/util/error.hpp"
 #include "socet/util/rng.hpp"
 
@@ -305,13 +309,172 @@ TEST(StampWrap, ManyReplaysAcrossBoundaryStayCorrect) {
   EXPECT_EQ(statuses, expected);
 }
 
+// ------------------------------------------------ sequential lane kernel
+
+/// Primary-output trace (every PO, every cycle) of one machine driven by
+/// `sequence` from reset — one fault at a time, one bool per net.
+std::vector<bool> reference_seq_outputs(const GateNetlist& n,
+                                        const std::vector<BitVector>& sequence,
+                                        const Fault* fault) {
+  const auto& dffs = n.dffs();
+  std::vector<bool> state(dffs.size(), false);
+  std::vector<bool> trace;
+  for (const BitVector& vector : sequence) {
+    ScanPattern p;
+    p.pi = vector;
+    p.ppi = BitVector(dffs.size());
+    for (std::size_t i = 0; i < dffs.size(); ++i) p.ppi.set(i, state[i]);
+    const auto values = reference_values(n, p, fault);
+    for (GateId po : n.outputs()) trace.push_back(values[po.index()]);
+    for (std::size_t i = 0; i < dffs.size(); ++i) {
+      // A D-pin fault changes what the flop captures, not its Q.
+      const bool d_pin_fault =
+          fault != nullptr && fault->gate == dffs[i] && fault->pin == 0;
+      state[i] = d_pin_fault ? fault->stuck_at
+                             : values[n.gate(dffs[i]).fanin[0].index()];
+    }
+  }
+  return trace;
+}
+
+std::vector<FaultStatus> reference_seq_statuses(
+    const GateNetlist& n, const std::vector<Fault>& faults,
+    const std::vector<BitVector>& sequence) {
+  const auto good = reference_seq_outputs(n, sequence, nullptr);
+  std::vector<FaultStatus> statuses;
+  for (const Fault& f : faults) {
+    statuses.push_back(reference_seq_outputs(n, sequence, &f) != good
+                           ? FaultStatus::kDetected
+                           : FaultStatus::kUndetected);
+  }
+  return statuses;
+}
+
+std::vector<BitVector> make_random_sequence(const GateNetlist& n,
+                                            std::size_t cycles, Rng& rng) {
+  std::vector<BitVector> sequence;
+  for (std::size_t c = 0; c < cycles; ++c) {
+    sequence.push_back(BitVector::random(n.inputs().size(), rng));
+  }
+  return sequence;
+}
+
+/// The first `count` entries of `base` repeated cyclically: a list of any
+/// length whose verdicts the per-fault reference already knows.
+template <typename T>
+std::vector<T> cycled(const std::vector<T>& base, std::size_t count) {
+  std::vector<T> out;
+  for (std::size_t i = 0; i < count; ++i) out.push_back(base[i % base.size()]);
+  return out;
+}
+
+/// Delta of a library counter across `body` (collection on meanwhile).
+template <typename Body>
+std::uint64_t counted(const char* name, Body body) {
+  obs::set_metrics_enabled(true);
+  const std::uint64_t before = obs::counter(name).value();
+  body();
+  obs::set_metrics_enabled(false);
+  return obs::counter(name).value() - before;
+}
+
+TEST(SeqKernelOracle, MatchesNaiveReferenceAcrossWidthsAndPasses) {
+  // Uncollapsed, so the list carries DFF D-pin and input-pin faults.
+  Rng rng(23);
+  const auto n = make_random_netlist(rng, 8, 6, 200);
+  const auto base = enumerate_faults(n, /*collapse=*/false);
+  const auto sequence = make_random_sequence(n, 12, rng);
+  const auto base_expected = reference_seq_statuses(n, base, sequence);
+  ASSERT_GT(base.size(), 1022u + 63u);  // full list: two 511s, then W>1
+  ASSERT_LE(base.size(), 3u * 511u);
+
+  // Live counts on each side of the 63/255 width switches and of the
+  // 511-machine pass; the expected pass counts pin the width choice.
+  const std::pair<std::size_t, std::uint64_t> kCases[] = {
+      {40, 1},  {63, 1},  {64, 1},  {255, 1},
+      {256, 1}, {511, 1}, {512, 2}, {base.size(), 3}};
+  for (const auto& [count, expected_passes] : kCases) {
+    const auto faults = cycled(base, count);
+    std::vector<FaultStatus> statuses(count, FaultStatus::kUndetected);
+    SequentialFaultSim sim(n);
+    const std::uint64_t passes = counted(
+        "faultsim/seq_passes", [&] { sim.run(faults, sequence, statuses); });
+    EXPECT_EQ(statuses, cycled(base_expected, count)) << "faults=" << count;
+    EXPECT_EQ(passes, expected_passes) << "faults=" << count;
+  }
+}
+
+TEST(SeqKernelOracle, RepeatedFaultsShareAPassConsistently) {
+  // Each fault four times over: machines of one site and one pin land in
+  // the same pass, and every copy must get its fault's verdict.
+  Rng rng(29);
+  const auto n = make_random_netlist(rng, 6, 4, 80);
+  const auto base = enumerate_faults(n, /*collapse=*/false);
+  const auto sequence = make_random_sequence(n, 10, rng);
+  const auto base_expected = reference_seq_statuses(n, base, sequence);
+
+  std::vector<Fault> faults;
+  std::vector<FaultStatus> expected;
+  for (std::size_t i = 0; i < base.size(); ++i) {
+    for (int copy = 0; copy < 4; ++copy) {
+      faults.push_back(base[i]);
+      expected.push_back(base_expected[i]);
+    }
+  }
+  std::vector<FaultStatus> statuses(faults.size(), FaultStatus::kUndetected);
+  SequentialFaultSim(n).run(faults, sequence, statuses);
+  EXPECT_EQ(statuses, expected);
+}
+
+TEST(SeqKernelOracle, PresetStatusesStayUntouched) {
+  Rng rng(31);
+  const auto n = make_random_netlist(rng, 8, 6, 200);
+  const auto faults = enumerate_faults(n, /*collapse=*/false);
+  const auto sequence = make_random_sequence(n, 12, rng);
+  auto expected = reference_seq_statuses(n, faults, sequence);
+
+  // Pre-set verdicts are the caller's and must survive; only the rest
+  // (several hundred live faults, so more than one pass) is simulated.
+  std::vector<FaultStatus> statuses(faults.size(), FaultStatus::kUndetected);
+  for (std::size_t i = 0; i < faults.size(); ++i) {
+    if (i % 3 == 0) statuses[i] = expected[i] = FaultStatus::kDetected;
+    if (i % 5 == 0) statuses[i] = expected[i] = FaultStatus::kAborted;
+  }
+  SequentialFaultSim(n).run(faults, sequence, statuses);
+  EXPECT_EQ(statuses, expected);
+}
+
+TEST(SeqKernelOracle, PassEndsOnceEveryMachineIsDetected) {
+  // a -> BUF z, a = 1 every cycle: z s-a-0 and a s-a-0 show at z on the
+  // first cycle, so each pass stops after one of its five cycles.
+  GateNetlist n("early");
+  auto a = n.add_input("a");
+  auto z = n.add_gate(GateKind::kBuf, {a}, "z");
+  n.mark_output(z);
+  BitVector one(1);
+  one.set(0, true);
+  const std::vector<BitVector> sequence(5, one);
+
+  // 600 live faults: a 511-machine pass, then an 89-machine one.
+  const auto faults = cycled(std::vector<Fault>{Fault{z, -1, false},
+                                                Fault{a, -1, false}},
+                             600);
+  std::vector<FaultStatus> statuses(faults.size(), FaultStatus::kUndetected);
+  SequentialFaultSim sim(n);
+  const std::uint64_t evals = counted("faultsim/seq_gate_evals", [&] {
+    sim.run(faults, sequence, statuses);
+  });
+  EXPECT_EQ(statuses, std::vector<FaultStatus>(600, FaultStatus::kDetected));
+  EXPECT_EQ(evals, 2u);  // two passes x one cycle x one logic gate
+}
+
 // ------------------------------------------------- sequential pin faults
 
 TEST(SeqSimPinFaults, DffDPinFaultUsesCaptureSemantics) {
   // a -> q (DFF) -> z.  With a held at 0, a D-pin s-a-1 loads the flop
   // with 1 from the second cycle on, which z exposes.  The seed silently
-  // forced the faulty machine's Q to 0 every cycle (eval_gate_scalar
-  // returned 0 for "default" gates), masking the fault.
+  // forced the faulty machine's Q to 0 every cycle (its scalar pin-fault
+  // evaluator returned 0 for flops), masking the fault.
   GateNetlist n("dffpin");
   auto a = n.add_input("a");
   auto q = n.add_dff(a, "q");
@@ -332,13 +495,21 @@ TEST(SeqSimPinFaults, PinFaultOnInputRaises) {
   auto z = n.add_gate(GateKind::kBuf, {a}, "z");
   n.mark_output(z);
 
-  // Inputs have no input pins; a pin fault there is a malformed list
-  // and must fail loudly instead of silently forcing the machine to 0.
+  // Inputs have no input pins; a pin fault there is a malformed list.
+  // The fault table rejects it by name before simulating, instead of
+  // silently forcing the machine to 0.
   const std::vector<Fault> faults{Fault{a, 0, true}};
   std::vector<util::BitVector> sequence(2, BitVector(1));
   std::vector<FaultStatus> statuses{FaultStatus::kUndetected};
   SequentialFaultSim sim(n);
   EXPECT_THROW(sim.run(faults, sequence, statuses), util::Error);
+  try {
+    sim.run(faults, sequence, statuses);
+  } catch (const util::Error& e) {
+    EXPECT_NE(std::string(e.what()).find("pin fault on gate 'a'"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(SeqSimPinFaults, UncollapsedListAgreesWithScanSimOnCombinational) {

@@ -468,6 +468,10 @@ TEST(Serve, SaturatedQueueAnswersBusyWithoutRunningTheJob) {
   // makes the admission outcomes deterministic.
   service::write_frame(fd, "explore system=barcode");
   service::write_frame(fd, "program system=barcode");
+  // Release only once the event loop has rejected job 3; released
+  // earlier, the worker can take job 2 off the queue before frame 3 is
+  // read, and job 3 is then admitted instead of answered busy.
+  while (server.stats().busy_rejects < 1) std::this_thread::sleep_for(1ms);
   gate.release();
 
   const auto r1 = service::read_frame(fd);
@@ -509,6 +513,10 @@ TEST(Serve, GracefulDrainFinishesAdmittedWorkAndRejectsTheRest) {
                util::Error);
   // New work on the existing connection is rejected, structured.
   service::write_frame(fd, "program system=barcode");
+  // Release only once that rejection happened: released earlier, both
+  // jobs can finish first, and the server closes the flushed, idle
+  // connection with the frame unread (the client sees a reset).
+  while (server.stats().busy_rejects < 1) std::this_thread::sleep_for(1ms);
 
   gate.release();
   const auto r1 = service::read_frame(fd);
