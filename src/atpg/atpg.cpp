@@ -12,16 +12,8 @@ namespace {
 
 using faultsim::Fault;
 using faultsim::FaultStatus;
-using faultsim::ParallelScanFaultSim;
-using faultsim::ParallelSimOptions;
 using faultsim::ScanFaultSim;
 using faultsim::ScanPattern;
-
-ParallelSimOptions sim_options(unsigned threads) {
-  ParallelSimOptions o;
-  o.threads = threads;  // 0 keeps the simulator's hardware-concurrency pick
-  return o;
-}
 
 ScanPattern random_pattern(const gate::GateNetlist& netlist, util::Rng& rng) {
   ScanPattern p;
@@ -41,7 +33,7 @@ AtpgResult generate_tests(const gate::GateNetlist& netlist,
   result.statuses.assign(result.faults.size(), FaultStatus::kUndetected);
 
   util::Rng rng(options.seed);
-  ParallelScanFaultSim sim(netlist, sim_options(options.sim_threads));
+  ScanFaultSim sim(netlist);
 
   // Phase 1: random patterns, kept only if they detect something new.
   std::vector<ScanPattern> batch;
@@ -130,10 +122,10 @@ AtpgResult generate_tests(const gate::GateNetlist& netlist,
 
 faultsim::CoverageSummary grade_patterns(
     const gate::GateNetlist& netlist,
-    const std::vector<ScanPattern>& patterns, unsigned sim_threads) {
+    const std::vector<ScanPattern>& patterns) {
   auto faults = faultsim::enumerate_faults(netlist);
   std::vector<FaultStatus> statuses(faults.size(), FaultStatus::kUndetected);
-  ParallelScanFaultSim sim(netlist, sim_options(sim_threads));
+  ScanFaultSim sim(netlist);
   sim.run(faults, patterns, statuses);
   return faultsim::summarize(statuses);
 }

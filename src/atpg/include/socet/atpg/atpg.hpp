@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "socet/atpg/podem.hpp"
-#include "socet/faultsim/parallel_sim.hpp"
 #include "socet/faultsim/scan_sim.hpp"
 #include "socet/faultsim/seq_sim.hpp"
 #include "socet/util/rng.hpp"
@@ -23,9 +22,6 @@ struct AtpgOptions {
   unsigned random_patterns = 64;
   unsigned backtrack_limit = 512;
   std::uint64_t seed = 1;
-  /// Worker threads for fault simulation (fault-partitioned; results are
-  /// byte-identical at any count).  0 = hardware concurrency, 1 = serial.
-  unsigned sim_threads = 1;
 };
 
 struct AtpgResult {
@@ -46,12 +42,10 @@ AtpgResult generate_tests(const gate::GateNetlist& netlist,
                           const AtpgOptions& options = {});
 
 /// Fault-simulate an existing pattern set (e.g. a neighbouring core's test
-/// set or a truncated set) and report coverage.  `sim_threads` as in
-/// AtpgOptions: the coverage numbers are identical at any thread count.
+/// set or a truncated set) and report coverage.
 faultsim::CoverageSummary grade_patterns(
     const gate::GateNetlist& netlist,
-    const std::vector<faultsim::ScanPattern>& patterns,
-    unsigned sim_threads = 1);
+    const std::vector<faultsim::ScanPattern>& patterns);
 
 /// Static test-set compaction: fault-simulate the patterns in reverse
 /// order with fault dropping and keep only the ones that detect something

@@ -2,7 +2,33 @@
 
 #include <algorithm>
 
+#include "socet/gate/eval.hpp"
+
 namespace socet::atpg {
+
+// V3's logic operators, in V3's own namespace so that gate::eval_gate
+// finds them by argument-dependent lookup.  V3{} is k0.
+static V3 operator~(V3 a) {
+  if (a == V3::kX) return V3::kX;
+  return a == V3::k0 ? V3::k1 : V3::k0;
+}
+
+static V3 operator&(V3 a, V3 b) {
+  if (a == V3::k0 || b == V3::k0) return V3::k0;
+  if (a == V3::k1 && b == V3::k1) return V3::k1;
+  return V3::kX;
+}
+
+static V3 operator|(V3 a, V3 b) {
+  if (a == V3::k1 || b == V3::k1) return V3::k1;
+  if (a == V3::k0 && b == V3::k0) return V3::k0;
+  return V3::kX;
+}
+
+static V3 operator^(V3 a, V3 b) {
+  if (a == V3::kX || b == V3::kX) return V3::kX;
+  return a == b ? V3::k0 : V3::k1;
+}
 
 namespace {
 
@@ -10,28 +36,6 @@ using faultsim::Fault;
 using gate::Gate;
 using gate::GateId;
 using gate::GateKind;
-
-V3 v3_not(V3 a) {
-  if (a == V3::kX) return V3::kX;
-  return a == V3::k0 ? V3::k1 : V3::k0;
-}
-
-V3 v3_and(V3 a, V3 b) {
-  if (a == V3::k0 || b == V3::k0) return V3::k0;
-  if (a == V3::k1 && b == V3::k1) return V3::k1;
-  return V3::kX;
-}
-
-V3 v3_or(V3 a, V3 b) {
-  if (a == V3::k1 || b == V3::k1) return V3::k1;
-  if (a == V3::k0 && b == V3::k0) return V3::k0;
-  return V3::kX;
-}
-
-V3 v3_xor(V3 a, V3 b) {
-  if (a == V3::kX || b == V3::kX) return V3::kX;
-  return a == b ? V3::k0 : V3::k1;
-}
 
 class Podem {
  public:
@@ -43,6 +47,7 @@ class Podem {
     site_pin_.assign(netlist.gate_count(), kNoFault);
     site_value_.assign(netlist.gate_count(), 0);
     for (const Fault& f : faults_) {
+      faultsim::check_fault_site(netlist.gate(f.gate), f);
       util::require(site_pin_[f.gate.index()] == kNoFault,
                     "podem: two fault sites on one gate");
       site_pin_[f.gate.index()] = f.pin;
@@ -134,7 +139,7 @@ class Podem {
         Decision& top = stack.back();
         if (!top.flipped) {
           top.flipped = true;
-          assign_[top.pos] = v3_not(assign_[top.pos]);
+          assign_[top.pos] = ~assign_[top.pos];
           imply();
           resumed = true;
           break;
@@ -165,11 +170,18 @@ class Podem {
         apply_fault_at(id);
         continue;
       }
-      good_[id.index()] = eval3(g, good_, -1, false);
+      good_[id.index()] = gate::eval_gate<V3>(
+          g.kind, g.fanin.size(),
+          [&](std::size_t p) { return good_[g.fanin[p].index()]; });
+      // A pin fault holds its pin at the stuck value on the faulty side.
       const std::int32_t pin = site_pin_[id.index()];
-      faulty_[id.index()] =
-          eval3(g, faulty_, pin >= 0 ? pin : -1,
-                site_value_[id.index()] != 0);
+      const V3 stuck = site_value_[id.index()] ? V3::k1 : V3::k0;
+      faulty_[id.index()] = gate::eval_gate<V3>(
+          g.kind, g.fanin.size(), [&](std::size_t p) {
+            return static_cast<std::int32_t>(p) == pin
+                       ? stuck
+                       : faulty_[g.fanin[p].index()];
+          });
       apply_fault_at(id);
     }
   }
@@ -177,44 +189,6 @@ class Podem {
   void apply_fault_at(GateId id) {
     if (site_pin_[id.index()] == -1) {  // stem fault
       faulty_[id.index()] = site_value_[id.index()] ? V3::k1 : V3::k0;
-    }
-  }
-
-  V3 eval3(const Gate& g, const std::vector<V3>& values,
-           std::int32_t forced_pin, bool forced_value) const {
-    auto in = [&](std::size_t p) -> V3 {
-      if (static_cast<std::int32_t>(p) == forced_pin) {
-        return forced_value ? V3::k1 : V3::k0;
-      }
-      return values[g.fanin[p].index()];
-    };
-    switch (g.kind) {
-      case GateKind::kConst0:
-        return V3::k0;
-      case GateKind::kConst1:
-        return V3::k1;
-      case GateKind::kBuf:
-        return in(0);
-      case GateKind::kNot:
-        return v3_not(in(0));
-      case GateKind::kAnd:
-      case GateKind::kNand: {
-        V3 v = V3::k1;
-        for (std::size_t p = 0; p < g.fanin.size(); ++p) v = v3_and(v, in(p));
-        return g.kind == GateKind::kNand ? v3_not(v) : v;
-      }
-      case GateKind::kOr:
-      case GateKind::kNor: {
-        V3 v = V3::k0;
-        for (std::size_t p = 0; p < g.fanin.size(); ++p) v = v3_or(v, in(p));
-        return g.kind == GateKind::kNor ? v3_not(v) : v;
-      }
-      case GateKind::kXor:
-        return v3_xor(in(0), in(1));
-      case GateKind::kXnor:
-        return v3_not(v3_xor(in(0), in(1)));
-      default:
-        return V3::kX;
     }
   }
 
@@ -244,8 +218,7 @@ class Podem {
   /// exists down this branch.
   bool conflict() const {
     for (const Fault& f : faults_) {
-      if (good_[excitation_line(f).index()] !=
-          v3_not(required_site_value(f))) {
+      if (good_[excitation_line(f).index()] != ~required_site_value(f)) {
         return false;
       }
     }

@@ -10,33 +10,20 @@ using gate::GateKind;
 ConeCache::ConeCache(const gate::GateNetlist& netlist)
     : netlist_(netlist),
       cones_(netlist.gate_count()),
-      built_(new std::atomic<unsigned char>[netlist.gate_count()]),
       topo_pos_(netlist.gate_count(), 0),
       seen_stamp_(netlist.gate_count(), 0) {
-  for (std::size_t i = 0; i < netlist.gate_count(); ++i) {
-    built_[i].store(0, std::memory_order_relaxed);
-  }
   const auto& order = netlist.topo_order();
   for (std::size_t i = 0; i < order.size(); ++i) {
     topo_pos_[order[i].index()] = static_cast<std::uint32_t>(i);
   }
-  // Force the lazily built fanout lists now, while construction is still
-  // single-threaded; after this, every netlist_ access is a const read.
-  (void)netlist.fanouts();
 }
 
 const std::vector<GateId>& ConeCache::of(GateId id) {
-  if (built_[id.index()].load(std::memory_order_acquire)) {
-    return cones_[id.index()];
-  }
-  std::lock_guard<std::mutex> lock(build_mutex_);
-  if (!built_[id.index()].load(std::memory_order_relaxed)) {
-    build_locked(id);
-  }
+  if (cones_[id.index()].empty()) build(id);
   return cones_[id.index()];
 }
 
-void ConeCache::build_locked(GateId id) {
+void ConeCache::build(GateId id) {
   // Forward BFS through fanouts; DFFs terminate propagation within one
   // scan pattern (their D value is the observation point).
   ++bfs_stamp_;
@@ -58,8 +45,6 @@ void ConeCache::build_locked(GateId id) {
     return topo_pos_[a.index()] < topo_pos_[b.index()];
   });
   cones_[id.index()] = std::move(cone);
-  built_cones_.fetch_add(1, std::memory_order_relaxed);
-  built_[id.index()].store(1, std::memory_order_release);
 }
 
 }  // namespace socet::faultsim

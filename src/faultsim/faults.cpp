@@ -1,5 +1,7 @@
 #include "socet/faultsim/faults.hpp"
 
+#include "socet/util/error.hpp"
+
 namespace socet::faultsim {
 
 namespace {
@@ -35,7 +37,16 @@ bool is_fault_site(const Gate& g) {
   return g.kind != GateKind::kConst0 && g.kind != GateKind::kConst1;
 }
 
+std::string site_name(const Gate& g, const Fault& fault) {
+  return g.name.empty() ? "g" + std::to_string(fault.gate.value()) : g.name;
+}
+
 }  // namespace
+
+void raise_missing_pin(const Gate& g, const Fault& fault) {
+  util::raise("pin fault on gate '" + site_name(g, fault) +
+              "', which has no pin " + std::to_string(fault.pin));
+}
 
 std::vector<Fault> enumerate_faults(const gate::GateNetlist& netlist,
                                     bool collapse) {
@@ -72,10 +83,7 @@ std::vector<Fault> enumerate_faults(const gate::GateNetlist& netlist,
 
 std::string describe_fault(const gate::GateNetlist& netlist,
                            const Fault& fault) {
-  const auto& g = netlist.gate(fault.gate);
-  std::string site = g.name.empty()
-                         ? "g" + std::to_string(fault.gate.value())
-                         : g.name;
+  std::string site = site_name(netlist.gate(fault.gate), fault);
   if (fault.pin >= 0) site += "/in" + std::to_string(fault.pin);
   return site + " s-a-" + (fault.stuck_at ? "1" : "0");
 }

@@ -38,6 +38,21 @@ enum class FaultStatus : std::uint8_t {
 std::vector<Fault> enumerate_faults(const gate::GateNetlist& netlist,
                                     bool collapse = true);
 
+/// The error check_fault_site raises (out of line: it sits on hot paths).
+[[noreturn]] void raise_missing_pin(const gate::Gate& g, const Fault& fault);
+
+/// Throws util::Error, naming the gate, unless `fault.pin` is -1 (the
+/// stem) or one of `g`'s fanin pins (`g` is the fault's gate).  Every
+/// fault consumer calls this where it first reads a fault's pin, so a
+/// malformed list fails loudly instead of being silently skipped or read
+/// past the fanin vector.
+inline void check_fault_site(const gate::Gate& g, const Fault& fault) {
+  if (fault.pin < -1 ||
+      fault.pin >= static_cast<std::int64_t>(g.fanin.size())) [[unlikely]] {
+    raise_missing_pin(g, fault);
+  }
+}
+
 /// "G42/IN1 s-a-0" style description for diagnostics.
 std::string describe_fault(const gate::GateNetlist& netlist,
                            const Fault& fault);

@@ -1,6 +1,5 @@
-// Scan test-pattern representation, shared by the fault-simulation
-// kernels (block_engine.hpp), the public simulator facade (scan_sim.hpp)
-// and the ATPG layer.
+// Scan test-pattern representation, shared by the fault simulator
+// (scan_sim.hpp) and the ATPG layer.
 #pragma once
 
 #include "socet/util/bitvector.hpp"

@@ -7,20 +7,19 @@
 // machine once per pattern block, then replays each still-undetected
 // fault through the fault's fanout cone only, with fault dropping.
 //
-// ScanFaultSim is a facade over the lane-generic block kernels
-// (block_engine.hpp): pattern blocks are 64, 256 or 512 patterns wide
-// depending on how many patterns a run carries (overridable via
-// ScanSimOptions), and on AVX2 hardware the wide widths run the
-// vectorized kernel family.  Detection statuses are identical at every
-// width and with either kernel family: detection is a per-fault,
-// per-pattern property that block shape cannot change.
+// Pattern blocks are Lane<W>s (lane.hpp) of 64, 256 or 512 patterns,
+// the width picked from how many patterns a run carries.  Detection
+// statuses are identical at every width: detection is a per-fault,
+// per-pattern property that block shape cannot change.  The good machine
+// of each width persists across run() calls, so a caller that feeds
+// patterns in small batches (as ATPG does) re-evaluates only the gates
+// downstream of inputs that changed.
 #pragma once
 
-#include <array>
+#include <cstdint>
 #include <memory>
 #include <vector>
 
-#include "socet/faultsim/block_engine.hpp"
 #include "socet/faultsim/cone.hpp"
 #include "socet/faultsim/faults.hpp"
 #include "socet/faultsim/pattern.hpp"
@@ -28,20 +27,15 @@
 
 namespace socet::faultsim {
 
+namespace detail {
+template <unsigned W>
+class BlockEngine;
+}  // namespace detail
+
 struct ScanSimOptions {
-  /// Pattern-block width in 64-bit words (1, 4 or 8); 0 picks the width
-  /// from the run's pattern count (<=64 patterns: 1; <=256: 4; else 8).
-  unsigned lane_words = 0;
-  /// Use the AVX2 kernel family for multi-word lanes when the build has
-  /// the AVX2 translation unit and the CPU reports AVX2.
-  bool use_avx2 = true;
-  /// Event-driven good machine: re-evaluate only fanout cones of nets
-  /// whose packed pattern word changed between blocks.
-  bool event_driven = true;
-  /// Value-change suppression inside fault cone replays (see
-  /// EngineOptions::replay_suppression).
-  bool replay_suppression = true;
-  /// Starting scratch-epoch value (test hook; see EngineOptions).
+  /// Starting value of the scratch epoch counter.  Test hook: placing the
+  /// counter just below 2^32 proves the 64-bit stamps survive the
+  /// boundary where a 32-bit counter wraps and corrupts lookups.
   std::uint64_t initial_stamp = 0;
 };
 
@@ -49,9 +43,11 @@ class ScanFaultSim {
  public:
   explicit ScanFaultSim(const gate::GateNetlist& netlist,
                         ScanSimOptions options = {});
+  ~ScanFaultSim();
 
   /// Simulate `patterns` against `faults`; marks newly detected faults in
   /// `statuses` (kUndetected -> kDetected).  Other statuses are untouched.
+  /// Throws util::Error for a fault on a pin its gate does not have.
   void run(const std::vector<Fault>& faults,
            const std::vector<ScanPattern>& patterns,
            std::vector<FaultStatus>& statuses);
@@ -66,23 +62,17 @@ class ScanFaultSim {
   util::BitVector faulty_response(const Fault& fault,
                                   const ScanPattern& pattern);
 
-  /// Width the auto policy picks for a run of `pattern_count` patterns.
+  /// Lane width in words (1, 4 or 8) for a run of `pattern_count`
+  /// patterns: <=64 patterns: 1; <=256: 4; else 8.
   static unsigned auto_lane_words(std::size_t pattern_count);
 
-  /// Width and kernel family of the most recent run() (tests/benches).
-  [[nodiscard]] unsigned last_lane_words() const { return last_lane_words_; }
-  [[nodiscard]] const char* last_kernel() const { return last_kernel_; }
-
  private:
-  BlockEngineBase& engine_for(unsigned lane_words);
-
-  const gate::GateNetlist& netlist_;
   ScanSimOptions options_;
   ConeCache cones_;
-  /// One lazily created engine per supported width (slots: W=1, 4, 8).
-  std::array<std::unique_ptr<BlockEngineBase>, 3> engines_;
-  unsigned last_lane_words_ = 0;
-  const char* last_kernel_ = "";
+  /// One lazily created engine per width, reused across runs.
+  std::unique_ptr<detail::BlockEngine<1>> engine1_;
+  std::unique_ptr<detail::BlockEngine<4>> engine4_;
+  std::unique_ptr<detail::BlockEngine<8>> engine8_;
 };
 
 }  // namespace socet::faultsim

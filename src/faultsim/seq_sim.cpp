@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <string>
 #include <tuple>
 
 #include "socet/faultsim/lane.hpp"
 #include "socet/faultsim/scan_sim.hpp"
+#include "socet/gate/eval.hpp"
 #include "socet/obs/metrics.hpp"
 #include "socet/util/error.hpp"
 
@@ -93,44 +93,16 @@ struct FlatNetlist {
 /// sweep passes -1, and an input-pin fault re-evaluates its gate with the
 /// pin held at the stuck value.
 template <unsigned W>
-Lane<W> eval_gate(const FlatNetlist& flat, const FlatNetlist::Node& g,
+Lane<W> eval_node(const FlatNetlist& flat, const FlatNetlist::Node& g,
                   const std::vector<Lane<W>>& values, std::int32_t forced_pin,
                   const Lane<W>& forced) {
-  using L = Lane<W>;
   const std::uint32_t* fanin = flat.fanins.data() + g.fanin_begin;
-  const std::size_t count = g.fanin_end - g.fanin_begin;
-  auto in = [&](std::size_t p) -> const L& {
-    return static_cast<std::int32_t>(p) == forced_pin ? forced
-                                                      : values[fanin[p]];
-  };
-  L v = L::zero();
-  switch (g.kind) {
-    case GateKind::kConst0:
-      return L::zero();
-    case GateKind::kConst1:
-      return L::ones();
-    case GateKind::kBuf:
-      return in(0);
-    case GateKind::kNot:
-      return ~in(0);
-    case GateKind::kAnd:
-    case GateKind::kNand:
-      v = L::ones();
-      for (std::size_t p = 0; p < count; ++p) v &= in(p);
-      return g.kind == GateKind::kNand ? ~v : v;
-    case GateKind::kOr:
-    case GateKind::kNor:
-      for (std::size_t p = 0; p < count; ++p) v |= in(p);
-      return g.kind == GateKind::kNor ? ~v : v;
-    case GateKind::kXor:
-      return in(0) ^ in(1);
-    case GateKind::kXnor:
-      return ~(in(0) ^ in(1));
-    case GateKind::kInput:
-    case GateKind::kDff:
-      break;  // value sources are loaded every cycle, never evaluated
-  }
-  util::raise("SequentialFaultSim: cannot evaluate a value source");
+  return gate::eval_gate<Lane<W>>(
+      g.kind, g.fanin_end - g.fanin_begin,
+      [&](std::size_t p) -> const Lane<W>& {
+        return static_cast<std::int32_t>(p) == forced_pin ? forced
+                                                          : values[fanin[p]];
+      });
 }
 
 /// Faults injected in one pass.  Only faulted gates get an entry, found
@@ -152,6 +124,7 @@ class SiteTable {
     pins_.clear();
     for (std::size_t m = 0; m < group.size(); ++m) {
       const Fault& f = faults[group[m]];
+      check_fault_site(netlist.gate(f.gate), f);
       const auto machine = static_cast<unsigned>(m + 1);
       const std::uint32_t slot = flat.slot_of[f.gate.index()];
       std::int32_t& s = site_of_[slot];
@@ -164,14 +137,6 @@ class SiteTable {
         site.stem_mask.set_bit(machine);
         if (f.stuck_at) site.stem_value.set_bit(machine);
         continue;
-      }
-      // Inputs and constants have no pins; a pin fault there is a
-      // malformed list, not something to simulate as a silent no-op.
-      if (static_cast<std::size_t>(f.pin) >=
-          netlist.gate(f.gate).fanin.size()) {
-        util::raise("SequentialFaultSim::run: pin fault on gate '" +
-                    netlist.gate(f.gate).name + "', which has no pin " +
-                    std::to_string(f.pin));
       }
       PinFault pf{f.pin, f.stuck_at, L::zero(), site.first_pin};
       pf.machine.set_bit(machine);
@@ -200,7 +165,7 @@ class SiteTable {
     for (std::int32_t k = sites_[s].first_pin; k >= 0; k = pins_[k].next) {
       const PinFault& pf = pins_[k];
       const L faulty =
-          eval_gate(flat, g, values, pf.pin, L::fill(pf.stuck_at));
+          eval_node(flat, g, values, pf.pin, L::fill(pf.stuck_at));
       v = (v & ~pf.machine) | (faulty & pf.machine);
     }
     return inject_stem(s, v);
@@ -293,7 +258,7 @@ struct SeqRun {
         // Full topological sweep with in-line fault injection.
         std::uint32_t slot = flat.first_logic;
         for (const FlatNetlist::Node& g : flat.logic) {
-          L v = eval_gate(flat, g, values, -1, L::zero());
+          L v = eval_node(flat, g, values, -1, L::zero());
           const std::int32_t s = table.site_of(slot);
           if (s >= 0) v = table.inject(flat, g, s, v, values);
           values[slot++] = v;

@@ -1,6 +1,13 @@
 #include "socet/gate/sim.hpp"
 
+#include "socet/gate/eval.hpp"
+
 namespace socet::gate {
+
+void raise_value_source(GateKind kind) {
+  util::raise(std::string("eval_gate: cannot evaluate a value source (") +
+              (kind == GateKind::kDff ? "flip-flop" : "input") + ")");
+}
 
 void eval_comb(const GateNetlist& netlist, std::vector<std::uint64_t>& values) {
   util::require(values.size() == netlist.gate_count(),
@@ -8,43 +15,12 @@ void eval_comb(const GateNetlist& netlist, std::vector<std::uint64_t>& values) {
   const auto& gates = netlist.gates();
   for (GateId id : netlist.topo_order()) {
     const Gate& g = gates[id.index()];
-    std::uint64_t v = 0;
-    switch (g.kind) {
-      case GateKind::kInput:
-      case GateKind::kDff:
-        continue;  // preset by caller
-      case GateKind::kConst0:
-        v = 0;
-        break;
-      case GateKind::kConst1:
-        v = ~0ULL;
-        break;
-      case GateKind::kBuf:
-        v = values[g.fanin[0].index()];
-        break;
-      case GateKind::kNot:
-        v = ~values[g.fanin[0].index()];
-        break;
-      case GateKind::kAnd:
-      case GateKind::kNand:
-        v = ~0ULL;
-        for (GateId f : g.fanin) v &= values[f.index()];
-        if (g.kind == GateKind::kNand) v = ~v;
-        break;
-      case GateKind::kOr:
-      case GateKind::kNor:
-        v = 0;
-        for (GateId f : g.fanin) v |= values[f.index()];
-        if (g.kind == GateKind::kNor) v = ~v;
-        break;
-      case GateKind::kXor:
-        v = values[g.fanin[0].index()] ^ values[g.fanin[1].index()];
-        break;
-      case GateKind::kXnor:
-        v = ~(values[g.fanin[0].index()] ^ values[g.fanin[1].index()]);
-        break;
+    if (g.kind == GateKind::kInput || g.kind == GateKind::kDff) {
+      continue;  // preset by caller
     }
-    values[id.index()] = v;
+    values[id.index()] = eval_gate<std::uint64_t>(
+        g.kind, g.fanin.size(),
+        [&](std::size_t p) { return values[g.fanin[p].index()]; });
   }
 }
 

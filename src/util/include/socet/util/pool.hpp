@@ -1,11 +1,8 @@
-// Shared worker-pool machinery.
+// Worker-pool machinery.
 //
-// Two layers share their thread fan-out through this header: the planning
-// service (src/service) pulls jobs off a WorkQueue from a fixed pool, and
-// the partitioned fault simulator (faultsim/parallel_sim.hpp) fans fault
-// chunks across the same kind of pool.  Keeping the queue and the spawn
-// helper in util (below every other library) lets both sides use one
-// tested implementation without a dependency cycle.
+// The planning service (src/service) pulls jobs off a WorkQueue from a
+// fixed pool: the batch runner spawns it with run_on_workers, the daemon
+// keeps one for its lifetime.
 #pragma once
 
 #include <condition_variable>

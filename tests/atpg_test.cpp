@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "socet/atpg/atpg.hpp"
 #include "socet/atpg/podem.hpp"
 #include "socet/rtl/netlist.hpp"
 #include "socet/synth/elaborate.hpp"
+#include "socet/util/error.hpp"
 
 namespace socet::atpg {
 namespace {
@@ -72,6 +75,24 @@ TEST(Podem, InputPinFault) {
   auto r = podem(n, Fault{z, 0, true});  // pin a of XOR stuck at 1
   ASSERT_EQ(r.outcome, PodemResult::Outcome::kFound);
   EXPECT_FALSE(r.pattern.pi.get(0));  // a must be 0 to excite
+}
+
+TEST(Podem, PinFaultOnInputRaises) {
+  // Inputs have no pins: PODEM used to read the fault's excitation line
+  // past the end of the input's (empty) fanin vector.
+  GateNetlist n("inpin");
+  auto a = n.add_input("a");
+  auto z = n.add_gate(GateKind::kBuf, {a}, "z");
+  n.mark_output(z);
+
+  try {
+    podem(n, Fault{a, 0, true});
+    FAIL() << "expected util::Error";
+  } catch (const util::Error& e) {
+    EXPECT_NE(std::string(e.what()).find("pin fault on gate 'a'"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(Podem, UsesScanStateAsPseudoInputs) {

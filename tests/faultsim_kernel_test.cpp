@@ -1,16 +1,14 @@
-// Tests for the multi-lane fault-simulation kernels (block_engine.hpp),
-// the partitioned simulator (parallel_sim.hpp), the 64-bit scratch
-// stamps, and the sequential simulator's lane kernel and pin-fault
-// handling.
+// Tests for the scan fault-simulation kernel (scan_sim.hpp) at every
+// lane width, its 64-bit scratch stamps, and the sequential simulator's
+// lane kernel and pin-fault handling, all against naive one-pattern,
+// one-fault oracles that do not share the library's gate evaluator.
 #include <gtest/gtest.h>
 
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "socet/faultsim/block_engine.hpp"
 #include "socet/faultsim/faults.hpp"
-#include "socet/faultsim/parallel_sim.hpp"
 #include "socet/faultsim/scan_sim.hpp"
 #include "socet/faultsim/seq_sim.hpp"
 #include "socet/obs/metrics.hpp"
@@ -162,61 +160,47 @@ std::vector<FaultStatus> reference_statuses(
 
 // ------------------------------------------------------------------ tests
 
+/// Pattern counts that reach every lane width through the auto policy:
+/// one partial 64-pattern block, one 256-pattern block, one 512-pattern
+/// block, and a full 512-pattern block plus a partial second one.
+constexpr std::pair<std::size_t, unsigned> kWidthCases[] = {
+    {40, 1}, {150, 4}, {300, 8}, {700, 8}};
+
 TEST(KernelOracle, AllWidthsAndModesMatchNaiveReference) {
   for (std::uint64_t seed : {1ULL, 2ULL, 3ULL}) {
     Rng rng(seed);
     const auto n = make_random_netlist(rng, 6, 3, 60);
     const auto faults = enumerate_faults(n);
-    const auto patterns = make_random_patterns(n, 150, rng);
-    const auto expected = reference_statuses(n, faults, patterns);
-
-    for (unsigned lane_words : {1u, 4u, 8u}) {
-      for (bool event_driven : {false, true}) {
-        for (bool use_avx2 : {false, true}) {
-          ScanSimOptions o;
-          o.lane_words = lane_words;
-          o.event_driven = event_driven;
-          o.use_avx2 = use_avx2;
-          ScanFaultSim sim(n, o);
-          std::vector<FaultStatus> statuses(faults.size(),
-                                            FaultStatus::kUndetected);
-          sim.run(faults, patterns, statuses);
-          EXPECT_EQ(statuses, expected)
-              << "seed=" << seed << " W=" << lane_words
-              << " event=" << event_driven << " kernel=" << sim.last_kernel();
-          EXPECT_EQ(sim.last_lane_words(), lane_words);
-          if (!use_avx2 || lane_words == 1 || !cpu_has_avx2()) {
-            EXPECT_STREQ(sim.last_kernel(), "scalar");
-          } else {
-            EXPECT_STREQ(sim.last_kernel(), "avx2");
-          }
-        }
-      }
+    for (const auto& [count, width] : kWidthCases) {
+      ASSERT_EQ(ScanFaultSim::auto_lane_words(count), width);
+      const auto patterns = make_random_patterns(n, count, rng);
+      ScanFaultSim sim(n);
+      std::vector<FaultStatus> statuses(faults.size(),
+                                        FaultStatus::kUndetected);
+      sim.run(faults, patterns, statuses);
+      EXPECT_EQ(statuses, reference_statuses(n, faults, patterns))
+          << "seed=" << seed << " patterns=" << count << " W=" << width;
     }
   }
 }
 
-TEST(KernelOracle, ThreadCountsProduceIdenticalStatuses) {
-  Rng rng(7);
+TEST(KernelOracle, SmallBatchesReuseTheGoodMachineAcrossRuns) {
+  // ATPG feeds one simulator 16 patterns at a time: every run after the
+  // first settles the good machine incrementally from the previous
+  // run's values, and must still give the oracle's verdicts.
+  Rng rng(5);
   const auto n = make_random_netlist(rng, 8, 4, 120);
   const auto faults = enumerate_faults(n);
-  const auto patterns = make_random_patterns(n, 300, rng);
+  const auto patterns = make_random_patterns(n, 160, rng);
 
-  ScanFaultSim serial(n);
-  std::vector<FaultStatus> expected(faults.size(), FaultStatus::kUndetected);
-  serial.run(faults, patterns, expected);
-
-  for (unsigned threads : {1u, 2u, 8u}) {
-    ParallelSimOptions o;
-    o.threads = threads;
-    o.min_faults_per_thread = 1;  // force a real partition even when small
-    ParallelScanFaultSim sim(n, o);
-    std::vector<FaultStatus> statuses(faults.size(),
-                                      FaultStatus::kUndetected);
-    sim.run(faults, patterns, statuses);
-    EXPECT_EQ(statuses, expected) << "threads=" << threads;
-    EXPECT_EQ(sim.last_threads(), threads);
+  ScanFaultSim sim(n);
+  std::vector<FaultStatus> statuses(faults.size(), FaultStatus::kUndetected);
+  for (std::size_t first = 0; first < patterns.size(); first += 16) {
+    const std::vector<ScanPattern> batch(patterns.begin() + first,
+                                         patterns.begin() + first + 16);
+    sim.run(faults, batch, statuses);
   }
+  EXPECT_EQ(statuses, reference_statuses(n, faults, patterns));
 }
 
 TEST(KernelOracle, ResponsesIdenticalAcrossEnginesAndThreads) {
@@ -225,37 +209,27 @@ TEST(KernelOracle, ResponsesIdenticalAcrossEnginesAndThreads) {
   const auto faults = enumerate_faults(n);
   const auto patterns = make_random_patterns(n, 20, rng);
 
-  ScanFaultSim serial(n);
-  ParallelSimOptions o;
-  o.threads = 2;
-  o.min_faults_per_thread = 1;
-  ParallelScanFaultSim parallel(n, o);
+  // The oracle's values at the POs, then at each DFF's D fanin.
+  auto expected = [&](const ScanPattern& p, const Fault* fault) {
+    const auto values = reference_values(n, p, fault);
+    BitVector bits(n.outputs().size() + n.dffs().size());
+    std::size_t i = 0;
+    for (GateId po : n.outputs()) bits.set(i++, values[po.index()]);
+    for (GateId dff : n.dffs()) {
+      bits.set(i++, values[n.gate(dff).fanin[0].index()]);
+    }
+    return bits.to_string();
+  };
 
+  ScanFaultSim sim(n);
   for (const ScanPattern& p : patterns) {
-    const BitVector good = serial.good_response(p);
-    EXPECT_EQ(parallel.good_response(p).to_string(), good.to_string());
+    EXPECT_EQ(sim.good_response(p).to_string(), expected(p, nullptr));
     for (std::size_t fi = 0; fi < faults.size(); fi += 7) {
-      const BitVector bad = serial.faulty_response(faults[fi], p);
-      EXPECT_EQ(parallel.faulty_response(faults[fi], p).to_string(),
-                bad.to_string());
+      EXPECT_EQ(sim.faulty_response(faults[fi], p).to_string(),
+                expected(p, &faults[fi]))
+          << describe_fault(n, faults[fi]);
     }
   }
-}
-
-TEST(KernelOracle, SharedConeCacheServesAllWorkers) {
-  Rng rng(13);
-  const auto n = make_random_netlist(rng, 6, 2, 60);
-  const auto faults = enumerate_faults(n);
-  const auto patterns = make_random_patterns(n, 128, rng);
-
-  // Many concurrent workers over one cache; TSan (CI) watches the races.
-  ParallelSimOptions o;
-  o.threads = 8;
-  o.min_faults_per_thread = 1;
-  ParallelScanFaultSim sim(n, o);
-  std::vector<FaultStatus> statuses(faults.size(), FaultStatus::kUndetected);
-  sim.run(faults, patterns, statuses);
-  EXPECT_EQ(statuses, reference_statuses(n, faults, patterns));
 }
 
 // The seed simulator kept its scratch-epoch counter in a uint32_t.  Once
@@ -275,20 +249,19 @@ TEST(StampWrap, SurvivesThirtyTwoBitBoundary) {
   // A wrapped stamp makes lookup(b) return scratch(0), so the faulty z
   // would read 0 != good 1 — a spurious detection.
   const std::vector<Fault> faults{Fault{a, -1, false}};
-  std::vector<ScanPattern> patterns(1);
-  patterns[0].pi = BitVector(2);
-  patterns[0].pi.set(0, true);
-  patterns[0].pi.set(1, true);
-  patterns[0].ppi = BitVector(0);
+  ScanPattern pattern;
+  pattern.pi = BitVector(2);
+  pattern.pi.set(0, true);
+  pattern.pi.set(1, true);
+  pattern.ppi = BitVector(0);
 
-  for (unsigned lane_words : {1u, 4u, 8u}) {
+  for (const auto& [count, width] : kWidthCases) {
     ScanSimOptions o;
-    o.lane_words = lane_words;
     o.initial_stamp = 0xFFFF'FFFFULL;  // next ++ crosses 2^32
     ScanFaultSim sim(n, o);
     std::vector<FaultStatus> statuses{FaultStatus::kUndetected};
-    sim.run(faults, patterns, statuses);
-    EXPECT_EQ(statuses[0], FaultStatus::kUndetected) << "W=" << lane_words;
+    sim.run(faults, std::vector<ScanPattern>(count, pattern), statuses);
+    EXPECT_EQ(statuses[0], FaultStatus::kUndetected) << "W=" << width;
   }
 }
 
@@ -296,17 +269,19 @@ TEST(StampWrap, ManyReplaysAcrossBoundaryStayCorrect) {
   Rng rng(17);
   const auto n = make_random_netlist(rng, 6, 0, 40);
   const auto faults = enumerate_faults(n);
-  const auto patterns = make_random_patterns(n, 100, rng);
-  const auto expected = reference_statuses(n, faults, patterns);
-
-  ScanSimOptions o;
-  // Every fault replay increments the epoch; starting a few below the
-  // boundary guarantees the run crosses it mid-flight.
-  o.initial_stamp = 0xFFFF'FFFFULL - 5;
-  ScanFaultSim sim(n, o);
-  std::vector<FaultStatus> statuses(faults.size(), FaultStatus::kUndetected);
-  sim.run(faults, patterns, statuses);
-  EXPECT_EQ(statuses, expected);
+  for (const auto& [count, width] : kWidthCases) {
+    const auto patterns = make_random_patterns(n, count, rng);
+    ScanSimOptions o;
+    // Every fault replay increments the epoch; starting a few below the
+    // boundary guarantees the run crosses it mid-flight.
+    o.initial_stamp = 0xFFFF'FFFFULL - 5;
+    ScanFaultSim sim(n, o);
+    std::vector<FaultStatus> statuses(faults.size(),
+                                      FaultStatus::kUndetected);
+    sim.run(faults, patterns, statuses);
+    EXPECT_EQ(statuses, reference_statuses(n, faults, patterns))
+        << "W=" << width;
+  }
 }
 
 // ------------------------------------------------ sequential lane kernel
@@ -505,6 +480,30 @@ TEST(SeqSimPinFaults, PinFaultOnInputRaises) {
   EXPECT_THROW(sim.run(faults, sequence, statuses), util::Error);
   try {
     sim.run(faults, sequence, statuses);
+  } catch (const util::Error& e) {
+    EXPECT_NE(std::string(e.what()).find("pin fault on gate 'a'"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(ScanSimPinFaults, PinFaultOnInputRaises) {
+  GateNetlist n("inpin");
+  auto a = n.add_input("a");
+  auto z = n.add_gate(GateKind::kBuf, {a}, "z");
+  n.mark_output(z);
+
+  // The kernel used to treat this like a fault on the input's value
+  // and leave it silently undetected.
+  const std::vector<Fault> faults{Fault{a, 0, true}};
+  std::vector<ScanPattern> patterns(1);
+  patterns[0].pi = BitVector(1);
+  patterns[0].ppi = BitVector(0);
+  std::vector<FaultStatus> statuses{FaultStatus::kUndetected};
+  ScanFaultSim sim(n);
+  try {
+    sim.run(faults, patterns, statuses);
+    FAIL() << "expected util::Error";
   } catch (const util::Error& e) {
     EXPECT_NE(std::string(e.what()).find("pin fault on gate 'a'"),
               std::string::npos)
