@@ -27,7 +27,10 @@
 //     lock-free ring of pre-rendered lines.  A fatal-signal handler
 //     dumps the last N events plus every thread's active span stack to
 //     stderr using only async-signal-safe calls, so a crashing run
-//     still tells you what it was deciding.
+//     still tells you what it was deciding;
+//   * tap (`journal_set_tap`): one callback per rendered line.  `socet
+//     serve --journal-ring N` keeps the newest N lines in memory for
+//     the `journal` verb that `socet explain --connect` queries.
 //
 // Correlation: `JournalScope` tags all events recorded by the current
 // thread inside its lifetime (service workers use "job-<n>"); the
@@ -62,15 +65,11 @@ void journal_start_flight(std::size_t capacity = 256,
                           bool install_crash_handler = true);
 
 /// Live tap sink: called once per event, at record time, on the
-/// recording thread, with the event type, the thread's correlation id
-/// ("" if none) and the fully rendered JSONL line.  The daemon's
-/// `tail` verb streams these to remote watchers.  One tap per process
-/// (the last call wins); an empty function uninstalls it.  The tap
-/// alone makes `journal_enabled()` true, so keep the callback cheap
+/// recording thread, with the fully rendered JSONL line.  One tap per
+/// process (the last call wins); an empty function uninstalls it.  The
+/// tap alone makes `journal_enabled()` true, so keep the callback cheap
 /// and non-blocking — it runs inside every instrumented code path.
-using JournalTapFn =
-    std::function<void(const char* type, const char* corr,
-                       const std::string& line)>;
+using JournalTapFn = std::function<void(const std::string& line)>;
 void journal_set_tap(JournalTapFn fn);
 
 /// Stop recording (buffers are kept for export).

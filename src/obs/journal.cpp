@@ -377,7 +377,7 @@ void journal_event(const char* type,
       std::lock_guard<std::mutex> lock(tap_mutex());
       fn = tap_fn();
     }
-    if (fn != nullptr) (*fn)(type, slot->corr, line);
+    if (fn != nullptr) (*fn)(line);
   }
 }
 

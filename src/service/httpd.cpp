@@ -72,12 +72,18 @@ void Httpd::start(const HttpdOptions& options, HttpHandler handler) {
   stop();
   listen_fd_ = net_listen(options.host, options.port);
   port_ = local_port(listen_fd_);
-  util::require(::pipe(wake_pipe_) == 0,
-                std::string("cannot create wake pipe: ") +
-                    std::strerror(errno));
+  if (::pipe(wake_pipe_) != 0) {
+    const std::string why = std::strerror(errno);
+    close_fds();
+    util::raise("cannot create wake pipe: " + why);
+  }
   if (!options.port_file.empty()) {
     std::ofstream out(options.port_file, std::ios::trunc);
     out << port_ << "\n";
+    if (!out.good()) {
+      close_fds();
+      util::raise("cannot write port file '" + options.port_file + "'");
+    }
   }
   handler_ = std::move(handler);
   thread_ = std::thread([this] { loop(); });
@@ -90,11 +96,14 @@ void Httpd::stop() {
   const char byte = 'x';
   [[maybe_unused]] const ssize_t w = ::write(wake_pipe_[1], &byte, 1);
   thread_.join();
-  ::close(listen_fd_);
-  ::close(wake_pipe_[0]);
-  ::close(wake_pipe_[1]);
-  listen_fd_ = -1;
-  wake_pipe_[0] = wake_pipe_[1] = -1;
+  close_fds();
+}
+
+void Httpd::close_fds() {
+  for (int* fd : {&listen_fd_, &wake_pipe_[0], &wake_pipe_[1]}) {
+    if (*fd >= 0) ::close(*fd);
+    *fd = -1;
+  }
   port_ = 0;
 }
 

@@ -45,7 +45,8 @@ class Httpd {
   Httpd& operator=(const Httpd&) = delete;
 
   /// Bind, listen, write the port file, and start the listener thread.
-  /// Throws util::Error if the address is unusable.
+  /// Throws util::Error, with nothing left open, if the address is
+  /// unusable or the port file cannot be written.
   void start(const HttpdOptions& options, HttpHandler handler);
   /// Idempotent; wakes the thread, joins it, closes the socket.
   void stop();
@@ -55,6 +56,8 @@ class Httpd {
 
  private:
   void loop();
+  /// Close the listener and the wake pipe (whichever are open).
+  void close_fds();
 
   std::thread thread_;
   HttpHandler handler_;

@@ -4,9 +4,9 @@
 // a 4-byte big-endian payload length followed by that many bytes of
 // UTF-8 text, no trailing newline.  A request payload is either one
 // FORMATS.md §4 job line *verbatim* (the same line `socet batch`
-// reads from a file) or a control verb (`stats`, `clock`, `spans`,
-// `journal`, `tail`, `profile`).  A response payload starts with a
-// status token:
+// reads from a file) or one of four control verbs (`stats`, `clock`,
+// `spans`, `journal`).  Every request gets exactly one response frame,
+// whose payload starts with a status token:
 //
 //   ok <verb> <payload>      job finished (the record body `socet
 //                            batch` prints after "job <n> ")

@@ -24,10 +24,11 @@
 // without bound no matter how many clients connect.
 //
 // Responses are written in request order per connection (a FIFO of
-// slots per connection; workers may finish out of order).  Control
-// verbs (`stats`, `clock`, ...) are answered inline by the event loop and
-// occupy a slot like any request, so their position in the response
-// stream is deterministic too.
+// slots per connection; workers may finish out of order), exactly one
+// frame per request.  The four control verbs (`stats`, `clock`,
+// `spans`, `journal`) are answered inline by the event loop and occupy
+// a slot like any request, so their position in the response stream is
+// deterministic too.
 //
 // Graceful drain (SIGTERM/SIGINT or request_drain()): stop accepting,
 // finish every admitted job, answer `busy draining` to new work, flush,
@@ -77,16 +78,14 @@ struct ServerOptions {
   /// If non-empty, the bound metrics port is written here (CI/scripts).
   std::string metrics_port_file;
   /// JSONL access log: one `serve.access` object per request
-  /// (FORMATS.md §7) — empty = off.
+  /// (FORMATS.md §7) — empty = off.  Appended and flushed per line, so
+  /// an external `logrotate` with `copytruncate` can bound its size.
   std::string access_log;
-  /// Rotate the access log once it reaches this many bytes: the
-  /// current file moves to `<path>.1` (replacing any previous rollover)
-  /// and a fresh file is started.  0 = never rotate.
-  std::size_t access_log_max_bytes = 0;
   /// Retain the newest N journal lines in memory for the `journal`
-  /// protocol verb / `socet explain --connect` (0 = off).  Implies the
-  /// journal tap, so decision events are rendered while the daemon
-  /// runs — same stdout guarantee as every other telemetry flag.
+  /// protocol verb / `socet explain --connect` (0 = off).  start()
+  /// installs the journal tap that feeds it and wait() removes it, so
+  /// decision events are rendered while the daemon runs — same stdout
+  /// guarantee as every other telemetry flag.
   std::size_t journal_ring = 0;
 
   /// Test hook: runs on the worker thread before each job executes
@@ -107,7 +106,6 @@ struct ServerStats {
   std::uint64_t queue_depth = 0;   ///< admitted, not yet executing
   std::uint64_t queue_depth_hwm = 0;  ///< high-water mark since start
   std::uint64_t inflight = 0;      ///< executing right now
-  std::uint64_t tail_dropped = 0;  ///< journal events lost to slow tailers
   unsigned workers = 0;
   bool draining = false;
   CacheStats cache;
@@ -127,7 +125,8 @@ class Server {
   Server& operator=(const Server&) = delete;
 
   /// Bind + listen, spawn the worker pool and the event-loop thread.
-  /// Throws util::Error if the address cannot be bound.
+  /// Throws util::Error if an address cannot be bound, or a port file
+  /// or the access log cannot be written.
   void start();
 
   /// The bound port (resolves port 0 after start()).

@@ -12,7 +12,6 @@
 #include <cerrno>
 #include <chrono>
 #include <csignal>
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <deque>
@@ -30,7 +29,6 @@
 #include "socet/obs/journal.hpp"
 #include "socet/obs/metrics.hpp"
 #include "socet/obs/report.hpp"
-#include "socet/obs/sampler.hpp"
 #include "socet/obs/trace.hpp"
 #include "socet/obs/tracemerge.hpp"
 #include "socet/service/httpd.hpp"
@@ -111,7 +109,6 @@ std::string ServerStats::text() const {
   field("bad_frames", bad_frames);
   field("queue_depth", queue_depth);
   field("queue_hwm", queue_depth_hwm);
-  field("tail_dropped", tail_dropped);
   field("inflight", inflight);
   field("draining", draining ? 1 : 0);
   field("cache_hits", cache.hits);
@@ -143,11 +140,6 @@ struct Server::Impl {
     bool peer_eof = false;  ///< no more requests will arrive
     bool fatal = false;     ///< close after the pending flush (bad frame)
     bool dead = false;      ///< closed and removed from the map
-    // Live journal tailing (`tail` verb): once subscribed, matching
-    // journal lines stream to this connection as unsolicited frames.
-    bool tailing = false;
-    std::string tail_corr;  ///< exact corr match; empty = any
-    std::string tail_type;  ///< event-type prefix match; empty = any
   };
 
   struct Task {
@@ -175,7 +167,6 @@ struct Server::Impl {
     double wall_us = 0;
     bool ok = false;
     bool cache_hit = false;
-    bool job = true;  ///< false for verb completions (e.g. profile)
     std::uint64_t depth_at_admit = 0;
     std::uint64_t trace_id = 0;
     std::uint64_t parent_span = 0;
@@ -200,7 +191,6 @@ struct Server::Impl {
   // Telemetry plane (all dormant unless the options enable it).
   Httpd httpd;
   std::ofstream access_log;  ///< written only by the event-loop thread
-  std::uint64_t access_log_bytes = 0;  ///< rotation accounting
   Clock::time_point start_time = Clock::now();
   std::int64_t start_unix_seconds =
       std::chrono::duration_cast<std::chrono::seconds>(
@@ -216,29 +206,10 @@ struct Server::Impl {
   std::map<std::uint64_t, std::vector<obs::SpanRecord>> trace_store;
   std::deque<std::uint64_t> trace_order;
 
-  // Journal tap plumbing: the tap callback (any recording thread) feeds
-  // a retention ring (`journal` verb) and a pending buffer the event
-  // loop drains into tailing connections.
-  struct TailEvent {
-    std::string type;
-    std::string corr;
-    std::string line;
-  };
-  static constexpr std::size_t kMaxTailPending = 4096;
-  std::mutex tail_mutex;
-  std::vector<TailEvent> tail_pending;
+  // The journal ring (`journal` verb): the tap callback appends from
+  // whichever thread records an event, the event loop reads.
+  std::mutex ring_mutex;
   std::deque<std::string> journal_ring_lines;
-  // Events lost to slow `socet tail` watchers — pending-buffer overflow
-  // (tap thread) plus per-connection write-budget drops (event loop).
-  // Atomic because the stats/metrics paths read it cross-thread.
-  std::atomic<std::uint64_t> tail_dropped{0};
-  std::atomic<int> tailers{0};
-  bool tap_installed = false;  ///< event-loop/start-thread only
-
-  // On-demand remote profiling: one window at a time, run on its own
-  // thread so the event loop never blocks on the sampler.
-  std::atomic<bool> profiling{false};
-  std::thread profile_thread;
 
   WorkQueue<Task> queue;
   std::mutex completions_mutex;
@@ -337,7 +308,7 @@ struct Server::Impl {
     // A full pipe is fine: the loop drains it and rescans everything.
   }
 
-  // ------------------------------------------------- tracing + tap plumbing
+  // ------------------------------------------------ tracing + journal ring
 
   void store_trace_spans(std::uint64_t trace_id,
                          std::vector<obs::SpanRecord> spans) {
@@ -358,82 +329,17 @@ struct Server::Impl {
     }
   }
 
-  /// Install the journal tap (idempotent).  The callback runs on
+  /// Feed the journal ring from the tap.  The callback runs on
   /// whichever thread records the event, so it only touches the
-  /// mutex-guarded ring/pending buffer — never connection state.
+  /// mutex-guarded ring — never connection state.
   void install_tap() {
-    if (tap_installed) return;
-    tap_installed = true;
-    obs::journal_set_tap([this](const char* type, const char* corr,
-                                const std::string& line) {
-      bool notify = false;
-      {
-        std::lock_guard<std::mutex> lock(tail_mutex);
-        if (options.journal_ring > 0) {
-          journal_ring_lines.push_back(line);
-          while (journal_ring_lines.size() > options.journal_ring) {
-            journal_ring_lines.pop_front();
-          }
-        }
-        if (tailers.load(std::memory_order_relaxed) > 0) {
-          if (tail_pending.size() >= kMaxTailPending) {
-            tail_pending.erase(tail_pending.begin());
-            tail_dropped.fetch_add(1, std::memory_order_relaxed);
-          }
-          tail_pending.push_back(TailEvent{type, corr, line});
-          notify = true;
-        }
+    obs::journal_set_tap([this](const std::string& line) {
+      std::lock_guard<std::mutex> lock(ring_mutex);
+      journal_ring_lines.push_back(line);
+      while (journal_ring_lines.size() > options.journal_ring) {
+        journal_ring_lines.pop_front();
       }
-      if (notify) wake();
     });
-  }
-
-  void uninstall_tap() {
-    if (!tap_installed) return;
-    tap_installed = false;
-    obs::journal_set_tap({});
-  }
-
-  /// One profiling window, on its own thread: arm the SIGPROF sampler,
-  /// sleep out the window (drain-aware), answer with folded stacks.
-  void profile_main(std::shared_ptr<Conn> conn, std::uint64_t slot_id,
-                    double seconds, std::string corr) {
-    obs::name_this_thread("serve-profile");
-    Completion completion;
-    completion.conn = std::move(conn);
-    completion.slot_id = slot_id;
-    completion.corr = std::move(corr);
-    completion.verb = "profile";
-    completion.job = false;
-    const auto start = Clock::now();
-    if (!obs::Sampler::running()) obs::Sampler::reset();
-    if (!obs::Sampler::start({})) {
-      completion.body = "busy profiling";
-    } else {
-      const auto deadline =
-          start + std::chrono::duration_cast<Clock::duration>(
-                      std::chrono::duration<double>(seconds));
-      while (Clock::now() < deadline &&
-             !draining.load(std::memory_order_relaxed)) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(50));
-      }
-      obs::Sampler::stop();
-      completion.ok = true;
-      completion.body = "ok profile samples=" +
-                        std::to_string(obs::Sampler::sample_count()) +
-                        " dropped=" +
-                        std::to_string(obs::Sampler::dropped_count()) + "\n" +
-                        obs::Sampler::folded_stacks();
-    }
-    completion.wall_us =
-        std::chrono::duration<double, std::micro>(Clock::now() - start)
-            .count();
-    {
-      std::lock_guard<std::mutex> lock(completions_mutex);
-      completions.push_back(std::move(completion));
-    }
-    wake();
-    profiling.store(false, std::memory_order_release);
   }
 
   // -------------------------------------------------------------- the loop
@@ -479,7 +385,6 @@ struct Server::Impl {
 
       if ((pfds[0].revents & POLLIN) != 0) drain_wake_pipe();
       apply_completions();
-      apply_tail_events();
       if (poll_listen && (pfds[1].revents & POLLIN) != 0) accept_all();
 
       for (std::size_t c = 0; c < polled.size(); ++c) {
@@ -542,9 +447,7 @@ struct Server::Impl {
       const auto& conn = completion.conn;
       log_access(conn->id, completion.corr, completion.verb,
                  completion.ok ? "ok" : "error", completion.depth_at_admit,
-                 completion.wall_us,
-                 completion.job ? (completion.cache_hit ? "hit" : "miss")
-                                : nullptr);
+                 completion.wall_us, completion.cache_hit ? "hit" : "miss");
       if (completion.trace_id != 0) {
         // The respond span covers worker-finish → event-loop pickup:
         // the tail latency a client sees past the job itself.
@@ -564,45 +467,6 @@ struct Server::Impl {
       }
       pump(conn);
       if (!conn->dead) maybe_close(conn);
-    }
-  }
-
-  /// Drain tap events into tailing connections (event-loop thread).
-  /// Filters are per-connection; a watcher over its write budget
-  /// silently skips events rather than stalling the daemon.
-  void apply_tail_events() {
-    if (tailers.load(std::memory_order_relaxed) == 0) return;
-    std::vector<TailEvent> batch;
-    {
-      std::lock_guard<std::mutex> lock(tail_mutex);
-      batch.swap(tail_pending);
-    }
-    if (batch.empty()) return;
-    std::vector<std::shared_ptr<Conn>> watchers;
-    for (auto& [fd, conn] : conns) {
-      if (conn->tailing && !conn->dead) watchers.push_back(conn);
-    }
-    for (const auto& conn : watchers) {
-      std::uint64_t dropped = 0;
-      for (const auto& event : batch) {
-        if (!conn->tail_corr.empty() && event.corr != conn->tail_corr) {
-          continue;
-        }
-        if (!conn->tail_type.empty() &&
-            event.type.compare(0, conn->tail_type.size(), conn->tail_type) !=
-                0) {
-          continue;
-        }
-        if (conn->out.size() - conn->out_off >= options.max_buffered_bytes) {
-          ++dropped;  // slow watcher: this event will never be sent
-          continue;   // keep counting the rest of the batch
-        }
-        conn->out += encode_frame(event.line);
-      }
-      if (dropped > 0) {
-        tail_dropped.fetch_add(dropped, std::memory_order_relaxed);
-      }
-      try_write(conn);
     }
   }
 
@@ -707,18 +571,6 @@ struct Server::Impl {
                         "}\n";
     access_log << entry;
     access_log.flush();
-    access_log_bytes += entry.size();
-    // Size-based rotation: move the full file to `<path>.1` (replacing
-    // any previous rollover) and start fresh.  One generation is kept —
-    // a bounded-disk guarantee, not an archive.
-    if (options.access_log_max_bytes > 0 &&
-        access_log_bytes >= options.access_log_max_bytes) {
-      access_log.close();
-      const std::string rolled = options.access_log + ".1";
-      ::rename(options.access_log.c_str(), rolled.c_str());
-      access_log.open(options.access_log, std::ios::trunc);
-      access_log_bytes = 0;
-    }
   }
 
   void dispatch(const std::shared_ptr<Conn>& conn, const std::string& line,
@@ -752,14 +604,6 @@ struct Server::Impl {
       SOCET_EVENT("serve/busy", {"conn", conn->id}, {"why", "draining"});
       add_done_slot(conn, "busy draining");
       log_access(conn->id, corr, verb, "busy", depth, 0, nullptr);
-      return;
-    }
-    if (verb == "tail") {
-      dispatch_tail(conn, line, corr, depth);
-      return;
-    }
-    if (verb == "profile") {
-      dispatch_profile(conn, line, corr, depth);
       return;
     }
     if (depth >= options.max_queue) {
@@ -849,7 +693,7 @@ struct Server::Impl {
     constexpr std::size_t kBodyBudget = 900 * 1024;
     std::vector<std::string> lines;
     {
-      std::lock_guard<std::mutex> lock(tail_mutex);
+      std::lock_guard<std::mutex> lock(ring_mutex);
       std::size_t used = 0;
       for (auto it = journal_ring_lines.rbegin();
            it != journal_ring_lines.rend(); ++it) {
@@ -868,79 +712,6 @@ struct Server::Impl {
     }
     add_done_slot(conn, std::move(body));
     log_access(conn->id, corr, "journal", "ok", depth, 0, nullptr);
-  }
-
-  /// `tail [corr=ID] [type=PREFIX]`: subscribe this connection to the
-  /// live journal stream.  The `ok tail` ack flushes in-order; every
-  /// later frame on the connection is one journal line.
-  void dispatch_tail(const std::shared_ptr<Conn>& conn,
-                     const std::string& line, const std::string& corr,
-                     std::uint64_t depth) {
-    const auto tokens = split_tokens(line);
-    std::string filter_corr;
-    std::string filter_type;
-    for (std::size_t i = 1; i < tokens.size(); ++i) {
-      if (tokens[i].rfind("corr=", 0) == 0) {
-        filter_corr = tokens[i].substr(5);
-      } else if (tokens[i].rfind("type=", 0) == 0) {
-        filter_type = tokens[i].substr(5);
-      } else {
-        add_done_slot(conn, "error bad tail filter '" + tokens[i] + "'");
-        log_access(conn->id, corr, "tail", "error", depth, 0, nullptr);
-        return;
-      }
-    }
-    if (!conn->tailing) {
-      conn->tailing = true;
-      tailers.fetch_add(1, std::memory_order_relaxed);
-    }
-    conn->tail_corr = std::move(filter_corr);
-    conn->tail_type = std::move(filter_type);
-    install_tap();
-    add_done_slot(conn, "ok tail");
-    log_access(conn->id, corr, "tail", "ok", depth, 0, nullptr);
-  }
-
-  /// `profile [seconds]`: arm the SIGPROF sampler for one window and
-  /// answer with folded stacks.  One window at a time, daemon-wide.
-  void dispatch_profile(const std::shared_ptr<Conn>& conn,
-                        const std::string& line, const std::string& corr,
-                        std::uint64_t depth) {
-    const auto tokens = split_tokens(line);
-    double seconds = 1.0;
-    if (tokens.size() >= 2) {
-      char* end = nullptr;
-      seconds = std::strtod(tokens[1].c_str(), &end);
-      if (end == nullptr || *end != '\0' || !(seconds > 0) ||
-          seconds > 30.0) {
-        add_done_slot(conn, "error bad profile duration '" + tokens[1] +
-                                "' (want seconds in (0, 30])");
-        log_access(conn->id, corr, "profile", "error", depth, 0, nullptr);
-        return;
-      }
-    }
-    if (!obs::sampler_supported()) {
-      add_done_slot(conn, "error profiling unsupported on this platform");
-      log_access(conn->id, corr, "profile", "error", depth, 0, nullptr);
-      return;
-    }
-    if (obs::Sampler::running() ||
-        profiling.exchange(true, std::memory_order_acq_rel)) {
-      busy_rejects.fetch_add(1, std::memory_order_relaxed);
-      SOCET_COUNT("serve/busy_rejects");
-      SOCET_EVENT("serve/busy", {"conn", conn->id}, {"why", "profiling"});
-      add_done_slot(conn, "busy profiling");
-      log_access(conn->id, corr, "profile", "busy", depth, 0, nullptr);
-      return;
-    }
-    const std::uint64_t slot_id = conn->next_slot_id++;
-    conn->slots.push_back({slot_id, false, {}});
-    // The previous window's thread has already cleared `profiling`, so
-    // joining here blocks for microseconds at most.
-    if (profile_thread.joinable()) profile_thread.join();
-    profile_thread = std::thread([this, conn, slot_id, seconds, corr] {
-      profile_main(conn, slot_id, seconds, corr);
-    });
   }
 
   void flush_ready(const std::shared_ptr<Conn>& conn) {
@@ -986,16 +757,6 @@ struct Server::Impl {
 
   void close_conn(const std::shared_ptr<Conn>& conn) {
     if (conn->dead) return;
-    if (conn->tailing) {
-      conn->tailing = false;
-      // Last watcher gone and no retention ring configured: the tap no
-      // longer has a consumer, so put the journal back exactly as the
-      // daemon's flags left it.
-      if (tailers.fetch_sub(1, std::memory_order_relaxed) == 1 &&
-          options.journal_ring == 0) {
-        uninstall_tap();
-      }
-    }
     conn->dead = true;
     ::close(conn->fd);
     conns.erase(conn->fd);
@@ -1003,40 +764,17 @@ struct Server::Impl {
     SOCET_EVENT("serve/conn", {"conn", conn->id}, {"event", "close"});
   }
 
-  /// The full Prometheus exposition: everything in the registry plus a
-  /// handful of live server gauges that only exist as atomics here.
-  /// (Registry families named `socet_serve_*` already exist — e.g. the
-  /// `serve/queue_depth` high-water gauge — so the live values use a
-  /// distinct `live_` spelling to keep each family unique.)
+  /// The Prometheus exposition: the registry plus build identity and
+  /// start time, the standard idiom for "which binary is this and how
+  /// long has it been up".  Live server state is the `stats` verb's.
   [[nodiscard]] std::string exposition() const {
     std::string out = obs::prometheus_text();
-    const ServerStats s = snapshot();
-    const auto gauge = [&out](const char* name, std::uint64_t value) {
-      out += std::string("# TYPE ") + name + " gauge\n";
-      out += std::string(name) + " " + std::to_string(value) + "\n";
-    };
-    gauge("socet_serve_up", 1);
-    gauge("socet_serve_worker_count", s.workers);
-    gauge("socet_serve_connections_open", s.connections_open);
-    gauge("socet_serve_live_queue_depth", s.queue_depth);
-    gauge("socet_serve_queue_depth_hwm", s.queue_depth_hwm);
-    gauge("socet_serve_live_inflight", s.inflight);
-    gauge("socet_serve_draining", s.draining ? 1 : 0);
-    gauge("socet_serve_cache_entries", s.cache_entries);
-    gauge("socet_serve_cache_bytes", s.cache_bytes);
-    // Monotone counter, not a gauge: journal events lost to slow
-    // `socet tail` subscribers (rate() it to spot a chronically
-    // lagging watcher).
-    out += "# TYPE socet_serve_tail_dropped_total counter\n";
-    out += "socet_serve_tail_dropped_total " +
-           std::to_string(s.tail_dropped) + "\n";
-    // Build identity + start time: the standard Prometheus idiom for
-    // "which binary is this and how long has it been up".
     out += "# TYPE socet_build_info gauge\n";
     out += std::string("socet_build_info{version=\"") + obs::build_version() +
            "\",git=\"" + obs::build_git() + "\"} 1\n";
-    gauge("socet_start_time_seconds",
-          static_cast<std::uint64_t>(start_unix_seconds));
+    out += "# TYPE socet_start_time_seconds gauge\n";
+    out += "socet_start_time_seconds " + std::to_string(start_unix_seconds) +
+           "\n";
     return out;
   }
 
@@ -1052,7 +790,6 @@ struct Server::Impl {
     stats.queue_depth = queue_depth.load(std::memory_order_relaxed);
     stats.queue_depth_hwm = queue_hwm.load(std::memory_order_relaxed);
     stats.inflight = inflight.load(std::memory_order_relaxed);
-    stats.tail_dropped = tail_dropped.load(std::memory_order_relaxed);
     stats.workers = options.threads;
     stats.draining = draining.load(std::memory_order_relaxed);
     stats.cache = cache.stats();
@@ -1107,14 +844,7 @@ void Server::start() {
     util::require(impl_->access_log.is_open(),
                   "cannot open access log '" + impl_->options.access_log +
                       "'");
-    // Seed rotation accounting with whatever an earlier run left behind.
-    const auto pos = impl_->access_log.tellp();
-    impl_->access_log_bytes =
-        pos > 0 ? static_cast<std::uint64_t>(pos) : 0;
   }
-  // A journal retention ring needs the tap from the first request on;
-  // `tail` subscribers install it lazily otherwise.
-  if (impl_->options.journal_ring > 0) impl_->install_tap();
   if (impl_->options.metrics_http) {
     HttpdOptions http_options;
     http_options.host = impl_->options.metrics_host;
@@ -1147,6 +877,9 @@ void Server::start() {
           return {404, "text/plain; charset=utf-8", "not found\n"};
         });
   }
+  // Last, once nothing above can throw: the tap calls back into this
+  // server, so a failed start() must not leave it installed.
+  if (impl_->options.journal_ring > 0) impl_->install_tap();
   impl_->workers.reserve(impl_->options.threads);
   for (unsigned t = 0; t < impl_->options.threads; ++t) {
     impl_->workers.emplace_back([this, t] { impl_->worker_main(t); });
@@ -1168,8 +901,7 @@ void Server::wait() {
   if (!impl_->started || impl_->joined) return;
   impl_->loop_thread.join();
   for (auto& worker : impl_->workers) worker.join();
-  if (impl_->profile_thread.joinable()) impl_->profile_thread.join();
-  impl_->uninstall_tap();
+  if (impl_->options.journal_ring > 0) obs::journal_set_tap({});
   // The telemetry listener outlives the event loop on purpose: /readyz
   // answers 503 for the whole drain, and the last scrape still sees the
   // final counters.  Stop it only once the daemon is fully quiesced.

@@ -79,15 +79,8 @@ TEST_F(JournalTest, DisabledByDefaultRecordsNothing) {
 }
 
 TEST_F(JournalTest, TapReceivesTypeCorrAndRenderedLine) {
-  std::vector<std::string> types;
-  std::vector<std::string> corrs;
   std::vector<std::string> lines;
-  obs::journal_set_tap(
-      [&](const char* type, const char* corr, const std::string& line) {
-        types.emplace_back(type);
-        corrs.emplace_back(corr);
-        lines.push_back(line);
-      });
+  obs::journal_set_tap([&](const std::string& line) { lines.push_back(line); });
   // The tap alone is a sink: SOCET_EVENT takes the enabled path.
   EXPECT_TRUE(obs::journal_enabled());
   {
@@ -95,27 +88,29 @@ TEST_F(JournalTest, TapReceivesTypeCorrAndRenderedLine) {
     SOCET_EVENT("test/tap", {"k", 1});
   }
   SOCET_EVENT("test/bare", {"k", 2});
-  ASSERT_EQ(types.size(), 2u);
-  EXPECT_EQ(types[0], "test/tap");
-  EXPECT_EQ(corrs[0], "job-9");
-  EXPECT_NE(lines[0].find("\"type\":\"test/tap\""), std::string::npos)
-      << lines[0];
-  EXPECT_NE(lines[0].find("\"corr\":\"job-9\""), std::string::npos);
-  EXPECT_EQ(types[1], "test/bare");
-  EXPECT_EQ(corrs[1], "");  // no scope, no correlation
+  // One call per event, each with the whole rendered line: the type and
+  // correlation id travel inside it.
+  ASSERT_EQ(lines.size(), 2u);
+  const obs::JournalDoc doc = load_or_die(
+      "{\"schema\":\"socet-journal-v1\"}\n" + lines[0] + "\n" + lines[1]);
+  ASSERT_EQ(doc.events.size(), 2u);
+  EXPECT_EQ(str_field(doc.events[0], "type"), "test/tap") << lines[0];
+  EXPECT_EQ(str_field(doc.events[0], "corr"), "job-9") << lines[0];
+  EXPECT_EQ(str_field(doc.events[1], "type"), "test/bare");
+  // No scope, no correlation.
+  EXPECT_EQ(field(doc.events[1], "corr"), nullptr) << lines[1];
 
   // An empty function uninstalls; the journal goes quiet again.
   obs::journal_set_tap({});
   EXPECT_FALSE(obs::journal_enabled());
   SOCET_EVENT("test/after", {"k", 3});
-  EXPECT_EQ(types.size(), 2u);
+  EXPECT_EQ(lines.size(), 2u);
 }
 
 TEST_F(JournalTest, TapComposesWithTheMemorySink) {
   std::size_t taps = 0;
   obs::journal_start_memory();
-  obs::journal_set_tap(
-      [&](const char*, const char*, const std::string&) { ++taps; });
+  obs::journal_set_tap([&](const std::string&) { ++taps; });
   SOCET_EVENT("test/both", {"n", 1});
   EXPECT_EQ(taps, 1u);
 
@@ -130,8 +125,7 @@ TEST_F(JournalTest, TapComposesWithTheMemorySink) {
 
 TEST_F(JournalTest, ResetClearsTheTap) {
   std::size_t taps = 0;
-  obs::journal_set_tap(
-      [&](const char*, const char*, const std::string&) { ++taps; });
+  obs::journal_set_tap([&](const std::string&) { ++taps; });
   obs::journal_reset();
   EXPECT_FALSE(obs::journal_enabled());
   SOCET_EVENT("test/gone", {"n", 1});

@@ -7,8 +7,6 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
-#include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cinttypes>
 #include <condition_variable>
@@ -22,8 +20,9 @@
 #include <thread>
 #include <vector>
 
+#include "socet/obs/explain.hpp"
+#include "socet/obs/journal.hpp"
 #include "socet/obs/metrics.hpp"
-#include "socet/obs/sampler.hpp"
 #include "socet/obs/trace.hpp"
 #include "socet/service/cache.hpp"
 #include "socet/service/client.hpp"
@@ -305,10 +304,10 @@ TEST(Serve, StatsRoundTrip) {
   ASSERT_GT(server.port(), 0);
 
   auto client = connect_to(server);
-  // `health` and `metrics` are not verbs: each falls through to the job
-  // parser and gets exactly one error record, and the connection stays
-  // usable (the next reply on it is the stats answer).
-  for (const char* removed : {"health", "metrics"}) {
+  // Retired verbs are not verbs: each falls through to the job parser
+  // and gets exactly one error record, and the connection stays usable
+  // (the next reply on it is the stats answer).
+  for (const char* removed : {"health", "metrics", "tail", "profile"}) {
     const std::string reply = client.query(removed);
     EXPECT_EQ(reply.rfind("error unknown verb '" + std::string(removed) + "'",
                           0),
@@ -321,8 +320,6 @@ TEST(Serve, StatsRoundTrip) {
   EXPECT_EQ(stats.rfind("ok stats workers=2 ", 0), 0u) << stats;
   EXPECT_NE(stats.find(" draining=0 "), std::string::npos) << stats;
   EXPECT_NE(stats.find(" cache_entries=0 "), std::string::npos) << stats;
-  // A healthy daemon with no tailers has lost zero journal events.
-  EXPECT_NE(stats.find(" tail_dropped=0"), std::string::npos) << stats;
 }
 
 TEST(Serve, MatchesBatchByteForByteAtEveryWorkerCount) {
@@ -668,10 +665,7 @@ TEST(Serve, HttpEndpointsServeMetricsAndFlipReadinessDuringDrain) {
   const std::string metrics = http_get(mport, "GET /metrics HTTP/1.0");
   EXPECT_NE(metrics.find("200 OK\r\n"), std::string::npos) << metrics;
   EXPECT_NE(metrics.find("# TYPE"), std::string::npos);
-  EXPECT_NE(metrics.find("socet_serve_up 1"), std::string::npos);
-  EXPECT_NE(metrics.find("socet_serve_tail_dropped_total 0"),
-            std::string::npos)
-      << metrics;
+  EXPECT_NE(metrics.find("socet_build_info{"), std::string::npos) << metrics;
   EXPECT_NE(http_get(mport, "GET /nope HTTP/1.0").find("404"),
             std::string::npos);
   EXPECT_NE(http_get(mport, "POST /metrics HTTP/1.0").find("405"),
@@ -813,75 +807,6 @@ TEST(Serve, SpansVerbRejectsMalformedIds) {
   EXPECT_EQ(client.query("spans deadbeef").rfind("ok spans 0", 0), 0u);
 }
 
-TEST(Serve, TailStreamsOnlyTheWatchedCorrUnderConcurrentWorkers) {
-  service::ServerOptions options;
-  options.threads = 4;
-  service::Server server(std::move(options));
-  server.start();
-
-  const int fd = service::net_connect("127.0.0.1", server.port());
-  service::write_frame(fd, "tail corr=job-2");
-  const auto ack = service::read_frame(fd);
-  ASSERT_TRUE(ack.has_value());
-  ASSERT_EQ(*ack, "ok tail");
-
-  // Eight jobs race across four workers; every one emits journal
-  // events under its own corr, but only job-2's may reach this watcher.
-  {
-    auto client = connect_to(server);
-    client.run_lines(kJobFile);
-  }
-  for (int i = 0; i < 2; ++i) {
-    const auto event = service::read_frame(fd);
-    ASSERT_TRUE(event.has_value());
-    EXPECT_NE(event->find("\"corr\":\"job-2\""), std::string::npos)
-        << *event;
-  }
-  ::close(fd);
-}
-
-TEST(Serve, TailTypePrefixFilterWatchesConnectionEvents) {
-  service::ServerOptions options;
-  options.threads = 1;
-  service::Server server(std::move(options));
-  server.start();
-
-  const int fd = service::net_connect("127.0.0.1", server.port());
-  service::write_frame(fd, "tail type=serve/conn");
-  const auto ack = service::read_frame(fd);
-  ASSERT_TRUE(ack.has_value());
-  ASSERT_EQ(*ack, "ok tail");
-
-  // A connection that comes and goes produces exactly an accept and a
-  // close event, in that order — both type serve/conn.
-  const int other = service::net_connect("127.0.0.1", server.port());
-  ::close(other);
-  const auto accept_event = service::read_frame(fd);
-  ASSERT_TRUE(accept_event.has_value());
-  EXPECT_NE(accept_event->find("\"type\":\"serve/conn\""),
-            std::string::npos)
-      << *accept_event;
-  EXPECT_NE(accept_event->find("\"event\":\"accept\""), std::string::npos)
-      << *accept_event;
-  const auto close_event = service::read_frame(fd);
-  ASSERT_TRUE(close_event.has_value());
-  EXPECT_NE(close_event->find("\"event\":\"close\""), std::string::npos)
-      << *close_event;
-  ::close(fd);
-}
-
-TEST(Serve, TailRejectsUnknownFilters) {
-  service::ServerOptions options;
-  options.threads = 1;
-  service::Server server(std::move(options));
-  server.start();
-  auto client = connect_to(server);
-  EXPECT_EQ(client.query("tail nope=3"),
-            "error bad tail filter 'nope=3'");
-  // The reject did not subscribe the connection: normal traffic works.
-  EXPECT_EQ(client.query("stats").rfind("ok stats ", 0), 0u);
-}
-
 TEST(Serve, JournalRingServesTheJournalVerb) {
   service::ServerOptions options;
   options.threads = 1;
@@ -900,6 +825,34 @@ TEST(Serve, JournalRingServesTheJournalVerb) {
   EXPECT_NE(reply.find("\"corr\":\"job-1\""), std::string::npos) << reply;
 }
 
+TEST(Serve, JournalRingKeepsTheNewestLines) {
+  service::ServerOptions options;
+  options.threads = 1;
+  options.journal_ring = 16;
+  service::Server server(std::move(options));
+  server.start();
+  auto client = connect_to(server);
+  // Eight jobs record far more than 16 events.  One worker and one
+  // connection: nothing records between the last reply and the query.
+  client.run_lines(kJobFile);
+  const std::uint64_t recorded = obs::journal_event_count();
+  ASSERT_GT(recorded, 16u);
+  const std::string reply = client.query("journal");
+  const std::string prefix = "ok journal\n";
+  ASSERT_EQ(reply.rfind(prefix, 0), 0u) << reply;
+  obs::JournalDoc doc;
+  std::string error;
+  ASSERT_TRUE(obs::load_journal(reply.substr(prefix.size()), &doc, &error))
+      << error;
+  ASSERT_EQ(doc.events.size(), 16u) << reply;
+  // The newest 16 by seq, oldest first.
+  for (std::size_t i = 0; i < doc.events.size(); ++i) {
+    const obs::JsonValue* seq = doc.events[i].get("seq");
+    ASSERT_NE(seq, nullptr) << reply;
+    EXPECT_EQ(seq->number_value, static_cast<double>(recorded - 16 + i));
+  }
+}
+
 TEST(Serve, JournalVerbWithoutARingIsAStructuredError) {
   service::ServerOptions options;
   options.threads = 1;
@@ -910,72 +863,19 @@ TEST(Serve, JournalVerbWithoutARingIsAStructuredError) {
             0u);
 }
 
-TEST(Serve, ProfileVerbRunsOneWindowAtATime) {
+TEST(Serve, UnwritableMetricsPortFileFailsStart) {
+  const std::string path = testing::TempDir() + "no_such_dir/mport.txt";
   service::ServerOptions options;
-  options.threads = 1;
+  options.metrics_http = true;
+  options.metrics_port_file = path;
   service::Server server(std::move(options));
-  server.start();
-  auto client = connect_to(server);
-
-  EXPECT_EQ(client.query("profile nope")
-                .rfind("error bad profile duration", 0),
-            0u);
-  EXPECT_EQ(
-      client.query("profile 31").rfind("error bad profile duration", 0),
-      0u);
-  EXPECT_EQ(client.query("profile 0").rfind("error bad profile duration", 0),
-            0u);
-  if (!obs::sampler_supported()) {
-    EXPECT_EQ(client.query("profile 0.2"),
-              "error profiling unsupported on this platform");
-    return;
-  }
-
-  // Arm a window from a raw connection; the daemon runs in this
-  // process, so the sampler state is directly observable.
-  const int fd = service::net_connect("127.0.0.1", server.port());
-  service::write_frame(fd, "profile 0.5");
-  const auto deadline = std::chrono::steady_clock::now() + 5s;
-  while (!obs::Sampler::running() &&
-         std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(1ms);
-  }
-  ASSERT_TRUE(obs::Sampler::running());
-  // A second window while one is live is a structured busy reject.
-  EXPECT_EQ(client.query("profile 0.2"), "busy profiling");
-  const auto reply = service::read_frame(fd);
-  ASSERT_TRUE(reply.has_value());
-  EXPECT_EQ(reply->rfind("ok profile samples=", 0), 0u) << *reply;
-  ::close(fd);
-}
-
-TEST(Serve, AccessLogRotatesAtTheByteBound) {
-  const std::string log_path = testing::TempDir() + "serve_rotating.jsonl";
-  const std::string rolled_path = log_path + ".1";
-  std::remove(log_path.c_str());
-  std::remove(rolled_path.c_str());
-  service::ServerOptions options;
-  options.threads = 1;
-  options.access_log = log_path;
-  options.access_log_max_bytes = 600;  // a few entries per generation
-  {
-    service::Server server(std::move(options));
+  try {
     server.start();
-    auto client = connect_to(server);
-    client.run_lines(kJobFile);
-    server.request_drain();
-    server.wait();
+    ADD_FAILURE() << "start() accepted an unwritable " << path;
+  } catch (const util::Error& error) {
+    EXPECT_NE(std::string(error.what()).find(path), std::string::npos)
+        << error.what();
   }
-  std::ifstream rolled(rolled_path);
-  ASSERT_TRUE(rolled.is_open()) << "no rollover file " << rolled_path;
-  std::ostringstream rolled_raw;
-  rolled_raw << rolled.rdbuf();
-  EXPECT_NE(rolled_raw.str().find("\"type\":\"serve.access\""),
-            std::string::npos);
-  std::ifstream current(log_path);
-  ASSERT_TRUE(current.is_open());
-  std::remove(log_path.c_str());
-  std::remove(rolled_path.c_str());
 }
 
 TEST(Serve, HttpMetricsCarryBuildInfo) {
@@ -1045,9 +945,10 @@ TEST(Cli, ClientAndBatchConnectMatchLocalBatch) {
   EXPECT_EQ(remote_batch.exit_code, 1);
   EXPECT_EQ(remote_batch.output, local.output);
 
-  // `health` and `metrics` are no longer client verbs.
+  // `health`, `metrics` and `profile` are no longer client verbs.
   EXPECT_EQ(run_cli("client --connect " + connect + " health").exit_code, 1);
   EXPECT_EQ(run_cli("client --connect " + connect + " metrics").exit_code, 1);
+  EXPECT_EQ(run_cli("client --connect " + connect + " profile").exit_code, 1);
   const CliRun stats = run_cli("client --connect " + connect + " stats");
   EXPECT_EQ(stats.exit_code, 0);
   EXPECT_EQ(stats.output.rfind("ok stats workers=2 ", 0), 0u);
@@ -1061,6 +962,18 @@ TEST(Cli, ClientRejectsBadArguments) {
   // Nothing is listening on a fresh ephemeral port's neighbour; a
   // connect failure is an error, not a hang.
   EXPECT_EQ(run_cli("serve --threads 0").exit_code, 1);
+}
+
+TEST(Cli, ServeRejectsAPortThatWouldWrap) {
+  // 70000 must be refused, not wrapped to port 4464.  A daemon that
+  // listens instead never returns, so `timeout` bounds it (exit 124).
+  for (const char* flag : {"--port", "--metrics-port"}) {
+    const std::string command = std::string("timeout 10 ") + SOCET_CLI_PATH +
+                                " serve " + flag + " 70000 2>/dev/null";
+    const int status = std::system(command.c_str());
+    ASSERT_TRUE(WIFEXITED(status)) << flag;
+    EXPECT_EQ(WEXITSTATUS(status), 1) << flag;
+  }
 }
 
 TEST(Cli, BatchConnectTraceKeepsStdoutIdenticalAndWritesOneMergedTrace) {
@@ -1099,37 +1012,6 @@ TEST(Cli, BatchConnectTraceKeepsStdoutIdenticalAndWritesOneMergedTrace) {
   EXPECT_NE(merged.find("\"ph\":\"s\""), std::string::npos);
   std::remove(jobs_path.c_str());
   std::remove(trace_path.c_str());
-}
-
-TEST(Cli, TailFollowsTheLiveJournalOverTheWire) {
-  service::ServerOptions options;
-  options.threads = 1;
-  service::Server server(std::move(options));
-  server.start();
-  const std::string connect = "127.0.0.1:" + std::to_string(server.port());
-
-  // Feed jobs until the tail below has seen enough; every replay uses
-  // corr job-1, which is exactly what the watcher filters on.
-  std::atomic<bool> stop{false};
-  std::thread feeder([&] {
-    while (!stop.load()) {
-      auto client = connect_to(server);
-      client.run_lines({"plan system=barcode"});
-      std::this_thread::sleep_for(20ms);
-    }
-  });
-  const CliRun tail =
-      run_cli("tail --connect " + connect + " --corr job-1 --count 2");
-  stop.store(true);
-  feeder.join();
-  EXPECT_EQ(tail.exit_code, 0) << tail.output;
-  // Two JSONL lines, each a live journal event for the watched corr.
-  EXPECT_NE(tail.output.find("\"corr\":\"job-1\""), std::string::npos)
-      << tail.output;
-  EXPECT_EQ(static_cast<int>(std::count(tail.output.begin(),
-                                        tail.output.end(), '\n')),
-            2)
-      << tail.output;
 }
 
 }  // namespace

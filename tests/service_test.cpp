@@ -486,6 +486,22 @@ TEST(Cli, RejectsBadSelectionAndUnknownCommand) {
   EXPECT_EQ(run_cli("plan --selection 1,2,").exit_code, 1);
   EXPECT_EQ(run_cli("plan --selection 1,2,3,4").exit_code, 1);
   EXPECT_EQ(run_cli("pln").exit_code, 2);
+  // `tail` is not a command: the daemon's journal is read with
+  // `explain --connect` or `client journal`.
+  EXPECT_EQ(run_cli("tail --connect 127.0.0.1:1").exit_code, 2);
+}
+
+TEST(Cli, BatchRejectsAThreadCountThatWouldWrap) {
+  const std::string path = testing::TempDir() + "socet_wrap_jobs.txt";
+  {
+    std::ofstream file(path);
+    file << "plan system=barcode\n";
+  }
+  // 2^32 + 1 must be refused, not wrapped to a single worker.
+  EXPECT_EQ(run_cli("batch --jobs " + path + " --threads 4294967297").exit_code,
+            1);
+  EXPECT_EQ(run_cli("batch --jobs " + path + " --threads 2").exit_code, 0);
+  std::remove(path.c_str());
 }
 
 }  // namespace

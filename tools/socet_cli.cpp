@@ -8,8 +8,7 @@
 //   socet parallel [--system ...] [--selection 1,2,3]  # session schedule
 //   socet batch    --jobs FILE [--threads N] # planning service (one job/line)
 //   socet serve    [--port N] [--threads N]  # persistent planning daemon
-//   socet client   --connect HOST:PORT (--jobs FILE | stats | journal | profile)
-//   socet tail     --connect HOST:PORT [--corr ID] [--type PREFIX]  # live journal
+//   socet client   --connect HOST:PORT (--jobs FILE | stats | journal)
 //   socet trace-analyze TRACE.json [--diff A B]  # critical path / attribution
 //   socet sweep    [--system ...] [--threads N]  # parallel explore
 //   socet program  [--system ...]            # assembled test program
@@ -19,13 +18,13 @@
 //   socet explain  mux|version|route|reject [NAME [VERSION]] --journal FILE
 //
 // Core names: CPU, PREPROCESSOR, DISPLAY, GRAPHICS, GCD, X25.
-#include <unistd.h>
-
+#include <charconv>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <iostream>
 #include <iterator>
+#include <limits>
 #include <map>
 #include <string>
 #include <vector>
@@ -221,24 +220,27 @@ int cmd_explore(const Args& args) {
   return 0;
 }
 
-unsigned long parse_option_count(const Args& args, const std::string& key,
-                                 unsigned long fallback) {
+/// `--key` as a decimal count of the fallback's type, or `fallback`
+/// when absent.  A value the type cannot hold is an error, never a
+/// silent wrap (`--port 70000` must not listen on 4464).
+template <typename T>
+T parse_option_count(const Args& args, const std::string& key, T fallback) {
   if (!args.has(key)) return fallback;
   const std::string text = args.get(key, "");
-  try {
-    std::size_t consumed = 0;
-    const unsigned long value = std::stoul(text, &consumed);
-    util::require(consumed == text.size(), "");
-    return value;
-  } catch (const std::exception&) {
-    util::raise("bad --" + key + " '" + text + "' (want a number)");
-  }
+  constexpr unsigned long long kMax = std::numeric_limits<T>::max();
+  unsigned long long value = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  util::require(!text.empty() && ec == std::errc() && ptr == end &&
+                    value <= kMax,
+                "bad --" + key + " '" + text + "' (want 0.." +
+                    std::to_string(kMax) + ")");
+  return static_cast<T>(value);
 }
 
 service::ServiceOptions service_options(const Args& args) {
   service::ServiceOptions options;
-  options.threads =
-      static_cast<unsigned>(parse_option_count(args, "threads", 1));
+  options.threads = parse_option_count(args, "threads", options.threads);
   util::require(options.threads >= 1, "--threads must be at least 1");
   options.cache_capacity =
       parse_option_count(args, "cache", options.cache_capacity);
@@ -328,10 +330,8 @@ int cmd_batch(const Args& args) {
 int cmd_serve(const Args& args) {
   service::ServerOptions options;
   options.host = args.get("host", options.host);
-  options.port =
-      static_cast<unsigned short>(parse_option_count(args, "port", 0));
-  options.threads =
-      static_cast<unsigned>(parse_option_count(args, "threads", 1));
+  options.port = parse_option_count(args, "port", options.port);
+  options.threads = parse_option_count(args, "threads", options.threads);
   util::require(options.threads >= 1, "--threads must be at least 1");
   options.cache_capacity =
       parse_option_count(args, "cache", options.cache_capacity);
@@ -345,16 +345,13 @@ int cmd_serve(const Args& args) {
   // Telemetry plane (docs/SERVICE.md "Live daemon telemetry").
   options.metrics_http =
       args.has("metrics-port") || args.has("metrics-port-file");
-  if (args.has("metrics-port")) {
-    options.metrics_port =
-        static_cast<unsigned short>(parse_option_count(args, "metrics-port", 0));
-  }
+  options.metrics_port =
+      parse_option_count(args, "metrics-port", options.metrics_port);
   options.metrics_host = args.get("metrics-host", options.metrics_host);
   options.metrics_port_file = args.get("metrics-port-file", "");
   options.access_log = args.get("access-log", "");
-  options.access_log_max_bytes =
-      parse_option_count(args, "access-log-max-bytes", 0);
-  options.journal_ring = parse_option_count(args, "journal-ring", 0);
+  options.journal_ring =
+      parse_option_count(args, "journal-ring", options.journal_ring);
   const std::string host = options.host;
   const unsigned threads = options.threads;
   const bool metrics_http = options.metrics_http;
@@ -382,54 +379,9 @@ int cmd_client(const Args& args) {
     std::printf("%s\n", client.query(verb).c_str());
     return 0;
   }
-  if (verb == "profile") {
-    // On-demand remote profiling: arm the daemon's SIGPROF sampler for
-    // --seconds and print "ok profile samples=N dropped=M" + folded
-    // stacks (flamegraph-ready).
-    service::Client client(client_options(args));
-    const std::string reply =
-        client.query("profile " + args.get("seconds", "1"));
-    std::printf("%s\n", reply.c_str());
-    return reply.rfind("ok ", 0) == 0 ? 0 : 1;
-  }
-  util::require(verb.empty(),
-                "unknown client verb '" + verb +
-                    "' (use stats|journal|profile or --jobs FILE)");
+  util::require(verb.empty(), "unknown client verb '" + verb +
+                                  "' (use stats|journal or --jobs FILE)");
   return run_remote_jobs(args, "client");
-}
-
-/// `socet tail --connect HOST:PORT [--corr ID] [--type PREFIX]`: watch
-/// the daemon's decision journal live.  One JSONL event per line to
-/// stdout; --count N exits after N events (tests/CI).
-int cmd_tail(const Args& args) {
-  const auto host_port =
-      service::parse_host_port(args.get("connect", ""));
-  const int fd = service::net_connect(host_port.host, host_port.port);
-  std::string request = "tail";
-  if (args.has("corr")) request += " corr=" + args.get("corr", "");
-  if (args.has("type")) request += " type=" + args.get("type", "");
-  service::write_frame(fd, request);
-  const auto ack = service::read_frame(fd);
-  if (!ack.has_value() || *ack != "ok tail") {
-    std::fprintf(stderr, "error: daemon answered '%s'\n",
-                 ack.value_or("<eof>").c_str());
-    ::close(fd);
-    return 1;
-  }
-  std::fprintf(stderr, "socet tail: watching %s (%s)\n",
-               args.get("connect", "").c_str(),
-               request == "tail" ? "all events" : request.c_str() + 5);
-  const auto count = parse_option_count(args, "count", 0);
-  unsigned long seen = 0;
-  while (count == 0 || seen < count) {
-    const auto event = service::read_frame(fd);
-    if (!event.has_value()) break;  // daemon drained / connection closed
-    std::printf("%s\n", event->c_str());
-    std::fflush(stdout);
-    ++seen;
-  }
-  ::close(fd);
-  return 0;
 }
 
 /// `socet trace-analyze FILE... [--json] [--folded] [--top N] [--out F]`
@@ -460,8 +412,7 @@ int cmd_trace_analyze(const Args& args) {
     if (!value.empty()) inputs.push_back(value);
   }
   const bool as_json = args.has("json");
-  const std::size_t top =
-      static_cast<std::size_t>(parse_option_count(args, "top", 12));
+  const std::size_t top = parse_option_count(args, "top", std::size_t{12});
 
   std::string rendered;
   if (args.has("diff")) {
@@ -650,20 +601,15 @@ int usage() {
       "            [--port-file FILE]\n"
       "            [--metrics-port N] [--metrics-host H]\n"
       "            [--metrics-port-file FILE] [--access-log FILE]\n"
-      "            [--access-log-max-bytes N] [--journal-ring N]\n"
+      "            [--journal-ring N]\n"
       "            (persistent planning daemon, docs/SERVICE.md; drain\n"
       "            with SIGTERM; wire protocol in docs/FORMATS.md §6;\n"
       "            --metrics-port serves GET /metrics /healthz /readyz,\n"
-      "            --access-log writes one serve.access JSONL line per\n"
-      "            request (docs/FORMATS.md §7, rotated to .1 past\n"
-      "            --access-log-max-bytes), --journal-ring keeps the\n"
+      "            --access-log appends one serve.access JSONL line per\n"
+      "            request (docs/FORMATS.md §7), --journal-ring keeps the\n"
       "            newest N decision events for `journal`/explain)\n"
-      "  client    --connect HOST:PORT (--jobs FILE|- | stats | journal |\n"
-      "            profile [--seconds S]) [--window N]\n"
-      "  tail      --connect HOST:PORT [--corr ID] [--type PREFIX]\n"
-      "            [--count N] (stream the daemon's decision journal\n"
-      "            live, one JSONL event per line)\n"
-
+      "  client    --connect HOST:PORT (--jobs FILE|- | stats | journal)\n"
+      "            [--window N]\n"
       "  trace-analyze FILE... [--json] [--folded] [--top N] [--out FILE]\n"
       "            (critical path + per-stage latency distributions over\n"
       "            Chrome-trace / journal artifacts)\n"
@@ -701,7 +647,7 @@ const std::map<std::string, Command>& commands() {
       {"optimize", cmd_optimize}, {"explore", cmd_explore},
       {"batch", cmd_batch},       {"sweep", cmd_sweep},
       {"serve", cmd_serve},       {"client", cmd_client},
-      {"tail", cmd_tail},         {"trace-analyze", cmd_trace_analyze},
+      {"trace-analyze", cmd_trace_analyze},
       {"program", cmd_program},
       {"parallel", cmd_parallel}, {"verilog", cmd_verilog},
       {"dot", cmd_dot},           {"interface", cmd_interface},
@@ -757,7 +703,7 @@ int main(int argc, char** argv) {
     const unsigned long capacity =
         capacity_text.empty()
             ? 256
-            : parse_option_count(args, "flight-recorder", 256);
+            : parse_option_count(args, "flight-recorder", 256ul);
     obs::journal_start_flight(capacity);
   }
 
