@@ -16,6 +16,7 @@ int main() {
   util::Table table({"core", "vectors", "compacted", "FC before (%)",
                      "FC after (%)"});
   bool ok = true;
+  std::vector<unsigned> compact_sizes;
   for (auto& core : system.cores) {
     auto elab = synth::elaborate(core->netlist());
     auto result = atpg::generate_tests(elab.gates, {.random_patterns = 64});
@@ -29,19 +30,17 @@ int main() {
     ok = ok && compact.size() <= result.patterns.size();
     ok = ok && after.detected == before.detected;  // coverage preserved
     core->set_scan_vectors(static_cast<unsigned>(result.vector_count()));
+    compact_sizes.push_back(static_cast<unsigned>(compact.size()));
   }
   std::printf("%s", table.to_text().c_str());
 
   const std::vector<unsigned> min_area(system.soc->cores().size(), 0);
   auto plan_full = soc::plan_chip_test(*system.soc, min_area);
-  // Re-plan with compacted sets.
+  // Re-plan with the compacted set sizes.
   {
     auto fresh = systems::make_barcode_system();
     for (std::size_t c = 0; c < fresh.cores.size(); ++c) {
-      auto elab = synth::elaborate(fresh.cores[c]->netlist());
-      auto result = atpg::generate_tests(elab.gates, {.random_patterns = 64});
-      auto compact = atpg::compact_patterns(elab.gates, result.patterns);
-      fresh.cores[c]->set_scan_vectors(static_cast<unsigned>(compact.size()));
+      fresh.cores[c]->set_scan_vectors(compact_sizes[c]);
     }
     auto plan_compact = soc::plan_chip_test(*fresh.soc, min_area);
     std::printf("\nSystem 1 min-area TAT: %llu -> %llu cycles "

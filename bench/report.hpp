@@ -1,37 +1,34 @@
 // The machine-readable bench result line.
 //
 // Every bench binary times itself on the shared obs monotonic clock
-// (obs::StopWatch — the same clock spans and service timings use) and
-// emits exactly one line on stderr before exiting:
+// (obs::StopWatch — the same clock spans and service timings use),
+// records spans for its whole run, and emits exactly one line on
+// stderr before exiting:
 //
-//   BENCH_<name>.json {"name":"<name>","ok":true,"wall_ms":12.3,...}
+//   BENCH_<name>.json {"name":"<name>","ok":true,"wall_ms":12.3,...,
+//                      "stage_<stage>_ms":4.5,...}
 //
 // JSON after the first space, so harnesses can `grep '^BENCH_'` and
-// parse without touching the human-readable tables on stdout.
+// parse without touching the human-readable tables on stdout.  The
+// `stage_<stage>_ms` extras are each stage's span self time
+// (obs::analyze::aggregate, summed over threads), so every trajectory
+// point says where its time went.
 #pragma once
 
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
 #include "socet/obs/report.hpp"
 #include "socet/obs/timer.hpp"
 #include "socet/obs/trace.hpp"
+#include "socet/obs/traceanalyze.hpp"
 
 namespace socet::bench {
 
 class BenchReport {
  public:
-  /// When SOCET_BENCH_TRACE=<path> is set (socet_bench --capture-traces
-  /// exports it on the attribution re-run), the whole bench records
-  /// spans and writes a Chrome trace there on finish() — the input to
-  /// `socet trace-analyze` / the gate's per-stage attribution table.
   explicit BenchReport(std::string name) : name_(std::move(name)) {
-    const char* path = std::getenv("SOCET_BENCH_TRACE");
-    if (path != nullptr && path[0] != '\0') {
-      trace_path_ = path;
-      obs::set_trace_enabled(true);
-    }
+    obs::set_trace_enabled(true);
   }
 
   /// Attach an extra numeric field to the JSON line.
@@ -53,27 +50,28 @@ class BenchReport {
 
   /// Print the line and map `ok` onto the process exit code.
   int finish(bool ok) const {
+    // Read the clock before aggregating spans, so the aggregation never
+    // counts toward the bench's own time.
+    const double wall_ms = watch_.elapsed_ms();
+    std::string stages;
+    for (const obs::analyze::NameStats& stage :
+         obs::analyze::aggregate({obs::analyze::recorded_trace()}).by_stage) {
+      stages += ",\"stage_" + obs::json_escape(stage.name) +
+                "_ms\":" + obs::json_number(stage.self_us / 1e3);
+    }
     std::fprintf(stderr,
-                 "BENCH_%s.json {\"name\":\"%s\",\"ok\":%s%s,\"wall_ms\":%s%s}\n",
+                 "BENCH_%s.json {\"name\":\"%s\",\"ok\":%s%s,"
+                 "\"wall_ms\":%s%s%s}\n",
                  name_.c_str(), name_.c_str(), ok ? "true" : "false",
                  skipped_ ? ",\"skipped\":true" : "",
-                 obs::json_number(watch_.elapsed_ms()).c_str(),
-                 extra_.c_str());
-    if (!trace_path_.empty()) {
-      std::FILE* out = std::fopen(trace_path_.c_str(), "w");
-      if (out != nullptr) {
-        const std::string trace = obs::chrome_trace_json();
-        std::fwrite(trace.data(), 1, trace.size(), out);
-        std::fclose(out);
-      }
-    }
+                 obs::json_number(wall_ms).c_str(), extra_.c_str(),
+                 stages.c_str());
     return ok ? 0 : 1;
   }
 
  private:
   std::string name_;
   std::string extra_;
-  std::string trace_path_;
   bool skipped_ = false;
   obs::StopWatch watch_;
 };

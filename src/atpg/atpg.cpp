@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "socet/obs/metrics.hpp"
-#include "socet/obs/resource.hpp"
 #include "socet/obs/trace.hpp"
 
 namespace socet::atpg {
@@ -27,7 +26,6 @@ ScanPattern random_pattern(const gate::GateNetlist& netlist, util::Rng& rng) {
 AtpgResult generate_tests(const gate::GateNetlist& netlist,
                           const AtpgOptions& options) {
   SOCET_SPAN("atpg/generate_tests");
-  SOCET_RESOURCE_SCOPE("atpg/generate_tests");
   AtpgResult result;
   result.faults = faultsim::enumerate_faults(netlist);
   result.statuses.assign(result.faults.size(), FaultStatus::kUndetected);

@@ -57,8 +57,8 @@ class ScanFaultSim {
   util::BitVector good_response(const ScanPattern& pattern);
 
   /// The response the circuit produces for `pattern` *with `fault`
-  /// injected* (same PO+PPO layout as good_response).  Drives the fault
-  /// dictionary used by diagnosis.
+  /// injected* (same PO+PPO layout as good_response): a one-fault
+  /// reference the kernel tests check `run` against.
   util::BitVector faulty_response(const Fault& fault,
                                   const ScanPattern& pattern);
 

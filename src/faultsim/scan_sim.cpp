@@ -6,7 +6,7 @@
 #include "socet/faultsim/lane.hpp"
 #include "socet/gate/eval.hpp"
 #include "socet/obs/metrics.hpp"
-#include "socet/obs/resource.hpp"
+#include "socet/obs/trace.hpp"
 #include "socet/util/error.hpp"
 
 namespace socet::faultsim {
@@ -325,7 +325,7 @@ void ScanFaultSim::run(const std::vector<Fault>& faults,
                        std::vector<FaultStatus>& statuses) {
   util::require(statuses.size() == faults.size(),
                 "ScanFaultSim::run: status vector size mismatch");
-  SOCET_RESOURCE_SCOPE("faultsim/scan_run");
+  SOCET_SPAN("faultsim/scan_run");
 
   const std::uint64_t stamp = options_.initial_stamp;
   detail::EngineStats stats;

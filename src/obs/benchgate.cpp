@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 
 #include "socet/obs/jsonin.hpp"
 #include "socet/obs/report.hpp"
@@ -24,6 +25,12 @@ double sorted_quantile(const std::vector<double>& sorted, double q) {
   const double within = rank - static_cast<double>(lo);
   return sorted[lo] + (sorted[hi] - sorted[lo]) * within;
 }
+
+/// The numeric fields point_json writes itself; every other numeric
+/// field of a point is one of the bench's extras.
+constexpr std::string_view kPointFields[] = {
+    "repeats",    "wall_ms_min", "wall_ms_median", "wall_ms_iqr",
+    "max_rss_kb", "utime_ms",    "stime_ms"};
 
 std::string point_json(const RunRecord& record, const std::string& label) {
   std::string out = "{";
@@ -178,7 +185,8 @@ std::string trajectory_json(std::string_view existing_text,
   return out;
 }
 
-bool trajectory_last_median(std::string_view text, double* median_ms) {
+bool trajectory_last_median(std::string_view text, double* median_ms,
+                            Extras* extra) {
   JsonValue doc;
   if (text.empty() || !json_parse(text, &doc) || !doc.is_object()) {
     return false;
@@ -203,9 +211,38 @@ bool trajectory_last_median(std::string_view text, double* median_ms) {
     const JsonValue* median = it->get("wall_ms_median");
     if (median == nullptr || !median->is_number()) continue;
     *median_ms = median->number_value;
+    if (extra != nullptr) {
+      extra->clear();
+      for (const auto& [key, value] : it->object_value) {
+        if (value.is_number() &&
+            std::find(std::begin(kPointFields), std::end(kPointFields),
+                      key) == std::end(kPointFields)) {
+          extra->emplace_back(key, value.number_value);
+        }
+      }
+    }
     return true;
   }
   return false;
+}
+
+analyze::Aggregate stage_aggregate(double wall_ms, const Extras& extra) {
+  constexpr std::string_view kPrefix = "stage_";
+  constexpr std::string_view kSuffix = "_ms";
+  analyze::Aggregate aggregate;
+  aggregate.wall_us = wall_ms * 1e3;
+  for (const auto& [key, value] : extra) {
+    if (key.size() <= kPrefix.size() + kSuffix.size() ||
+        !key.starts_with(kPrefix) || !key.ends_with(kSuffix)) {
+      continue;
+    }
+    analyze::NameStats stage;
+    stage.name = key.substr(kPrefix.size(),
+                            key.size() - kPrefix.size() - kSuffix.size());
+    stage.self_us = value * 1e3;
+    aggregate.by_stage.push_back(std::move(stage));
+  }
+  return aggregate;
 }
 
 bool parse_baseline(std::string_view text, Baseline* out, std::string* error) {

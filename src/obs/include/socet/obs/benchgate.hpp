@@ -6,8 +6,9 @@
 // summarize repeated runs (min / median / IQR — median+IQR because
 // wall-clock noise is one-sided), render per-bench trajectory files
 // (`BENCH_<name>.json` at the repo root, one appended point per
-// harness run), and compare medians against `bench/baseline.json`
-// with a noise-adjusted tolerance.  Schemas: docs/BENCHMARKS.md.
+// harness run), compare medians against `bench/baseline.json` with a
+// noise-adjusted tolerance, and rank the stages behind a regression
+// from two points' stage extras.  Schemas: docs/BENCHMARKS.md.
 #pragma once
 
 #include <cstdint>
@@ -17,7 +18,13 @@
 #include <utility>
 #include <vector>
 
+#include "socet/obs/traceanalyze.hpp"
+
 namespace socet::obs::bench {
+
+/// Numeric extras of a bench line or trajectory point, in line order
+/// (BenchReport::metric fields, then `stage_<stage>_ms` self times).
+using Extras = std::vector<std::pair<std::string, double>>;
 
 /// One parsed `BENCH_<name>.json` stderr line.
 struct BenchLine {
@@ -25,7 +32,7 @@ struct BenchLine {
   bool ok = false;
   bool skipped = false;          ///< gate auto-skip (e.g. too few CPUs)
   double wall_ms = 0;
-  std::vector<std::pair<std::string, double>> extra;  ///< numeric extras
+  Extras extra;
 };
 
 /// Find and parse the first BENCH_ line in a stderr capture.  A `null`
@@ -59,7 +66,7 @@ struct RunRecord {
   std::int64_t max_rss_kb = 0;   ///< max over repeats (child rusage)
   double utime_ms = 0;           ///< median over repeats
   double stime_ms = 0;
-  std::vector<std::pair<std::string, double>> extra;  ///< last repeat's
+  Extras extra;  ///< last repeat's
 };
 
 /// Append `record` as a new point in a `socet-bench-trajectory-v1`
@@ -70,11 +77,19 @@ std::string trajectory_json(std::string_view existing_text,
                             const RunRecord& record,
                             const std::string& label);
 
-/// Median wall time of the newest comparable (non-skipped, ok) point
-/// in a `socet-bench-trajectory-v1` document.  Returns false when the
-/// text is empty/unparseable or no such point exists — the gate then
-/// shows "-" in its delta-vs-previous column instead of a bogus zero.
-bool trajectory_last_median(std::string_view text, double* median_ms);
+/// Median wall time, and (when `extra` is given) the numeric extras, of
+/// the newest comparable (non-skipped, ok) point in a
+/// `socet-bench-trajectory-v1` document.  Returns false when the text
+/// is empty/unparseable or no such point exists — the gate then shows
+/// "-" in its delta-vs-previous column instead of a bogus zero.
+bool trajectory_last_median(std::string_view text, double* median_ms,
+                            Extras* extra = nullptr);
+
+/// One point's `stage_<stage>_ms` extras as an aggregate (wall time and
+/// per-stage self times) for `analyze::diff`: a gate regression is
+/// attributed by diffing the previous point against this run's.
+/// Extras without the stage prefix are ignored.
+analyze::Aggregate stage_aggregate(double wall_ms, const Extras& extra);
 
 /// `bench/baseline.json`: bench name -> reference median wall_ms.
 struct Baseline {

@@ -22,10 +22,13 @@ std::string json_number(double value);
 /// The whole report:
 ///   {"schema": "socet-report-v1", "command": ...,
 ///    "metrics": {"counters": ..., "gauges": ..., "histograms": ...},
-///    "spans": {<name>: {count, total_us, mean_us, min_us, max_us}},
-///    "stages": {<prefix>: {spans, total_us}},
-///    "resources": {"run": ..., "stages": ...}}   (obs/resource.hpp)
-/// Stage = everything before the first '/' of a span name.
+///    "spans": {<name>: {count, total_us, self_us, mean_us, min_us,
+///                       max_us}},
+///    "stages": {<prefix>: {spans, total_us, self_us}},
+///    "resources": {"run": {peak_rss_kb, utime_us, stime_us,
+///                          minor_faults, major_faults}}}
+/// Stage = everything before the first '/' of a span name; spans and
+/// stages come from analyze::aggregate, sorted by total time.
 std::string run_report_json(const std::string& command);
 
 }  // namespace socet::obs

@@ -65,11 +65,6 @@ std::uint64_t new_span_id();
 namespace detail {
 void record_span(const char* name, std::uint64_t start_ns,
                  std::uint64_t end_ns);
-/// Test hook: when SOCET_TRACE_TEST_SLOW="<span-name>:<us>" is set in
-/// the environment, sleep that long on entry to the named span.  The
-/// knob exists so trace-diff tests can slow one stage deterministically
-/// (docs/OBSERVABILITY.md); parsed once, zero cost when unset.
-void maybe_test_delay(const char* name);
 bool capture_active();
 void capture_open(std::uint64_t* id, std::uint64_t* parent);
 void capture_close(const char* name, std::uint64_t id, std::uint64_t parent,
@@ -108,9 +103,6 @@ class Span {
     if (traced_ || capturing) {
       name_ = name;
       start_ns_ = now_ns();
-      // After the start stamp, so the injected latency lands inside
-      // this span's duration (that's what the diff test attributes).
-      detail::maybe_test_delay(name);
     }
     if (capturing) {
       captured_ = true;

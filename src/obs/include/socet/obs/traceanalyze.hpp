@@ -11,7 +11,8 @@
 // numbers so a truncated artifact names the break point.
 //
 // Three analyses on top (the `socet trace-analyze` CLI verb renders
-// them; socet_bench reuses the aggregation for regression attribution):
+// them; the run report, every bench line and socet_bench's regression
+// attribution reuse the aggregation and the diff):
 //
 //  * critical path — per root span (one per job in a merged trace),
 //    walk back from the root's end through whichever child gated each
@@ -30,8 +31,8 @@
 //    stages by their contribution to the total delta; ties break by
 //    name so the ranking is stable run to run.
 //
-// Stage = the leading `<stage>/` segment of a span name, matching the
-// run report's `stages` rollup and docs/OBSERVABILITY.md.
+// Stage = the leading `<stage>/` segment of a span name
+// (docs/OBSERVABILITY.md).
 #pragma once
 
 #include <cstdint>
@@ -72,6 +73,12 @@ struct TraceData {
 /// with zero spans.
 bool load_trace(std::string_view text, TraceData* out,
                 std::string* error = nullptr);
+
+/// The spans this process has recorded so far (trace.hpp), as the same
+/// forest `load_trace` builds from the exported `--trace` file.  Same
+/// export caveat as `collect_trace_events`: call it once instrumented
+/// threads have stopped recording.
+TraceData recorded_trace();
 
 /// One segment of a critical path: `[from_us, to_us)` was gated by
 /// `name` at nesting depth `depth` (0 = the root itself).

@@ -1,12 +1,12 @@
 #include "socet/obs/report.hpp"
 
+#include <sys/resource.h>
+
 #include <cmath>
 #include <cstdio>
-#include <map>
 
 #include "socet/obs/metrics.hpp"
-#include "socet/obs/resource.hpp"
-#include "socet/obs/trace.hpp"
+#include "socet/obs/traceanalyze.hpp"
 
 namespace socet::obs {
 
@@ -60,60 +60,60 @@ std::string json_number(double value) {
 
 namespace {
 
-struct SpanRollup {
-  std::uint64_t count = 0;
-  std::uint64_t total_ns = 0;
-  std::uint64_t min_ns = ~0ull;
-  std::uint64_t max_ns = 0;
-};
-
-std::string us(std::uint64_t ns) {
-  return json_number(static_cast<double>(ns) / 1e3);
+/// The `resources` block: whole-run cost from one getrusage(RUSAGE_SELF).
+std::string resources_json() {
+  rusage usage{};
+  ::getrusage(RUSAGE_SELF, &usage);
+  // ru_maxrss is kilobytes on Linux, bytes on macOS.
+#if defined(__APPLE__)
+  const long long peak_rss_kb = usage.ru_maxrss / 1024;
+#else
+  const long long peak_rss_kb = usage.ru_maxrss;
+#endif
+  const auto us = [](const timeval& tv) {
+    return std::to_string(static_cast<long long>(tv.tv_sec) * 1000000 +
+                          static_cast<long long>(tv.tv_usec));
+  };
+  return "{\"run\":{\"peak_rss_kb\":" + std::to_string(peak_rss_kb) +
+         ",\"utime_us\":" + us(usage.ru_utime) +
+         ",\"stime_us\":" + us(usage.ru_stime) +
+         ",\"minor_faults\":" + std::to_string(usage.ru_minflt) +
+         ",\"major_faults\":" + std::to_string(usage.ru_majflt) + "}}";
 }
 
 }  // namespace
 
 std::string run_report_json(const std::string& command) {
-  // Per-span-name and per-stage (leading path segment) rollups.
-  std::map<std::string, SpanRollup> spans;
-  std::map<std::string, SpanRollup> stages;
-  for (const TraceEvent& event : collect_trace_events()) {
-    const std::uint64_t ns = event.end_ns - event.start_ns;
-    const std::string name = event.name;
-    const std::string stage = name.substr(0, name.find('/'));
-    for (SpanRollup* roll : {&spans[name], &stages[stage]}) {
-      ++roll->count;
-      roll->total_ns += ns;
-      roll->min_ns = std::min(roll->min_ns, ns);
-      roll->max_ns = std::max(roll->max_ns, ns);
-    }
-  }
-
+  // Stage times come from the trace-analyze engine, so the report,
+  // bench lines and `socet trace-analyze` agree on every number.
+  const analyze::Aggregate agg =
+      analyze::aggregate({analyze::recorded_trace()});
   std::string out = "{\"schema\":\"socet-report-v1\",\"command\":\"" +
                     json_escape(command) + "\",\"metrics\":" +
                     Registry::instance().json() + ",\"spans\":{";
   bool first = true;
-  for (const auto& [name, roll] : spans) {
+  for (const analyze::NameStats& s : agg.by_name) {
     if (!first) out += ',';
     first = false;
-    out += "\"" + json_escape(name) + "\":{\"count\":" +
-           std::to_string(roll.count) + ",\"total_us\":" + us(roll.total_ns) +
+    out += "\"" + json_escape(s.name) +
+           "\":{\"count\":" + std::to_string(s.count) +
+           ",\"total_us\":" + json_number(s.total_us) +
+           ",\"self_us\":" + json_number(s.self_us) +
            ",\"mean_us\":" +
-           json_number(static_cast<double>(roll.total_ns) /
-                       static_cast<double>(roll.count) / 1e3) +
-           ",\"min_us\":" + us(roll.min_ns) +
-           ",\"max_us\":" + us(roll.max_ns) + "}";
+           json_number(s.total_us / static_cast<double>(s.count)) +
+           ",\"min_us\":" + json_number(s.min_us) +
+           ",\"max_us\":" + json_number(s.max_us) + "}";
   }
   out += "},\"stages\":{";
   first = true;
-  for (const auto& [stage, roll] : stages) {
+  for (const analyze::NameStats& s : agg.by_stage) {
     if (!first) out += ',';
     first = false;
-    out += "\"" + json_escape(stage) + "\":{\"spans\":" +
-           std::to_string(roll.count) +
-           ",\"total_us\":" + us(roll.total_ns) + "}";
+    out += "\"" + json_escape(s.name) +
+           "\":{\"spans\":" + std::to_string(s.count) +
+           ",\"total_us\":" + json_number(s.total_us) +
+           ",\"self_us\":" + json_number(s.self_us) + "}";
   }
-  // Additive since v1: rusage/hw-counter accounting (obs/resource.hpp).
   out += "},\"resources\":" + resources_json() + "}";
   return out;
 }

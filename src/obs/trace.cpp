@@ -2,13 +2,9 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <map>
 #include <mutex>
-#include <thread>
 
 #include "socet/obs/report.hpp"
 
@@ -75,33 +71,6 @@ bool trace_enabled() {
 void set_trace_enabled(bool enabled) {
   g_trace_enabled.store(enabled, std::memory_order_relaxed);
 }
-
-namespace detail {
-
-void maybe_test_delay(const char* name) {
-  // "<span-name>:<us>", parsed once.  Empty target = disabled.
-  struct SlowSpec {
-    std::string target;
-    long micros = 0;
-    SlowSpec() {
-      const char* spec = std::getenv("SOCET_TRACE_TEST_SLOW");
-      if (spec == nullptr) return;
-      const char* colon = std::strrchr(spec, ':');
-      if (colon == nullptr || colon == spec) return;
-      char* end = nullptr;
-      const long value = std::strtol(colon + 1, &end, 10);
-      if (end == colon + 1 || *end != '\0' || value <= 0) return;
-      target.assign(spec, static_cast<std::size_t>(colon - spec));
-      micros = value;
-    }
-  };
-  static const SlowSpec spec;
-  if (spec.micros > 0 && spec.target == name) {
-    std::this_thread::sleep_for(std::chrono::microseconds(spec.micros));
-  }
-}
-
-}  // namespace detail
 
 std::uint64_t new_span_id() {
   static std::atomic<std::uint64_t> counter{1};

@@ -8,6 +8,7 @@
 
 #include "socet/obs/jsonin.hpp"
 #include "socet/obs/report.hpp"
+#include "socet/obs/trace.hpp"
 #include "socet/util/table.hpp"
 
 namespace socet::obs::analyze {
@@ -50,7 +51,7 @@ std::uint64_t parse_hex(const std::string& text) {
   return std::strtoull(text.c_str(), nullptr, 16);
 }
 
-/// Stage = leading path segment, matching the run report's rollup.
+/// Stage = leading path segment.
 std::string stage_of(const std::string& name) {
   const std::size_t slash = name.find('/');
   return slash == std::string::npos ? name : name.substr(0, slash);
@@ -464,6 +465,24 @@ bool load_trace(std::string_view text, TraceData* out, std::string* error) {
   if (!load_chrome(text, out, error)) return false;
   build_forest(out);
   return true;
+}
+
+TraceData recorded_trace() {
+  TraceData out;
+  const std::vector<TraceEvent> events = collect_trace_events();
+  // Relative to the first span, as chrome_trace_json does, so doubles
+  // keep nanosecond resolution.
+  const std::uint64_t epoch = events.empty() ? 0 : events.front().start_ns;
+  for (const TraceEvent& event : events) {
+    Node span;
+    span.name = event.name;
+    span.tid = static_cast<int>(event.tid);
+    span.start_us = static_cast<double>(event.start_ns - epoch) / 1e3;
+    span.end_us = static_cast<double>(event.end_ns - epoch) / 1e3;
+    out.spans.push_back(std::move(span));
+  }
+  build_forest(&out);
+  return out;
 }
 
 std::vector<CriticalPath> critical_paths(const TraceData& trace) {

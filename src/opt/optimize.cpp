@@ -5,7 +5,6 @@
 
 #include "socet/obs/journal.hpp"
 #include "socet/obs/metrics.hpp"
-#include "socet/obs/resource.hpp"
 #include "socet/obs/trace.hpp"
 
 namespace socet::opt {
@@ -63,7 +62,6 @@ long long latency_improvement(const Soc& soc, const ChipTestPlan& plan,
 DesignPoint minimize_tat(const Soc& soc, unsigned area_budget_cells,
                          const OptimizeOptions& options) {
   SOCET_SPAN("opt/minimize_tat");
-  SOCET_RESOURCE_SCOPE("opt/minimize_tat");
   std::vector<unsigned> selection(soc.cores().size(), 0);
   DesignPoint best = evaluate(soc, selection, options);
 
@@ -175,7 +173,6 @@ DesignPoint minimize_tat(const Soc& soc, unsigned area_budget_cells,
 DesignPoint minimize_area(const Soc& soc, unsigned long long tat_budget,
                           const OptimizeOptions& options) {
   SOCET_SPAN("opt/minimize_area");
-  SOCET_RESOURCE_SCOPE("opt/minimize_area");
   std::vector<unsigned> selection(soc.cores().size(), 0);
   DesignPoint best = evaluate(soc, selection, options);
 
@@ -274,7 +271,6 @@ DesignPoint minimize_area(const Soc& soc, unsigned long long tat_budget,
 DesignPoint minimize_weighted(const Soc& soc, double w1, double w2,
                               const OptimizeOptions& options) {
   SOCET_SPAN("opt/minimize_weighted");
-  SOCET_RESOURCE_SCOPE("opt/minimize_weighted");
   util::require(w1 >= 0 && w2 >= 0 && (w1 > 0 || w2 > 0),
                 "minimize_weighted: weights must be non-negative, not both 0");
   std::vector<unsigned> selection(soc.cores().size(), 0);
@@ -366,7 +362,6 @@ std::vector<std::vector<unsigned>> enumerate_selections(const Soc& soc) {
 std::vector<DesignPoint> enumerate_design_space(const Soc& soc,
                                                 const OptimizeOptions& options) {
   SOCET_SPAN("opt/enumerate_design_space");
-  SOCET_RESOURCE_SCOPE("opt/enumerate_design_space");
   std::vector<DesignPoint> points;
   for (auto& selection : enumerate_selections(soc)) {
     points.push_back(evaluate(soc, std::move(selection), options));

@@ -45,6 +45,11 @@ struct Job {
 /// non-numeric tokens, and 0 (indices are 1-based) with util::Error.
 std::vector<unsigned> parse_selection_spec(const std::string& spec);
 
+/// Strict weight parser shared by the CLI and the job parser: the whole
+/// token must be one finite decimal number; anything else (trailing
+/// text, `inf`, `nan`, overflow) is a util::Error naming `what`.
+double parse_weight(const std::string& token, const std::string& what);
+
 /// Parse one job line, e.g.
 ///   plan system=barcode selection=1,2,3 pipelined
 ///   optimize system=system2 area-budget=100

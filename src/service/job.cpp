@@ -2,7 +2,9 @@
 
 #include <cctype>
 #include <charconv>
+#include <cmath>
 #include <cstdio>
+#include <limits>
 
 #include "socet/util/error.hpp"
 
@@ -53,27 +55,21 @@ auto at_column(std::size_t column, F&& parse) {
   }
 }
 
-unsigned long long parse_count(const std::string& token,
-                               const std::string& what) {
+/// A decimal count that `T` can hold; a larger value is an error, never
+/// a silent wrap (`area-budget=4294967297` must not plan as 1).
+template <typename T>
+T parse_count(const std::string& token, const std::string& what) {
+  constexpr unsigned long long kMax = std::numeric_limits<T>::max();
   unsigned long long value = 0;
-  const auto [ptr, ec] =
-      std::from_chars(token.data(), token.data() + token.size(), value);
-  util::require(ec == std::errc() && ptr == token.data() + token.size(),
+  const char* end = token.data() + token.size();
+  const auto [ptr, ec] = std::from_chars(token.data(), end, value);
+  util::require((ec == std::errc() || ec == std::errc::result_out_of_range) &&
+                    ptr == end && !token.empty(),
                 "bad " + what + " '" + token + "' (want a number)");
-  return value;
-}
-
-double parse_weight(const std::string& token, const std::string& what) {
-  std::size_t consumed = 0;
-  double value = 0;
-  try {
-    value = std::stod(token, &consumed);
-  } catch (const std::exception&) {
-    consumed = 0;
-  }
-  util::require(consumed == token.size() && !token.empty(),
-                "bad " + what + " '" + token + "' (want a number)");
-  return value;
+  util::require(ec == std::errc() && value <= kMax,
+                "bad " + what + " '" + token + "' (want 0.." +
+                    std::to_string(kMax) + ")");
+  return static_cast<T>(value);
 }
 
 std::string format_weight(double value) {
@@ -83,6 +79,18 @@ std::string format_weight(double value) {
 }
 
 }  // namespace
+
+double parse_weight(const std::string& token, const std::string& what) {
+  double value = 0;
+  const char* end = token.data() + token.size();
+  const auto [ptr, ec] = std::from_chars(token.data(), end, value);
+  util::require((ec == std::errc() || ec == std::errc::result_out_of_range) &&
+                    ptr == end && !token.empty(),
+                "bad " + what + " '" + token + "' (want a number)");
+  util::require(ec == std::errc() && std::isfinite(value),
+                "bad " + what + " '" + token + "' (want a finite number)");
+  return value;
+}
 
 const char* verb_name(Verb verb) {
   switch (verb) {
@@ -105,11 +113,11 @@ std::vector<unsigned> parse_selection_spec(const std::string& spec) {
         pos, comma == std::string::npos ? std::string::npos : comma - pos);
     util::require(!token.empty(),
                   "bad selection '" + spec + "' (empty token)");
-    const unsigned long long value = parse_count(token, "selection token");
+    const unsigned value = parse_count<unsigned>(token, "selection token");
     util::require(value >= 1,
                   "bad selection token '" + token +
                       "' (version indices are 1-based)");
-    selection.push_back(static_cast<unsigned>(value - 1));
+    selection.push_back(value - 1);
     if (comma == std::string::npos) break;
     pos = comma + 1;
   }
@@ -174,8 +182,8 @@ Job parse_job_line(const std::string& line) {
         fail_at("optimize takes exactly one objective", column);
       }
       job.objective = Job::Objective::kAreaBudget;
-      job.area_budget = static_cast<unsigned>(
-          at_column(column, [&] { return parse_count(value, key); }));
+      job.area_budget =
+          at_column(column, [&] { return parse_count<unsigned>(value, key); });
     } else if (key == "tat-budget" && has_value) {
       if (job.verb != Verb::kOptimize) {
         fail_at("'tat-budget' only applies to verb optimize", column);
@@ -184,8 +192,8 @@ Job parse_job_line(const std::string& line) {
         fail_at("optimize takes exactly one objective", column);
       }
       job.objective = Job::Objective::kTatBudget;
-      job.tat_budget =
-          at_column(column, [&] { return parse_count(value, key); });
+      job.tat_budget = at_column(
+          column, [&] { return parse_count<unsigned long long>(value, key); });
     } else if ((key == "w1" || key == "w2") && has_value) {
       if (job.verb != Verb::kOptimize) {
         fail_at("'" + key + "' only applies to verb optimize", column);

@@ -8,7 +8,6 @@
 
 #include "socet/obs/journal.hpp"
 #include "socet/obs/metrics.hpp"
-#include "socet/obs/resource.hpp"
 #include "socet/obs/trace.hpp"
 #include "socet/opt/optimize.hpp"
 #include "socet/service/queue.hpp"
@@ -318,7 +317,6 @@ BatchReport PlanningService::run_lines(const std::vector<std::string>& lines) {
     Executor executor(cache_);
     while (auto item = queue.pop()) {
       SOCET_SPAN("service/job");
-      SOCET_RESOURCE_SCOPE("service/job");
       const std::size_t i = item->index;
       const auto start = Clock::now();
       // Correlate every decision event recorded while this job runs

@@ -3,14 +3,12 @@
 #include <map>
 
 #include "socet/obs/metrics.hpp"
-#include "socet/obs/resource.hpp"
 #include "socet/obs/trace.hpp"
 
 namespace socet::soc {
 
 Ccg::Ccg(const Soc& soc, const std::vector<unsigned>& selection) {
   SOCET_SPAN("ccg/build");
-  SOCET_RESOURCE_SCOPE("ccg/build");
   util::require(selection.size() == soc.cores().size(),
                 "Ccg: selection size must match core count");
 

@@ -9,7 +9,6 @@
 
 #include "socet/obs/journal.hpp"
 #include "socet/obs/metrics.hpp"
-#include "socet/obs/resource.hpp"
 #include "socet/obs/trace.hpp"
 
 namespace socet::soc {
@@ -157,7 +156,6 @@ ChipTestPlan plan_chip_test(const Soc& soc,
                             const std::vector<unsigned>& selection,
                             const PlanOptions& options) {
   SOCET_SPAN("soc/plan_chip_test");
-  SOCET_RESOURCE_SCOPE("soc/plan_chip_test");
   SOCET_COUNT("soc/plans");
   soc.validate();
   Ccg ccg(soc, selection);

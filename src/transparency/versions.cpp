@@ -6,7 +6,6 @@
 
 #include "socet/obs/journal.hpp"
 #include "socet/obs/metrics.hpp"
-#include "socet/obs/resource.hpp"
 #include "socet/obs/trace.hpp"
 
 namespace socet::transparency {
@@ -71,7 +70,6 @@ unsigned CoreVersion::total_latency_from(PortId input) const {
 CoreVersion make_version(const Rcg& rcg, const VersionPolicy& policy,
                          const TransparencyCostModel& cost) {
   SOCET_SPAN("transparency/make_version");
-  SOCET_RESOURCE_SCOPE("transparency/make_version");
   SOCET_COUNT("transparency/versions_built");
   CoreVersion version;
   version.name = policy.name;

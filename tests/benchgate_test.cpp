@@ -1,7 +1,8 @@
 // Bench harness plumbing: the JSON reader, BENCH_ line parsing
 // (including the null-wall_ms and skipped cases), repeat statistics,
-// trajectory files, and the noise-adjusted regression gate — the gate
-// must fail on an injected 2x slowdown and pass at baseline.
+// trajectory files, the noise-adjusted regression gate — the gate
+// must fail on an injected 2x slowdown and pass at baseline — and the
+// stage diff that attributes a regression between two points.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -223,6 +224,30 @@ TEST(TrajectoryTest, LastMedianReturnsNewestComparablePoint) {
   EXPECT_EQ(median, 14.0);
 }
 
+TEST(TrajectoryTest, LastMedianReturnsTheNewestComparablePointsExtras) {
+  RunRecord older = make_record("t", 10);
+  older.extra = {{"faults", 7}, {"stage_atpg_ms", 8}};
+  RunRecord newer = make_record("t", 14);
+  newer.extra = {{"faults", 7}, {"stage_atpg_ms", 12.5}};
+  std::string text = bench::trajectory_json("", older, "a");
+  text = bench::trajectory_json(text, newer, "b");
+  RunRecord skipped = make_record("t", 99);
+  skipped.skipped = true;
+  skipped.extra = {{"stage_atpg_ms", 99}};
+  text = bench::trajectory_json(text, skipped, "c");
+  RunRecord failed = make_record("t", 77);
+  failed.ok = false;
+  failed.extra = {{"stage_atpg_ms", 77}};
+  text = bench::trajectory_json(text, failed, "d");
+
+  double median = 0;
+  bench::Extras extra;
+  ASSERT_TRUE(bench::trajectory_last_median(text, &median, &extra));
+  EXPECT_EQ(median, 14.0);
+  // The point's own fields (repeats, wall_ms_*, rusage) are not extras.
+  EXPECT_EQ(extra, (bench::Extras{{"faults", 7}, {"stage_atpg_ms", 12.5}}));
+}
+
 TEST(TrajectoryTest, LastMedianRejectsEmptyCorruptOrAllSkipped) {
   double median = 0;
   EXPECT_FALSE(bench::trajectory_last_median("", &median));
@@ -234,6 +259,29 @@ TEST(TrajectoryTest, LastMedianRejectsEmptyCorruptOrAllSkipped) {
   const std::string only_skipped =
       bench::trajectory_json("", skipped, "a");
   EXPECT_FALSE(bench::trajectory_last_median(only_skipped, &median));
+}
+
+// -------------------------------------------------------------- stage diff
+
+TEST(StageDiffTest, RankingTwoPointsNamesTheStageThatGrew) {
+  const bench::Extras before = {{"faults", 7},
+                                {"stage_atpg_ms", 8},
+                                {"stage_faultsim_ms", 1.5},
+                                {"stage_soc_ms", 0.5}};
+  const bench::Extras after = {{"faults", 7},
+                               {"stage_atpg_ms", 8},
+                               {"stage_faultsim_ms", 4.5},
+                               {"stage_soc_ms", 0.5}};
+  const analyze::DiffResult result =
+      analyze::diff(bench::stage_aggregate(10, before),
+                    bench::stage_aggregate(13, after));
+  EXPECT_EQ(result.guilty, "faultsim");
+  ASSERT_EQ(result.entries.size(), 3u);  // `faults` is not a stage
+  EXPECT_EQ(result.entries[0].stage, "faultsim");
+  EXPECT_DOUBLE_EQ(result.entries[0].delta_us, 3000.0);
+  EXPECT_DOUBLE_EQ(result.delta_us, 3000.0);
+  EXPECT_NE(analyze::diff_text(result, 10).find("guilty stage: faultsim"),
+            std::string::npos);
 }
 
 // ---------------------------------------------------------------- baseline

@@ -10,6 +10,7 @@
 #include <iterator>
 #include <set>
 #include <thread>
+#include <utility>
 
 #include "socet/opt/optimize.hpp"
 #include "socet/service/cache.hpp"
@@ -109,6 +110,43 @@ TEST(JobLine, ErrorsPointAtTheOffendingColumn) {
   EXPECT_EQ(parse_error("optimize area-budget=1 tat-budget=2"),
             "optimize takes exactly one objective (column 24)");
   EXPECT_EQ(parse_error("plan system="), "empty system name (column 6)");
+}
+
+TEST(JobLine, NumbersThatWouldWrapOrHalfParseAreRejected) {
+  // Each of these used to plan: the budget and the selection token
+  // wrapped modulo 2^32, `inf` passed as a weight.
+  EXPECT_EQ(parse_error("optimize system=barcode area-budget=4294967297"),
+            "bad area-budget '4294967297' (want 0..4294967295) (column 25)");
+  EXPECT_EQ(parse_error("plan system=barcode selection=4294967297,1,1"),
+            "bad selection token '4294967297' (want 0..4294967295) "
+            "(column 21)");
+  EXPECT_EQ(
+      parse_error("optimize system=barcode tat-budget=18446744073709551616"),
+      "bad tat-budget '18446744073709551616' (want "
+      "0..18446744073709551615) (column 25)");
+  EXPECT_EQ(parse_error("optimize system=barcode area-budget=-1"),
+            "bad area-budget '-1' (want a number) (column 25)");
+  EXPECT_EQ(parse_error("optimize system=barcode w1=inf w2=1"),
+            "bad w1 'inf' (want a finite number) (column 25)");
+  EXPECT_EQ(parse_error("optimize system=barcode w1=1 w2=nan"),
+            "bad w2 'nan' (want a finite number) (column 30)");
+  EXPECT_EQ(parse_error("optimize system=barcode w1=1x w2=1"),
+            "bad w1 '1x' (want a number) (column 25)");
+}
+
+TEST(JobLine, TypeMaximaRoundTripThroughTheCanonicalLine) {
+  const std::vector<std::string> lines = {
+      "plan system=barcode selection=4294967295,1,1",
+      "optimize system=barcode area-budget=4294967295",
+      "optimize system=barcode tat-budget=18446744073709551615",
+      "optimize system=barcode w1=1.7976931348623157e+308 w2=1",
+  };
+  for (const std::string& line : lines) {
+    const Job job = service::parse_job_line(line);
+    EXPECT_EQ(service::canonical_job_line(job), line);
+    EXPECT_EQ(service::parse_job_line(service::canonical_job_line(job)), job)
+        << line;
+  }
 }
 
 TEST(SelectionSpec, StrictOneBasedParsing) {
@@ -356,9 +394,12 @@ struct CliRun {
   std::string output;
 };
 
-CliRun run_cli(const std::string& arguments) {
+/// Runs the CLI and captures stdout; `redirect` picks the streams
+/// (" 2>&1 >/dev/null" captures stderr instead).
+CliRun run_cli(const std::string& arguments,
+               const std::string& redirect = " 2>/dev/null") {
   const std::string command =
-      std::string(SOCET_CLI_PATH) + " " + arguments + " 2>/dev/null";
+      std::string(SOCET_CLI_PATH) + " " + arguments + redirect;
   FILE* pipe = popen(command.c_str(), "r");
   EXPECT_NE(pipe, nullptr);
   CliRun run;
@@ -502,6 +543,32 @@ TEST(Cli, BatchRejectsAThreadCountThatWouldWrap) {
             1);
   EXPECT_EQ(run_cli("batch --jobs " + path + " --threads 2").exit_code, 0);
   std::remove(path.c_str());
+}
+
+TEST(Cli, OptimizeRejectsNumbersThatWouldWrapOrHalfParse) {
+  // Each used to plan: -1 and -5 wrapped to unconstrained budgets,
+  // 4294967297 to 1, `12abc` read as 12, `inf` passed as a weight.
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {"--area-budget -1", "--area-budget"},
+      {"--area-budget 4294967297", "--area-budget"},
+      {"--area-budget 12abc", "--area-budget"},
+      {"--area-budget abc", "--area-budget"},
+      {"--tat-budget -5", "--tat-budget"},
+      {"--tat-budget 12abc", "--tat-budget"},
+      {"--w1 1x", "--w1"},
+      {"--w1 inf", "--w1"},
+  };
+  for (const auto& [flags, flag] : cases) {
+    const CliRun run =
+        run_cli("optimize --system barcode " + flags, " 2>&1 >/dev/null");
+    EXPECT_EQ(run.exit_code, 1) << flags;
+    EXPECT_NE(run.output.find("error: bad " + flag + " '"), std::string::npos)
+        << flags << ": " << run.output;
+  }
+  EXPECT_EQ(run_cli("plan --selection 4294967297,1,1").exit_code, 1);
+  EXPECT_EQ(
+      run_cli("optimize --system barcode --area-budget 4294967295").exit_code,
+      0);
 }
 
 }  // namespace

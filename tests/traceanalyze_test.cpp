@@ -441,11 +441,9 @@ struct CliRun {
 /// Runs the CLI and captures stdout; `redirect` picks the streams
 /// (" 2>&1 >/dev/null" captures stderr instead).
 CliRun run_cli(const std::string& arguments,
-               const std::string& env_prefix = "",
                const std::string& redirect = " 2>/dev/null") {
-  const std::string command = env_prefix + (env_prefix.empty() ? "" : " ") +
-                              std::string(SOCET_CLI_PATH) + " " + arguments +
-                              redirect;
+  const std::string command =
+      std::string(SOCET_CLI_PATH) + " " + arguments + redirect;
   FILE* pipe = popen(command.c_str(), "r");
   EXPECT_NE(pipe, nullptr);
   CliRun run;
@@ -460,10 +458,8 @@ CliRun run_cli(const std::string& arguments,
 }
 
 /// Write a small batch job file and run `batch --trace` over it,
-/// returning the trace path.  `env_prefix` lets a case slow one stage
-/// via the SOCET_TRACE_TEST_SLOW hook.
-std::string traced_batch(const std::string& tag,
-                         const std::string& env_prefix = "") {
+/// returning the trace path.
+std::string traced_batch(const std::string& tag) {
   const std::string jobs = testing::TempDir() + "ta_jobs_" + tag + ".txt";
   {
     std::ofstream file(jobs);
@@ -471,8 +467,8 @@ std::string traced_batch(const std::string& tag,
          << "optimize system=barcode area-budget=40\n";
   }
   const std::string trace = testing::TempDir() + "ta_trace_" + tag + ".json";
-  const CliRun run = run_cli(
-      "batch --jobs " + jobs + " --threads 2 --trace " + trace, env_prefix);
+  const CliRun run =
+      run_cli("batch --jobs " + jobs + " --threads 2 --trace " + trace);
   EXPECT_EQ(run.exit_code, 0);
   std::remove(jobs.c_str());
   return trace;
@@ -503,11 +499,26 @@ TEST(CliTraceAnalyze, DiffOfARunAgainstItselfIsQuiet) {
   std::remove(trace.c_str());
 }
 
+/// Write a batch-shaped trace whose soc/plan_chip_test span lasts
+/// `plan_us`; every enclosing span grows with it, every other span
+/// keeps its self time.  Returns the path.
+std::string batch_shaped_trace(const std::string& tag, double plan_us) {
+  const std::string path = testing::TempDir() + "ta_trace_" + tag + ".json";
+  std::ofstream file(path);
+  file << chrome_doc({
+      slice("cli/batch", 0, plan_us + 500, 1, 0),
+      slice("service/job", 10, plan_us + 400, 2, 1),
+      slice("ccg/build", 20, 80, 3, 2),
+      slice("soc/plan_chip_test", 100, plan_us, 4, 2),
+      slice("opt/minimize_tat", plan_us + 150, 200, 5, 2),
+  });
+  return path;
+}
+
 TEST(CliTraceAnalyze, ArtificiallySlowedStageRanksFirst) {
-  const std::string fast = traced_batch("fast");
-  // The test hook injects 30ms into every soc/plan_chip_test span.
-  const std::string slow = traced_batch(
-      "slow", "SOCET_TRACE_TEST_SLOW='soc/plan_chip_test:30000'");
+  const std::string fast = batch_shaped_trace("fast", 2000);
+  // The same run with 30 ms more in soc/plan_chip_test.
+  const std::string slow = batch_shaped_trace("slow", 32000);
   const CliRun diff =
       run_cli("trace-analyze --diff " + fast + " " + slow + " --json");
   EXPECT_EQ(diff.exit_code, 0);
@@ -544,8 +555,7 @@ TEST(CliTraceAnalyze, TruncatedTraceReportsTheReasonAndLine) {
             "{\"name\":\"a\",\"ph\":\"X\",\"ts\":0,\"dur\":5,\"pid\":1,\"tid\":1},\n"
             "{\"name\":\"b\",\"ph\":\"X\",\"ts\":1,";
   }
-  const CliRun run =
-      run_cli("trace-analyze " + path, "", " 2>&1 >/dev/null");
+  const CliRun run = run_cli("trace-analyze " + path, " 2>&1 >/dev/null");
   EXPECT_EQ(run.exit_code, 1);
   // The reason follows the path and names the break line; an empty
   // reason would leave "<path>: " at the end of the message.

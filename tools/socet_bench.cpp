@@ -19,8 +19,10 @@
 // plus the run's own IQR (noise-adjusted), or when a bench fails
 // outright.  Benches whose line carries `"skipped":true` (e.g. the
 // service-throughput speedup gate on small hosts) are excluded from
-// the gate instead of polluting the trajectory.  Schemas and the
-// refresh workflow: docs/BENCHMARKS.md.
+// the gate instead of polluting the trajectory.  For each regression it
+// prints the per-stage self-time diff between the bench's previous
+// trajectory point and this run (both carry `stage_<stage>_ms` extras).
+// Schemas and the refresh workflow: docs/BENCHMARKS.md.
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
@@ -61,7 +63,6 @@ struct Options {
   unsigned repeat = 3;
   double tolerance_pct = 25.0;
   bool list_only = false;
-  bool capture_traces = false;  ///< attribution re-run on gate failure
 };
 
 int usage() {
@@ -82,11 +83,6 @@ int usage() {
       "  --tolerance-pct P      regression tolerance for --check\n"
       "                         (default 25)\n"
       "  --update-baseline FILE write medians as the new baseline\n"
-      "  --capture-traces       when the --check gate fails, re-run each\n"
-      "                         regressed bench once with tracing on\n"
-      "                         (TRACE_<name>.json in --out-dir) and print\n"
-      "                         a per-stage attribution table naming the\n"
-      "                         guilty stage\n"
       "  --list                 list discovered benches and exit\n");
   return 2;
 }
@@ -99,8 +95,6 @@ bool parse_options(int argc, char** argv, Options* out) {
     };
     if (arg == "--list") {
       out->list_only = true;
-    } else if (arg == "--capture-traces") {
-      out->capture_traces = true;
     } else if (arg == "--bin-dir") {
       const char* v = value();
       if (v == nullptr) return false;
@@ -187,11 +181,8 @@ struct ChildResult {
 };
 
 /// Run one bench binary: stdout to /dev/null (the human tables are not
-/// ours to parse), stderr through a pipe, rusage via wait4.  A
-/// non-empty `trace_path` exports SOCET_BENCH_TRACE to the child so it
-/// records spans and writes a Chrome trace there (bench/report.hpp).
-bool run_child(const std::string& path, ChildResult* out,
-               const std::string& trace_path = "") {
+/// ours to parse), stderr through a pipe, rusage via wait4.
+bool run_child(const std::string& path, ChildResult* out) {
   int pipe_fds[2];
   if (::pipe(pipe_fds) != 0) return false;
   const pid_t pid = ::fork();
@@ -206,9 +197,6 @@ bool run_child(const std::string& path, ChildResult* out,
     if (devnull >= 0) ::dup2(devnull, STDOUT_FILENO);
     ::dup2(pipe_fds[1], STDERR_FILENO);
     ::close(pipe_fds[1]);
-    if (!trace_path.empty()) {
-      ::setenv("SOCET_BENCH_TRACE", trace_path.c_str(), 1);
-    }
     ::execl(path.c_str(), path.c_str(), static_cast<char*>(nullptr));
     _exit(127);
   }
@@ -286,66 +274,6 @@ bool measure_bench(const Options& options, const std::string& binary,
   return true;
 }
 
-/// --capture-traces: re-run one regressed bench with tracing on and
-/// print a per-stage wall-time attribution table, so the gate names
-/// the guilty stage instead of leaving a human to open the trace.
-/// Diagnostic only — a failed re-run prints a note, never flips the
-/// gate verdict (the regression already did that).
-void attribute_regression(const Options& options, const std::string& name) {
-  const std::string path = options.bin_dir + "/bench_" + name;
-  const std::string trace_path = options.out_dir + "/TRACE_" + name + ".json";
-  std::fprintf(stderr, "re-running bench_%s with tracing for attribution...\n",
-               name.c_str());
-  ChildResult child;
-  if (!run_child(path, &child, trace_path)) {
-    std::printf("attribution: could not re-run bench_%s\n", name.c_str());
-    return;
-  }
-  obs::analyze::TraceData trace;
-  std::string error;
-  if (!obs::analyze::load_trace(read_file(trace_path), &trace, &error)) {
-    std::printf("attribution: bench_%s trace unreadable: %s\n", name.c_str(),
-                error.c_str());
-    return;
-  }
-  const obs::analyze::Aggregate agg = obs::analyze::aggregate({trace});
-  util::Table table({"stage", "spans", "total (ms)", "self (ms)", "share %"});
-  double self_total = 0;
-  for (const obs::analyze::NameStats& stage : agg.by_stage) {
-    self_total += stage.self_us;
-  }
-  // by_stage is total-sorted; rank by self so a slow leaf beats the
-  // root span that merely contains it (same reasoning as diff()).
-  std::vector<obs::analyze::NameStats> stages = agg.by_stage;
-  std::sort(stages.begin(), stages.end(),
-            [](const obs::analyze::NameStats& a,
-               const obs::analyze::NameStats& b) {
-              if (a.self_us != b.self_us) return a.self_us > b.self_us;
-              return a.name < b.name;
-            });
-  for (const obs::analyze::NameStats& stage : stages) {
-    table.add_row(
-        {stage.name, std::to_string(stage.count),
-         util::Table::num(stage.total_us / 1e3, 2),
-         util::Table::num(stage.self_us / 1e3, 2),
-         util::Table::num(
-             self_total <= 0 ? 0 : 100.0 * stage.self_us / self_total, 1)});
-  }
-  std::printf("\nper-stage attribution for bench_%s (trace: %s):\n%s",
-              name.c_str(), trace_path.c_str(), table.to_text().c_str());
-  if (!stages.empty()) {
-    std::printf("guilty stage: %s (%s ms self, %s%% of traced time)\n",
-                stages.front().name.c_str(),
-                util::Table::num(stages.front().self_us / 1e3, 2).c_str(),
-                util::Table::num(self_total <= 0 ? 0
-                                                 : 100.0 *
-                                                       stages.front().self_us /
-                                                       self_total,
-                                 1)
-                    .c_str());
-  }
-}
-
 const char* verdict_text(CheckOutcome::Verdict verdict) {
   switch (verdict) {
     case CheckOutcome::Verdict::kPass: return "pass";
@@ -383,9 +311,14 @@ int main(int argc, char** argv) {
   }
 
   std::vector<RunRecord> records;
-  // Median of each bench's newest comparable trajectory point *before*
-  // this run appends its own — feeds the gate's delta-vs-prev column.
-  std::map<std::string, double> prev_medians;
+  // Each bench's newest comparable trajectory point *before* this run
+  // appends its own — feeds the gate's delta-vs-prev column and the
+  // stage diff behind a regression.
+  struct PrevPoint {
+    double median_ms = 0;
+    obs::bench::Extras extra;
+  };
+  std::map<std::string, PrevPoint> prev_points;
   bool all_parsed = true;
   util::Table table({"bench", "wall med (ms)", "iqr", "min", "rss (MB)",
                      "cpu (ms)", "status"});
@@ -411,9 +344,10 @@ int main(int argc, char** argv) {
     const std::string trajectory_path =
         options.out_dir + "/BENCH_" + record.name + ".json";
     const std::string prior = read_file(trajectory_path);
-    double prev_ms = 0;
-    if (obs::bench::trajectory_last_median(prior, &prev_ms)) {
-      prev_medians[record.name] = prev_ms;
+    PrevPoint prev;
+    if (obs::bench::trajectory_last_median(prior, &prev.median_ms,
+                                           &prev.extra)) {
+      prev_points[record.name] = std::move(prev);
     }
     const std::string updated =
         obs::bench::trajectory_json(prior, record, options.label);
@@ -472,10 +406,10 @@ int main(int argc, char** argv) {
       // Drift against the previous trajectory point: visible before it
       // accumulates into a baseline breach.  "-" = no comparable point.
       std::string vs_prev = "-";
-      const auto prev = prev_medians.find(outcome.name);
-      if (prev != prev_medians.end() &&
+      const auto prev = prev_points.find(outcome.name);
+      if (prev != prev_points.end() &&
           outcome.verdict != CheckOutcome::Verdict::kSkipped) {
-        const double delta = outcome.measured_ms - prev->second;
+        const double delta = outcome.measured_ms - prev->second.median_ms;
         vs_prev = (delta >= 0 ? "+" : "") + util::Table::num(delta, 2);
       }
       gate.add_row({outcome.name, util::Table::num(outcome.baseline_ms, 2),
@@ -490,11 +424,33 @@ int main(int argc, char** argv) {
     if (obs::bench::has_regression(outcomes)) {
       std::printf("GATE FAILED\n");
       status = 1;
-      if (options.capture_traces) {
-        for (const CheckOutcome& outcome : outcomes) {
-          if (outcome.verdict != CheckOutcome::Verdict::kRegression) continue;
-          attribute_regression(options, outcome.name);
+      // check_against_baseline yields one outcome per record, in order.
+      for (std::size_t i = 0; i < outcomes.size(); ++i) {
+        if (outcomes[i].verdict != CheckOutcome::Verdict::kRegression) {
+          continue;
         }
+        const RunRecord& record = records[i];
+        const auto prev = prev_points.find(record.name);
+        // Points recorded before benches carried stage times have none;
+        // diffing against them would just rank this run's stages.
+        const obs::analyze::Aggregate before =
+            prev == prev_points.end()
+                ? obs::analyze::Aggregate{}
+                : obs::bench::stage_aggregate(prev->second.median_ms,
+                                              prev->second.extra);
+        if (before.by_stage.empty()) {
+          std::printf("\nno previous point of %s with stage times to "
+                      "attribute the regression against\n",
+                      record.name.c_str());
+          continue;
+        }
+        const obs::analyze::DiffResult diff = obs::analyze::diff(
+            before,
+            obs::bench::stage_aggregate(record.wall_ms.median, record.extra));
+        std::printf("\nstage attribution for %s (previous point -> this "
+                    "run):\n%s",
+                    record.name.c_str(),
+                    obs::analyze::diff_text(diff, 10).c_str());
       }
     } else {
       std::printf("gate passed\n");

@@ -36,7 +36,6 @@
 #include "socet/obs/journal.hpp"
 #include "socet/obs/metrics.hpp"
 #include "socet/obs/report.hpp"
-#include "socet/obs/resource.hpp"
 #include "socet/obs/sampler.hpp"
 #include "socet/obs/trace.hpp"
 #include "socet/obs/traceanalyze.hpp"
@@ -179,20 +178,37 @@ int cmd_plan(const Args& args) {
   return violations.empty() ? 0 : 1;
 }
 
+/// `--key` as a decimal count of the fallback's type, or `fallback`
+/// when absent.  A value the type cannot hold is an error, never a
+/// silent wrap (`--port 70000` must not listen on 4464).
+template <typename T>
+T parse_option_count(const Args& args, const std::string& key, T fallback) {
+  if (!args.has(key)) return fallback;
+  const std::string text = args.get(key, "");
+  constexpr unsigned long long kMax = std::numeric_limits<T>::max();
+  unsigned long long value = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  util::require(!text.empty() && ec == std::errc() && ptr == end &&
+                    value <= kMax,
+                "bad --" + key + " '" + text + "' (want 0.." +
+                    std::to_string(kMax) + ")");
+  return static_cast<T>(value);
+}
+
 int cmd_optimize(const Args& args) {
   auto system = load_system(args);
   opt::DesignPoint point;
   if (args.has("area-budget")) {
-    point = opt::minimize_tat(
-        *system.soc,
-        static_cast<unsigned>(std::stoul(args.get("area-budget", "0"))));
+    point = opt::minimize_tat(*system.soc,
+                              parse_option_count(args, "area-budget", 0u));
   } else if (args.has("tat-budget")) {
-    point = opt::minimize_area(
-        *system.soc, std::stoull(args.get("tat-budget", "0")));
+    point = opt::minimize_area(*system.soc,
+                               parse_option_count(args, "tat-budget", 0ull));
   } else if (args.has("w1") || args.has("w2")) {
-    point = opt::minimize_weighted(*system.soc,
-                                   std::stod(args.get("w1", "1")),
-                                   std::stod(args.get("w2", "1")));
+    point = opt::minimize_weighted(
+        *system.soc, service::parse_weight(args.get("w1", "1"), "--w1"),
+        service::parse_weight(args.get("w2", "1"), "--w2"));
   } else {
     std::fprintf(stderr,
                  "optimize needs --area-budget, --tat-budget, or --w1/--w2\n");
@@ -218,24 +234,6 @@ int cmd_explore(const Args& args) {
   auto points = opt::enumerate_design_space(*system.soc);
   std::printf("%s", opt::design_space_csv(std::move(points)).c_str());
   return 0;
-}
-
-/// `--key` as a decimal count of the fallback's type, or `fallback`
-/// when absent.  A value the type cannot hold is an error, never a
-/// silent wrap (`--port 70000` must not listen on 4464).
-template <typename T>
-T parse_option_count(const Args& args, const std::string& key, T fallback) {
-  if (!args.has(key)) return fallback;
-  const std::string text = args.get(key, "");
-  constexpr unsigned long long kMax = std::numeric_limits<T>::max();
-  unsigned long long value = 0;
-  const char* end = text.data() + text.size();
-  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
-  util::require(!text.empty() && ec == std::errc() && ptr == end &&
-                    value <= kMax,
-                "bad --" + key + " '" + text + "' (want 0.." +
-                    std::to_string(kMax) + ")");
-  return static_cast<T>(value);
 }
 
 service::ServiceOptions service_options(const Args& args) {
@@ -627,8 +625,8 @@ int usage() {
       "observability (any command; stdout is never touched):\n"
       "  --metrics       print the metrics table to stderr on exit\n"
       "  --trace FILE    write a Chrome trace-event JSON (chrome://tracing)\n"
-      "  --report FILE   write a run-report JSON (metrics + span rollups +\n"
-      "                  rusage/hw-counter resource accounting)\n"
+      "  --report FILE   write a run-report JSON (metrics + per-stage span\n"
+      "                  times + whole-run rusage)\n"
       "  --profile FILE  sample the run with SIGPROF; folded stacks to\n"
       "                  FILE (flamegraph-ready), top functions to stderr\n"
       "  --journal FILE  record the decision journal (routes, optimizer\n"
@@ -668,9 +666,8 @@ int main(int argc, char** argv) {
   }
   const Args args = parse_args(argc, argv);
 
-  // Observability switches.  A run report embeds the metrics snapshot,
-  // the span rollups, and the resource accounting, so --report implies
-  // all three collectors.
+  // Observability switches.  A run report embeds the metrics snapshot
+  // and the span rollups, so --report implies both collectors.
   const std::string trace_path = args.get("trace", "");
   const std::string report_path = args.get("report", "");
   const std::string profile_path = args.get("profile", "");
@@ -685,9 +682,6 @@ int main(int argc, char** argv) {
   }
   if ((!trace_path.empty() && !remote_trace) || !report_path.empty()) {
     obs::set_trace_enabled(true);
-  }
-  if (!report_path.empty()) {
-    obs::set_resources_enabled(true);  // also starts run hw counters
   }
   if (!profile_path.empty() && !obs::Sampler::start({})) {
     std::fprintf(stderr, "warning: --profile unavailable on this platform\n");
