@@ -23,14 +23,14 @@
 //     buffers, merged by `journal_jsonl()` into a `socet-journal-v1`
 //     document (docs/FORMATS.md §5) for `--journal FILE` and the
 //     `socet explain` queries (explain.hpp);
-//   * flight recorder (`journal_start_flight`): a fixed-capacity
-//     lock-free ring of pre-rendered lines.  A fatal-signal handler
-//     dumps the last N events plus every thread's active span stack to
-//     stderr using only async-signal-safe calls, so a crashing run
-//     still tells you what it was deciding;
-//   * tap (`journal_set_tap`): one callback per rendered line.  `socet
-//     serve --journal-ring N` keeps the newest N lines in memory for
-//     the `journal` verb that `socet explain --connect` queries.
+//   * flight recorder (`journal_start_flight`): a fixed-capacity ring of
+//     pre-rendered lines, written without a lock.  A fatal-signal
+//     handler dumps the last N events plus every thread's active span
+//     stack to stderr using only async-signal-safe calls, so a crashing
+//     run still tells you what it was deciding; `journal_flight_lines`
+//     serves the same ring to the daemon's `journal` verb, which
+//     `socet explain --connect` queries.  A writer that finds its slot
+//     held by another writer drops its line instead of waiting.
 //
 // Correlation: `JournalScope` tags all events recorded by the current
 // thread inside its lifetime (service workers use "job-<n>"); the
@@ -40,10 +40,12 @@
 // it only when no instrumented thread is concurrently recording.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <initializer_list>
+#include <optional>
 #include <string>
+#include <vector>
 
 namespace socet::obs {
 
@@ -58,19 +60,11 @@ std::uint64_t journal_event_count();
 void journal_start_memory();
 
 /// Enable the fixed-capacity ring sink.  `capacity` is clamped to
-/// [16, 65536].  When `install_crash_handler` is set, fatal signals
-/// (SEGV/ABRT/BUS/FPE/ILL) dump the ring and active spans to stderr
-/// before re-raising with the default disposition.
-void journal_start_flight(std::size_t capacity = 256,
-                          bool install_crash_handler = true);
-
-/// Live tap sink: called once per event, at record time, on the
-/// recording thread, with the fully rendered JSONL line.  One tap per
-/// process (the last call wins); an empty function uninstalls it.  The
-/// tap alone makes `journal_enabled()` true, so keep the callback cheap
-/// and non-blocking — it runs inside every instrumented code path.
-using JournalTapFn = std::function<void(const std::string& line)>;
-void journal_set_tap(JournalTapFn fn);
+/// [16, 65536]; a call with a different capacity than the live ring
+/// starts a new, empty ring.  Fatal signals (SEGV/ABRT/BUS/FPE/ILL) dump
+/// the ring and active spans to stderr before re-raising with the
+/// default disposition.
+void journal_start_flight(std::size_t capacity = 256);
 
 /// Stop recording (buffers are kept for export).
 void journal_stop();
@@ -86,7 +80,14 @@ std::string journal_jsonl();
 
 /// Write the flight-recorder ring (oldest first) and the active span
 /// stack of every live thread to `fd` as JSONL.  Async-signal-safe.
+/// Lines longer than a ring slot keep their prefix.
 void journal_dump_flight(int fd);
+
+/// The newest flight-recorder lines whose total size (one newline
+/// each) fits `max_bytes`, oldest first; lines longer than a ring slot
+/// are left out.  nullopt when the flight recorder is off.
+std::optional<std::vector<std::string>> journal_flight_lines(
+    std::size_t max_bytes);
 
 /// One typed key/value pair of an event.  The value is rendered to
 /// JSON at construction; construction only happens inside an enabled

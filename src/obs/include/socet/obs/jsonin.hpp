@@ -11,6 +11,7 @@
 // rejected instead of overflowing the parser's stack.
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -54,6 +55,10 @@ class JsonValue {
   [[nodiscard]] std::string string_or(std::string fallback) const {
     return is_string() ? string_value : std::move(fallback);
   }
+  /// The number as a uint32_t: false for anything else (a string, a
+  /// fraction, a negative or too large value), so a field is never
+  /// silently truncated or wrapped.
+  [[nodiscard]] bool to_uint32(std::uint32_t* out) const;
 };
 
 /// Parse one complete JSON document (trailing whitespace allowed,

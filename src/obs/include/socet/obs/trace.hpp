@@ -6,10 +6,13 @@
 //   }
 //
 // A Span is an RAII guard: when tracing is enabled it records one
-// (name, thread, start, end) event into a per-thread buffer on
-// destruction; when disabled its constructor is a single relaxed atomic
-// load.  Buffers register themselves with a global sink on first use
-// and hand their events back when the thread exits, so worker-pool
+// TraceEvent (name, thread, id, parent, start, end) into a per-thread
+// buffer on destruction; when disabled its constructor is a single
+// relaxed atomic load plus a thread-local capture check.  Every recorded
+// span takes a process-unique id, and its parent is the span that was
+// open around it on the same thread, so the exported trace carries its
+// own nesting.  Buffers register themselves with a global sink on first
+// use and hand their events back when the thread exits, so worker-pool
 // threads that die before export still appear in the trace — each
 // thread gets its own lane (`tid`) in chrome://tracing / Perfetto.
 //
@@ -24,6 +27,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "socet/obs/journal.hpp"
@@ -35,24 +39,14 @@ namespace socet::obs {
 bool trace_enabled();
 void set_trace_enabled(bool enabled);
 
-/// One closed span.  `name` must be a string with static storage
-/// duration (SOCET_SPAN passes literals).
+/// One closed span: the record every exporter and reader shares —
+/// `--trace` files, daemon span captures, the `spans` wire verb and the
+/// merged cross-process trace.
 struct TraceEvent {
-  const char* name = nullptr;
-  std::uint32_t tid = 0;
-  std::uint64_t start_ns = 0;
-  std::uint64_t end_ns = 0;
-};
-
-/// One closed span with an identity: part of a distributed trace.
-/// Unlike TraceEvent these are self-contained (owned name, explicit
-/// parent link) so they can cross the process boundary (tracemerge.hpp
-/// serializes them for the serve `spans` verb).
-struct SpanRecord {
   std::string name;
   std::uint32_t tid = 0;
-  std::uint64_t id = 0;
-  std::uint64_t parent = 0;   ///< 0 = root of its capture
+  std::uint64_t id = 0;       ///< process-unique, never 0 once recorded
+  std::uint64_t parent = 0;   ///< enclosing span's id; 0 = root
   std::uint64_t start_ns = 0;
   std::uint64_t end_ns = 0;
 };
@@ -62,24 +56,33 @@ struct SpanRecord {
 /// from disjoint ranges) plus an atomic counter.  Never returns 0.
 std::uint64_t new_span_id();
 
+/// A span id as traces and the wire write it: `0x` and lowercase hex.
+std::string span_id_hex(std::uint64_t id);
+
+/// The inverse of span_id_hex: an optional `0x`, then 1 to 16 hex
+/// digits and nothing else.  False for anything looser.
+bool parse_span_id(std::string_view text, std::uint64_t* out);
+
 namespace detail {
-void record_span(const char* name, std::uint64_t start_ns,
-                 std::uint64_t end_ns);
 bool capture_active();
-void capture_open(std::uint64_t* id, std::uint64_t* parent);
-void capture_close(const char* name, std::uint64_t id, std::uint64_t parent,
-                   std::uint64_t start_ns, std::uint64_t end_ns);
+/// Push a fresh id on this thread's stack of open spans; `*parent` gets
+/// the innermost open span (or an active capture's remote parent).
+std::uint64_t open_span(std::uint64_t* parent);
+/// Pop `id` and hand the closed span to the trace buffer (`traced`),
+/// to the active capture (`captured`), or to both.
+void close_span(const char* name, std::uint64_t id, std::uint64_t parent,
+                std::uint64_t start_ns, bool traced, bool captured);
 }  // namespace detail
 
 /// Adopt a remote trace context on the *current thread*: while alive,
-/// every SOCET_SPAN this thread opens is also recorded as a SpanRecord
-/// with a fresh span id, parented under the innermost open span (or
-/// under `remote_parent` at the top).  Independent of the global trace
-/// switch — this is how daemon workers trace one request on behalf of
-/// a client without turning whole-process tracing on.  `take()` hands
-/// the records back; call it after the instrumented scope closed.
-/// Captures do not nest: a second capture on the same thread is
-/// passive (records nothing, take() returns empty).
+/// every SOCET_SPAN this thread opens is also handed to the capture,
+/// parented under the innermost open span (or under `remote_parent` at
+/// the capture's base depth).  Independent of the global trace switch —
+/// this is how daemon workers trace one request on behalf of a client
+/// without turning whole-process tracing on.  `take()` hands the
+/// records back; call it after the instrumented scope closed.  Captures
+/// do not nest: a second capture on the same thread is passive (records
+/// nothing, take() returns empty).
 class SpanCapture {
  public:
   SpanCapture(std::uint64_t trace_id, std::uint64_t remote_parent);
@@ -88,7 +91,7 @@ class SpanCapture {
   SpanCapture& operator=(const SpanCapture&) = delete;
 
   std::uint64_t trace_id() const { return trace_id_; }
-  std::vector<SpanRecord> take();
+  std::vector<TraceEvent> take();
 
  private:
   std::uint64_t trace_id_ = 0;
@@ -99,14 +102,12 @@ class Span {
  public:
   explicit Span(const char* name) {
     const bool capturing = detail::capture_active();
-    if (trace_enabled()) traced_ = true;
+    traced_ = trace_enabled();
     if (traced_ || capturing) {
       name_ = name;
+      captured_ = capturing;
+      id_ = detail::open_span(&parent_);
       start_ns_ = now_ns();
-    }
-    if (capturing) {
-      captured_ = true;
-      detail::capture_open(&capture_id_, &capture_parent_);
     }
     // The journal's crash dump reports each thread's active spans, so
     // spans also maintain a journal-side stack while it is recording.
@@ -117,12 +118,7 @@ class Span {
   }
   ~Span() {
     if (name_ != nullptr) {
-      const std::uint64_t end_ns = now_ns();
-      if (traced_) detail::record_span(name_, start_ns_, end_ns);
-      if (captured_) {
-        detail::capture_close(name_, capture_id_, capture_parent_, start_ns_,
-                              end_ns);
-      }
+      detail::close_span(name_, id_, parent_, start_ns_, traced_, captured_);
     }
     if (journal_pushed_) detail::journal_pop_span();
   }
@@ -131,9 +127,9 @@ class Span {
 
  private:
   const char* name_ = nullptr;
+  std::uint64_t id_ = 0;
+  std::uint64_t parent_ = 0;
   std::uint64_t start_ns_ = 0;
-  std::uint64_t capture_id_ = 0;
-  std::uint64_t capture_parent_ = 0;
   bool traced_ = false;
   bool captured_ = false;
   bool journal_pushed_ = false;
@@ -152,9 +148,15 @@ std::vector<TraceEvent> collect_trace_events();
 /// trace runs past one second.
 std::string chrome_trace_us(std::uint64_t ns);
 
-/// Full Chrome trace-event JSON document: matched B/E pairs per span,
-/// one `tid` lane per recording thread, thread-name metadata events,
-/// timestamps in microseconds relative to the first span.
+/// One span as a Chrome complete (`X`) slice on lane (`pid`, `tid`):
+/// `ts`/`dur` in microseconds relative to `epoch_ns`, and hex
+/// `args.span`/`args.parent` ids.  Every exporter renders spans with it.
+std::string chrome_slice(const TraceEvent& span, std::uint32_t pid,
+                         std::uint32_t tid, std::uint64_t epoch_ns);
+
+/// Full Chrome trace-event JSON document: thread-name metadata events,
+/// then one `chrome_slice` per recorded span on its thread's lane,
+/// timestamps relative to the first span.
 std::string chrome_trace_json();
 
 /// Drop all recorded events and thread names (tests).

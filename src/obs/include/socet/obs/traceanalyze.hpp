@@ -1,14 +1,15 @@
 // Offline trace analytics — the layer that *reads* what five PRs of
 // instrumentation write.
 //
-// Input: any Chrome trace-event document the system emits — a local
-// `--trace` file (matched B/E pairs per tid lane, trace.cpp), a merged
-// client/daemon trace (`X` slices with hex `args.span`/`args.parent`
-// ids, tracemerge.cpp) — or a `socet-journal-v1` JSONL document
-// (events folded into per-corr envelope spans keyed by their `span`
-// field).  `load_trace` normalizes
-// all of them into one span forest; parse failures carry 1-based line
-// numbers so a truncated artifact names the break point.
+// Input: a span trace, i.e. a Chrome trace-event document of `X`
+// slices — a local `--trace` file (trace.cpp) or a merged client/daemon
+// trace (tracemerge.cpp), both linked by hex `args.span`/`args.parent`
+// ids.  Slices without ids (`socet_workload --trace`) nest by
+// containment within their (pid, tid) lane.  `load_trace` normalizes
+// them into one span forest; parse failures carry a location (line
+// number or event index) so a truncated artifact names the break
+// point.  `B`/`E` events and decision journals are rejected: "why this
+// plan" is `socet explain`'s question, not a timing one.
 //
 // Three analyses on top (the `socet trace-analyze` CLI verb renders
 // them; the run report, every bench line and socet_bench's regression
@@ -47,8 +48,8 @@ namespace socet::obs::analyze {
 /// One normalized span in the forest.
 struct Node {
   std::string name;
-  int pid = 1;
-  int tid = 0;
+  std::uint32_t pid = 1;
+  std::uint32_t tid = 0;
   double start_us = 0;
   double end_us = 0;
   std::uint64_t id = 0;      ///< 0 when the format carries no span ids
@@ -63,14 +64,11 @@ struct Node {
 struct TraceData {
   std::vector<Node> spans;
   std::vector<int> roots;  ///< indices of parentless spans
-  bool merged = false;     ///< true when spans carried explicit ids
-  bool journal = false;    ///< true when synthesized from a journal
 };
 
-/// Parse one artifact (Chrome trace JSON or socet-journal-v1 JSONL)
-/// into a span forest.  Returns false with a line-numbered message on
-/// malformed or truncated input; an empty-but-valid trace succeeds
-/// with zero spans.
+/// Parse one span trace (Chrome trace JSON) into a span forest.
+/// Returns false with a located message on malformed or truncated
+/// input; an empty-but-valid trace succeeds with zero spans.
 bool load_trace(std::string_view text, TraceData* out,
                 std::string* error = nullptr);
 

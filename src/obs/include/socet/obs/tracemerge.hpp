@@ -16,9 +16,10 @@
 //   pid 1  socet client   submit lanes (one X slice per in-flight job)
 //   pid 2  socet serve    queue/respond lanes + one lane per worker
 //
-// Daemon slices carry `args.trace` / `args.span` / `args.parent` (hex
-// span ids) so tooling can verify the parent chain, and flow events
-// (`ph:"s"`/`"f"`) draw the client→daemon handoff in Perfetto.
+// Every slice comes from `chrome_slice` (trace.hpp), the renderer the
+// local `--trace` export uses, so both documents carry hex
+// `args.span`/`args.parent` ids; flow events (`ph:"s"`/`"f"`) draw the
+// client→daemon handoff in Perfetto.
 //
 // Span timestamps cross the wire as *decimal strings*, not JSON
 // numbers: steady-clock nanosecond readings can exceed the 2^53
@@ -49,22 +50,24 @@ struct ClockSample {
 /// recv < send are ignored; returns 0 when no sample is usable.
 std::int64_t estimate_clock_offset_ns(const std::vector<ClockSample>& samples);
 
-/// Serialize span records for the serve `spans` verb: one JSON object
-/// per line (ids as hex strings, timestamps as decimal-string ns).
-std::string remote_spans_jsonl(const std::vector<SpanRecord>& spans);
+/// Serialize spans for the serve `spans` verb: one JSON object per line
+/// (ids as hex strings, timestamps as decimal-string ns).
+std::string remote_spans_jsonl(const std::vector<TraceEvent>& spans);
 
-/// Parse `remote_spans_jsonl` output.  Unknown fields are ignored;
-/// a malformed line fails the whole parse with a line number.
+/// Parse `remote_spans_jsonl` output.  Unknown fields are ignored.
+/// Every other field is required and strict: `tid` a whole number that
+/// fits 32 bits, `id`/`parent` hex, `start_ns`/`end_ns` decimal with
+/// end >= start.  A malformed line fails the whole parse with its line
+/// number and field.
 bool parse_remote_spans_jsonl(std::string_view text,
-                              std::vector<SpanRecord>* out,
+                              std::vector<TraceEvent>* out,
                               std::string* error = nullptr);
 
 /// Everything needed to assemble one cross-process trace.
 struct MergeInput {
-  std::uint64_t trace_id = 0;
   std::int64_t clock_offset_ns = 0;      ///< daemon = client + offset
-  std::vector<SpanRecord> client_spans;  ///< client clock (submit spans)
-  std::vector<SpanRecord> daemon_spans;  ///< daemon clock
+  std::vector<TraceEvent> client_spans;  ///< client clock (submit spans)
+  std::vector<TraceEvent> daemon_spans;  ///< daemon clock
 };
 
 /// One Chrome trace-event JSON document with client and daemon spans

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cstring>
-#include <memory>
 #include <mutex>
 #include <utility>
 #include <vector>
@@ -27,24 +26,14 @@ constexpr std::size_t kMaxThreads = 256;    ///< crash-visible thread slots
 constexpr std::size_t kMaxSpanDepth = 32;   ///< active-span stack per thread
 constexpr std::size_t kCorrBytes = 48;      ///< correlation id storage
 constexpr std::size_t kSlotText = 512;      ///< flight-recorder line storage
+constexpr std::size_t kSlotWords = kSlotText / sizeof(std::uint64_t);
+constexpr std::size_t kMaxLine = kSlotText - 1;  ///< longest whole line
 constexpr std::size_t kMinFlight = 16;
 constexpr std::size_t kMaxFlight = 65536;
 
 std::atomic<bool> g_enabled{false};
 std::atomic<bool> g_memory{false};
 std::atomic<bool> g_flight{false};
-std::atomic<bool> g_tap{false};
-
-/// The installed tap.  Swapped under a mutex; callers copy the
-/// shared_ptr so an uninstall never destroys a function mid-call.
-std::mutex& tap_mutex() {
-  static std::mutex mutex;
-  return mutex;
-}
-std::shared_ptr<const JournalTapFn>& tap_fn() {
-  static std::shared_ptr<const JournalTapFn> fn;
-  return fn;
-}
 std::atomic<std::uint64_t> g_seq{0};
 std::atomic<std::uint64_t> g_epoch_ns{0};
 
@@ -64,18 +53,82 @@ struct ThreadSlot {
 
 ThreadSlot g_slots[kMaxThreads];
 
-/// One pre-rendered line of the flight-recorder ring.  `published`
-/// holds seq+1 once `text` is complete (0 = empty/in flight), so the
-/// dumper can skip torn slots.
+/// One pre-rendered line of the flight-recorder ring, guarded by a
+/// seqlock: `state` is 0 while empty, odd while a writer holds the slot,
+/// and 2*seq+2 once line `seq` is complete.  The text lives in atomic
+/// words, so a reader that races a writer copies stale bytes rather than
+/// racing on them, and then sees `state` move and discards the copy.
 struct FlightSlot {
-  std::atomic<std::uint64_t> published{0};
-  char text[kSlotText] = {};
+  std::atomic<std::uint64_t> state{0};
+  std::atomic<std::uint64_t> size{0};  ///< full line size, may exceed kMaxLine
+  std::atomic<std::uint64_t> words[kSlotWords];
 };
 
-// Allocated once on first journal_start_flight and never freed: the
-// crash handler must be able to rely on the pointer staying valid.
-std::atomic<FlightSlot*> g_ring{nullptr};
-std::atomic<std::size_t> g_ring_capacity{0};
+/// The ring and its capacity behind one pointer, so a reader never pairs
+/// one ring with another's capacity.  Never freed: the crash handler may
+/// run at any point, including during static destruction, and may still
+/// hold a ring that a later journal_start_flight replaced — so each ring
+/// keeps the one it replaced reachable.
+struct FlightRing {
+  FlightRing(std::size_t n, const FlightRing* replaced)
+      : capacity(n), slots(new FlightSlot[n]), previous(replaced) {}
+  const std::size_t capacity;
+  FlightSlot* const slots;
+  const FlightRing* const previous;
+};
+
+std::atomic<FlightRing*> g_ring{nullptr};
+
+/// Store line `seq` in its slot, or drop it when another writer holds
+/// the slot or it already holds a newer line.  Never waits.
+void flight_write(FlightRing& ring, std::uint64_t seq, const std::string& line) {
+  FlightSlot& slot = ring.slots[seq % ring.capacity];
+  std::uint64_t state = slot.state.load(std::memory_order_relaxed);
+  if ((state & 1) != 0 || state > 2 * seq + 2 ||
+      !slot.state.compare_exchange_strong(state, 2 * seq + 1,
+                                          std::memory_order_relaxed)) {
+    return;
+  }
+  // Orders the odd state before the text: a reader that copies any of
+  // the new words then sees `state` moved.
+  std::atomic_thread_fence(std::memory_order_release);
+  const std::size_t n = std::min(line.size(), kMaxLine);
+  for (std::size_t w = 0; w * sizeof(std::uint64_t) < n; ++w) {
+    std::uint64_t word = 0;
+    std::memcpy(&word, line.data() + w * sizeof(word),
+                std::min(sizeof(word), n - w * sizeof(word)));
+    slot.words[w].store(word, std::memory_order_relaxed);
+  }
+  slot.size.store(line.size(), std::memory_order_relaxed);
+  slot.state.store(2 * seq + 2, std::memory_order_release);
+}
+
+/// Copy line `seq` into `text` (kSlotText bytes; the first
+/// min(*size, kMaxLine) are the line) if its slot holds it complete.
+/// Async-signal-safe.
+bool flight_read(const FlightRing& ring, std::uint64_t seq, char* text,
+                 std::size_t* size) {
+  const FlightSlot& slot = ring.slots[seq % ring.capacity];
+  const std::uint64_t state = slot.state.load(std::memory_order_acquire);
+  if (state != 2 * seq + 2) return false;
+  const std::uint64_t full = slot.size.load(std::memory_order_relaxed);
+  const std::size_t n = static_cast<std::size_t>(
+      std::min<std::uint64_t>(full, kMaxLine));
+  for (std::size_t w = 0; w * sizeof(std::uint64_t) < n; ++w) {
+    const std::uint64_t word = slot.words[w].load(std::memory_order_relaxed);
+    std::memcpy(text + w * sizeof(word), &word, sizeof(word));
+  }
+  std::atomic_thread_fence(std::memory_order_acquire);
+  if (slot.state.load(std::memory_order_relaxed) != state) return false;
+  *size = static_cast<std::size_t>(full);
+  return true;
+}
+
+/// The seq range [lo, head) the ring can still hold.
+std::pair<std::uint64_t, std::uint64_t> flight_window(const FlightRing& ring) {
+  const std::uint64_t head = g_seq.load(std::memory_order_acquire);
+  return {head > ring.capacity ? head - ring.capacity : 0, head};
+}
 
 /// Merge point for memory-sink lines of exited threads, plus the tid
 /// counter shared by both sinks.
@@ -197,7 +250,7 @@ void crash_handler(int sig) {
   ::raise(sig);
 }
 
-void install_crash_handler_once() {
+void arm_crash_handler_once() {
   if (g_handler_installed.exchange(true)) return;
   struct sigaction action;
   std::memset(&action, 0, sizeof(action));
@@ -209,16 +262,13 @@ void install_crash_handler_once() {
 
 #else
 
-void install_crash_handler_once() {}
+void arm_crash_handler_once() {}
 
 #endif  // SOCET_JOURNAL_HAS_SIGNALS
 
 }  // namespace
 
-bool journal_enabled() {
-  return g_enabled.load(std::memory_order_relaxed) ||
-         g_tap.load(std::memory_order_relaxed);
-}
+bool journal_enabled() { return g_enabled.load(std::memory_order_relaxed); }
 
 std::uint64_t journal_event_count() {
   return g_seq.load(std::memory_order_relaxed);
@@ -232,36 +282,18 @@ void journal_start_memory() {
   g_enabled.store(true, std::memory_order_release);
 }
 
-void journal_start_flight(std::size_t capacity, bool install_crash_handler) {
+void journal_start_flight(std::size_t capacity) {
   std::uint64_t expected = 0;
   g_epoch_ns.compare_exchange_strong(expected, now_ns(),
                                      std::memory_order_relaxed);
   capacity = std::max(kMinFlight, std::min(kMaxFlight, capacity));
-  if (g_ring.load(std::memory_order_acquire) == nullptr) {
-    // Leaked deliberately: the crash handler may run at any point
-    // after this, including during static destruction.
-    FlightSlot* ring = new FlightSlot[capacity];
-    g_ring_capacity.store(capacity, std::memory_order_relaxed);
-    g_ring.store(ring, std::memory_order_release);
+  const FlightRing* ring = g_ring.load(std::memory_order_acquire);
+  if (ring == nullptr || ring->capacity != capacity) {
+    g_ring.store(new FlightRing(capacity, ring), std::memory_order_release);
   }
-  if (install_crash_handler) install_crash_handler_once();
+  arm_crash_handler_once();
   g_flight.store(true, std::memory_order_relaxed);
   g_enabled.store(true, std::memory_order_release);
-}
-
-void journal_set_tap(JournalTapFn fn) {
-  const bool active = static_cast<bool>(fn);
-  if (active) {
-    std::uint64_t expected = 0;
-    g_epoch_ns.compare_exchange_strong(expected, now_ns(),
-                                       std::memory_order_relaxed);
-  }
-  {
-    std::lock_guard<std::mutex> lock(tap_mutex());
-    tap_fn() = active ? std::make_shared<const JournalTapFn>(std::move(fn))
-                      : nullptr;
-  }
-  g_tap.store(active, std::memory_order_release);
 }
 
 void journal_stop() {
@@ -272,19 +304,15 @@ void journal_reset() {
   g_enabled.store(false, std::memory_order_release);
   g_memory.store(false, std::memory_order_relaxed);
   g_flight.store(false, std::memory_order_relaxed);
-  journal_set_tap({});
   JournalSink& sink = JournalSink::instance();
   std::lock_guard<std::mutex> lock(sink.mutex);
   sink.retired.clear();
   for (ThreadSlot& slot : g_slots) {
     if (slot.in_use.load(std::memory_order_acquire)) slot.lines.clear();
   }
-  FlightSlot* ring = g_ring.load(std::memory_order_acquire);
-  if (ring != nullptr) {
-    const std::size_t capacity = g_ring_capacity.load(std::memory_order_relaxed);
-    for (std::size_t i = 0; i < capacity; ++i) {
-      ring[i].published.store(0, std::memory_order_relaxed);
-      ring[i].text[0] = '\0';
+  if (FlightRing* ring = g_ring.load(std::memory_order_acquire)) {
+    for (std::size_t i = 0; i < ring->capacity; ++i) {
+      ring->slots[i].state.store(0, std::memory_order_relaxed);
     }
   }
   g_seq.store(0, std::memory_order_relaxed);
@@ -360,24 +388,10 @@ void journal_event(const char* type,
   if (g_memory.load(std::memory_order_relaxed)) {
     slot->lines.emplace_back(seq, line);
   }
-  FlightSlot* ring = g_ring.load(std::memory_order_acquire);
-  if (g_flight.load(std::memory_order_relaxed) && ring != nullptr) {
-    const std::size_t capacity =
-        g_ring_capacity.load(std::memory_order_relaxed);
-    FlightSlot& out = ring[seq % capacity];
-    out.published.store(0, std::memory_order_relaxed);
-    const std::size_t n = std::min(line.size(), kSlotText - 1);
-    std::memcpy(out.text, line.data(), n);
-    out.text[n] = '\0';
-    out.published.store(seq + 1, std::memory_order_release);
-  }
-  if (g_tap.load(std::memory_order_acquire)) {
-    std::shared_ptr<const JournalTapFn> fn;
-    {
-      std::lock_guard<std::mutex> lock(tap_mutex());
-      fn = tap_fn();
+  if (g_flight.load(std::memory_order_relaxed)) {
+    if (FlightRing* ring = g_ring.load(std::memory_order_acquire)) {
+      flight_write(*ring, seq, line);
     }
-    if (fn != nullptr) (*fn)(line);
   }
 }
 
@@ -406,16 +420,13 @@ std::string journal_jsonl() {
 void journal_dump_flight(int fd) {
 #if SOCET_JOURNAL_HAS_SIGNALS
   safe_write_str(fd, "{\"schema\":\"socet-journal-v1\",\"kind\":\"flight\"}\n");
-  FlightSlot* ring = g_ring.load(std::memory_order_acquire);
-  const std::size_t capacity = g_ring_capacity.load(std::memory_order_relaxed);
-  if (ring != nullptr && capacity > 0) {
-    const std::uint64_t head = g_seq.load(std::memory_order_acquire);
-    const std::uint64_t lo = head > capacity ? head - capacity : 0;
+  if (const FlightRing* ring = g_ring.load(std::memory_order_acquire)) {
+    char text[kSlotText];
+    const auto [lo, head] = flight_window(*ring);
     for (std::uint64_t seq = lo; seq < head; ++seq) {
-      FlightSlot& slot = ring[seq % capacity];
-      if (slot.published.load(std::memory_order_acquire) != seq + 1) continue;
-      safe_write(fd, slot.text,
-                 std::min(std::strlen(slot.text), kSlotText - 1));
+      std::size_t size = 0;
+      if (!flight_read(*ring, seq, text, &size)) continue;
+      safe_write(fd, text, std::min(size, kMaxLine));
       safe_write(fd, "\n", 1);
     }
   }
@@ -443,6 +454,27 @@ void journal_dump_flight(int fd) {
 #else
   (void)fd;
 #endif
+}
+
+std::optional<std::vector<std::string>> journal_flight_lines(
+    std::size_t max_bytes) {
+  const FlightRing* ring = g_ring.load(std::memory_order_acquire);
+  if (!g_flight.load(std::memory_order_relaxed) || ring == nullptr) {
+    return std::nullopt;
+  }
+  std::vector<std::string> lines;
+  std::size_t used = 0;
+  char text[kSlotText];
+  const auto [lo, head] = flight_window(*ring);
+  for (std::uint64_t seq = head; seq-- > lo;) {
+    std::size_t size = 0;
+    if (!flight_read(*ring, seq, text, &size) || size > kMaxLine) continue;
+    if (used + size + 1 > max_bytes) break;
+    used += size + 1;
+    lines.emplace_back(text, size);
+  }
+  std::reverse(lines.begin(), lines.end());
+  return lines;
 }
 
 JournalScope::JournalScope(const std::string& id) {

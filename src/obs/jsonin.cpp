@@ -1,6 +1,7 @@
 #include "socet/obs/jsonin.hpp"
 
 #include <cctype>
+#include <cmath>
 #include <cstdlib>
 
 namespace socet::obs {
@@ -222,6 +223,15 @@ class Parser {
 };
 
 }  // namespace
+
+bool JsonValue::to_uint32(std::uint32_t* out) const {
+  if (!is_number() || !(number_value >= 0) || number_value > UINT32_MAX ||
+      std::floor(number_value) != number_value) {
+    return false;
+  }
+  *out = static_cast<std::uint32_t>(number_value);
+  return true;
+}
 
 bool json_parse(std::string_view text, JsonValue* out, std::string* error) {
   *out = JsonValue();

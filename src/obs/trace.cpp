@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <charconv>
 #include <cstdio>
 #include <map>
 #include <mutex>
@@ -14,12 +15,14 @@ namespace {
 
 std::atomic<bool> g_trace_enabled{false};
 
-/// Events recorded by one thread.  Registered with the sink on first
-/// use; the destructor (thread exit) hands the events back so worker
-/// threads that die before export still show up.
+/// Events recorded by one thread, plus the ids of its open spans.
+/// Registered with the sink on first use; the destructor (thread exit)
+/// hands the events back so worker threads that die before export
+/// still show up.
 struct ThreadBuffer {
   std::uint32_t tid = 0;
   std::vector<TraceEvent> events;
+  std::vector<std::uint64_t> open;  ///< ids of open spans, innermost last
   std::string thread_name;
 
   ThreadBuffer();
@@ -51,7 +54,9 @@ ThreadBuffer::ThreadBuffer() {
 ThreadBuffer::~ThreadBuffer() {
   TraceSink& sink = TraceSink::instance();
   std::lock_guard<std::mutex> lock(sink.mutex);
-  sink.retired.insert(sink.retired.end(), events.begin(), events.end());
+  sink.retired.insert(sink.retired.end(),
+                      std::make_move_iterator(events.begin()),
+                      std::make_move_iterator(events.end()));
   if (!thread_name.empty()) sink.thread_names[tid] = thread_name;
   sink.live.erase(std::remove(sink.live.begin(), sink.live.end(), this),
                   sink.live.end());
@@ -80,13 +85,27 @@ std::uint64_t new_span_id() {
   return seed | counter.fetch_add(1, std::memory_order_relaxed);
 }
 
+std::string span_id_hex(std::uint64_t id) {
+  char buf[24];
+  std::snprintf(buf, sizeof(buf), "0x%llx",
+                static_cast<unsigned long long>(id));
+  return buf;
+}
+
+bool parse_span_id(std::string_view text, std::uint64_t* out) {
+  if (text.substr(0, 2) == "0x") text.remove_prefix(2);
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, *out, 16);
+  return !text.empty() && ec == std::errc() && ptr == end;
+}
+
 namespace detail {
 
 /// Per-thread capture state owned by the active SpanCapture.
 struct CaptureState {
   std::uint64_t remote_parent = 0;
-  std::vector<std::uint64_t> open;  ///< ids of currently open spans
-  std::vector<SpanRecord> records;
+  std::size_t base_depth = 0;  ///< open spans when the capture began
+  std::vector<TraceEvent> records;
 };
 
 namespace {
@@ -95,27 +114,27 @@ thread_local CaptureState* g_capture = nullptr;
 
 bool capture_active() { return g_capture != nullptr; }
 
-void capture_open(std::uint64_t* id, std::uint64_t* parent) {
-  CaptureState* state = g_capture;
-  if (state == nullptr) return;
-  *parent = state->open.empty() ? state->remote_parent : state->open.back();
-  *id = new_span_id();
-  state->open.push_back(*id);
+std::uint64_t open_span(std::uint64_t* parent) {
+  std::vector<std::uint64_t>& open = local_buffer().open;
+  const CaptureState* capture = g_capture;
+  if (capture != nullptr && open.size() == capture->base_depth) {
+    *parent = capture->remote_parent;
+  } else {
+    *parent = open.empty() ? 0 : open.back();
+  }
+  const std::uint64_t id = new_span_id();
+  open.push_back(id);
+  return id;
 }
 
-void capture_close(const char* name, std::uint64_t id, std::uint64_t parent,
-                   std::uint64_t start_ns, std::uint64_t end_ns) {
-  CaptureState* state = g_capture;
-  if (state == nullptr) return;
-  if (!state->open.empty() && state->open.back() == id) state->open.pop_back();
-  state->records.push_back(
-      SpanRecord{name, local_buffer().tid, id, parent, start_ns, end_ns});
-}
-
-void record_span(const char* name, std::uint64_t start_ns,
-                 std::uint64_t end_ns) {
+void close_span(const char* name, std::uint64_t id, std::uint64_t parent,
+                std::uint64_t start_ns, bool traced, bool captured) {
+  const std::uint64_t end_ns = now_ns();
   ThreadBuffer& buffer = local_buffer();
-  buffer.events.push_back(TraceEvent{name, buffer.tid, start_ns, end_ns});
+  if (!buffer.open.empty() && buffer.open.back() == id) buffer.open.pop_back();
+  TraceEvent event{name, buffer.tid, id, parent, start_ns, end_ns};
+  if (captured && g_capture != nullptr) g_capture->records.push_back(event);
+  if (traced) buffer.events.push_back(std::move(event));
 }
 
 }  // namespace detail
@@ -125,6 +144,7 @@ SpanCapture::SpanCapture(std::uint64_t trace_id, std::uint64_t remote_parent)
   if (detail::g_capture != nullptr) return;  // nested capture: passive
   auto* state = new detail::CaptureState;
   state->remote_parent = remote_parent;
+  state->base_depth = local_buffer().open.size();
   state_ = state;
   detail::g_capture = state;
 }
@@ -135,7 +155,7 @@ SpanCapture::~SpanCapture() {
   delete static_cast<detail::CaptureState*>(state_);
 }
 
-std::vector<SpanRecord> SpanCapture::take() {
+std::vector<TraceEvent> SpanCapture::take() {
   if (state_ == nullptr) return {};
   return std::move(static_cast<detail::CaptureState*>(state_)->records);
 }
@@ -170,12 +190,20 @@ std::string chrome_trace_us(std::uint64_t ns) {
   return buf;
 }
 
+std::string chrome_slice(const TraceEvent& span, std::uint32_t pid,
+                         std::uint32_t tid, std::uint64_t epoch_ns) {
+  return "{\"ph\":\"X\",\"pid\":" + std::to_string(pid) +
+         ",\"tid\":" + std::to_string(tid) + ",\"name\":\"" +
+         json_escape(span.name) + "\",\"cat\":\"socet\",\"ts\":" +
+         chrome_trace_us(span.start_ns - epoch_ns) +
+         ",\"dur\":" + chrome_trace_us(span.end_ns - span.start_ns) +
+         ",\"args\":{\"span\":\"" + span_id_hex(span.id) +
+         "\",\"parent\":\"" + span_id_hex(span.parent) + "\"}}";
+}
+
 std::string chrome_trace_json() {
   const std::vector<TraceEvent> events = collect_trace_events();
   const std::uint64_t epoch = events.empty() ? 0 : events.front().start_ns;
-  const auto ts_us = [epoch](std::uint64_t ns) {
-    return chrome_trace_us(ns - epoch);
-  };
 
   std::string out = "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
   bool first = true;
@@ -197,33 +225,8 @@ std::string chrome_trace_json() {
          ",\"name\":\"thread_name\",\"args\":{\"name\":\"" +
          json_escape(name) + "\"}}");
   }
-
-  // Spans within one thread nest strictly (RAII), so sorting by
-  // (start asc, end desc) and unwinding a stack of open spans yields a
-  // B/E sequence with valid Chrome nesting.
-  std::map<std::uint32_t, std::vector<TraceEvent>> lanes;
-  for (const TraceEvent& event : events) lanes[event.tid].push_back(event);
-  for (const auto& [tid, lane] : lanes) {
-    std::vector<TraceEvent> open;
-    const auto close_span = [&](const TraceEvent& span) {
-      emit("{\"ph\":\"E\",\"pid\":1,\"tid\":" + std::to_string(tid) +
-           ",\"name\":\"" + json_escape(span.name) +
-           "\",\"cat\":\"socet\",\"ts\":" + ts_us(span.end_ns) + "}");
-    };
-    for (const TraceEvent& span : lane) {
-      while (!open.empty() && open.back().end_ns <= span.start_ns) {
-        close_span(open.back());
-        open.pop_back();
-      }
-      emit("{\"ph\":\"B\",\"pid\":1,\"tid\":" + std::to_string(tid) +
-           ",\"name\":\"" + json_escape(span.name) +
-           "\",\"cat\":\"socet\",\"ts\":" + ts_us(span.start_ns) + "}");
-      open.push_back(span);
-    }
-    while (!open.empty()) {
-      close_span(open.back());
-      open.pop_back();
-    }
+  for (const TraceEvent& event : events) {
+    emit(chrome_slice(event, 1, event.tid, epoch));
   }
   out += "]}";
   return out;

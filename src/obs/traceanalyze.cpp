@@ -47,19 +47,14 @@ std::string located(std::string_view text, const std::string& parse_error) {
   return "line " + std::to_string(line_of(text, offset)) + ": " + parse_error;
 }
 
-std::uint64_t parse_hex(const std::string& text) {
-  return std::strtoull(text.c_str(), nullptr, 16);
-}
-
 /// Stage = leading path segment.
 std::string stage_of(const std::string& name) {
   const std::size_t slash = name.find('/');
   return slash == std::string::npos ? name : name.substr(0, slash);
 }
 
-bool load_journal(std::string_view text, TraceData* out, std::string* error);
-
-/// Parse one Chrome trace-event document into the span forest.
+/// Parse one Chrome trace-event document into the span list: every
+/// `X` slice, with its hex `args.span`/`args.parent` ids when present.
 bool load_chrome(std::string_view text, TraceData* out, std::string* error) {
   JsonValue doc;
   std::string parse_error;
@@ -68,11 +63,10 @@ bool load_chrome(std::string_view text, TraceData* out, std::string* error) {
   }
   const JsonValue* events = doc.get("traceEvents");
   if (events == nullptr || !events->is_array()) {
-    return fail(error, "no traceEvents array (not a Chrome trace document)");
+    return fail(error,
+                "line 1: no traceEvents array (not a Chrome trace document)");
   }
 
-  // Per-(pid,tid) stack of open B events for the local-trace flavor.
-  std::map<std::pair<int, int>, std::vector<int>> open;
   for (std::size_t i = 0; i < events->array_value.size(); ++i) {
     const JsonValue& event = events->array_value[i];
     const auto where = [i] {
@@ -81,88 +75,63 @@ bool load_chrome(std::string_view text, TraceData* out, std::string* error) {
     if (!event.is_object()) return fail(error, where() + "not an object");
     const std::string ph =
         event.get("ph") != nullptr ? event.get("ph")->string_or("") : "";
-    if (ph != "B" && ph != "E" && ph != "X") continue;  // M, flow, counters
-
-    const JsonValue* ts = event.get("ts");
-    if (ts == nullptr || !ts->is_number()) {
-      return fail(error, where() + "'" + ph + "' event has no numeric ts");
+    if (ph == "B" || ph == "E") {
+      return fail(error, where() + "'" + ph +
+                             "' event: span traces hold 'X' slices only");
     }
-    const int pid = static_cast<int>(
-        event.get("pid") != nullptr ? event.get("pid")->number_or(1) : 1);
-    const int tid = static_cast<int>(
-        event.get("tid") != nullptr ? event.get("tid")->number_or(0) : 0);
-
-    if (ph == "E") {
-      auto& stack = open[{pid, tid}];
-      if (stack.empty()) {
-        return fail(error, where() + "'E' event with no open 'B' "
-                                     "(truncated or reordered trace)");
-      }
-      Node& span = out->spans[static_cast<std::size_t>(stack.back())];
-      span.end_us = ts->number_value;
-      if (span.end_us + kEps < span.start_us) {
-        return fail(error, where() + "'E' before its 'B' (span '" +
-                               span.name + "')");
-      }
-      stack.pop_back();
-      continue;
-    }
+    if (ph != "X") continue;  // M, flow, counters
 
     const JsonValue* name = event.get("name");
     if (name == nullptr || !name->is_string() || name->string_value.empty()) {
-      return fail(error, where() + "'" + ph + "' event has no name");
+      return fail(error, where() + "'X' event has no name");
+    }
+    const JsonValue* ts = event.get("ts");
+    if (ts == nullptr || !ts->is_number()) {
+      return fail(error, where() + "'X' event has no numeric ts");
+    }
+    const JsonValue* dur = event.get("dur");
+    if (dur == nullptr || !dur->is_number() || dur->number_value < 0) {
+      return fail(error, where() + "'X' event has no numeric dur");
     }
     Node span;
     span.name = name->string_value;
-    span.pid = pid;
-    span.tid = tid;
     span.start_us = ts->number_value;
-    if (ph == "X") {
-      const JsonValue* dur = event.get("dur");
-      if (dur == nullptr || !dur->is_number() || dur->number_value < 0) {
-        return fail(error, where() + "'X' event has no numeric dur");
+    span.end_us = span.start_us + dur->number_value;
+    for (const auto& [key, field] :
+         {std::pair{"pid", &span.pid}, std::pair{"tid", &span.tid}}) {
+      const JsonValue* lane = event.get(key);
+      if (lane != nullptr && !lane->to_uint32(field)) {
+        return fail(error, where() + "'" + key +
+                               "' is not a whole number in 0..4294967295");
       }
-      span.end_us = span.start_us + dur->number_value;
-      if (const JsonValue* args = event.get("args"); args != nullptr) {
-        if (const JsonValue* id = args->get("span");
-            id != nullptr && id->is_string()) {
-          span.id = parse_hex(id->string_value);
-        }
-        if (const JsonValue* parent = args->get("parent");
-            parent != nullptr && parent->is_string()) {
-          span.parent = parse_hex(parent->string_value);
+    }
+    if (const JsonValue* args = event.get("args"); args != nullptr) {
+      for (const auto& [key, field] :
+           {std::pair{"span", &span.id}, std::pair{"parent", &span.parent}}) {
+        const JsonValue* id = args->get(key);
+        if (id == nullptr) continue;
+        if (!id->is_string() || !parse_span_id(id->string_value, field)) {
+          return fail(error, where() + "'args." + key +
+                                 "' is not a hex span id");
         }
       }
-      out->spans.push_back(std::move(span));
-    } else {  // "B": close on the matching "E"
-      const int index = static_cast<int>(out->spans.size());
-      span.end_us = span.start_us;  // until the E arrives
-      out->spans.push_back(std::move(span));
-      open[{pid, tid}].push_back(index);
     }
-  }
-  for (const auto& [lane, stack] : open) {
-    if (!stack.empty()) {
-      return fail(error,
-                  "unclosed 'B' event for span '" +
-                      out->spans[static_cast<std::size_t>(stack.back())].name +
-                      "' (truncated trace)");
-    }
+    out->spans.push_back(std::move(span));
   }
   return true;
 }
 
 /// Resolve parent links: explicit span ids first, then per-lane
-/// containment for id-less spans (the local B/E flavor).
+/// containment for id-less slices (`socet_workload --trace` writes
+/// those).
 void build_forest(TraceData* out) {
   std::map<std::uint64_t, int> by_id;
   for (std::size_t i = 0; i < out->spans.size(); ++i) {
     if (out->spans[i].id != 0) {
       by_id.emplace(out->spans[i].id, static_cast<int>(i));
-      out->merged = true;
     }
   }
-  std::map<std::pair<int, int>, std::vector<int>> lanes;
+  std::map<std::pair<std::uint32_t, std::uint32_t>, std::vector<int>> lanes;
   for (std::size_t i = 0; i < out->spans.size(); ++i) {
     Node& span = out->spans[i];
     if (span.parent != 0) {
@@ -215,89 +184,6 @@ void build_forest(TraceData* out) {
     return out->spans[static_cast<std::size_t>(a)].start_us <
            out->spans[static_cast<std::size_t>(b)].start_us;
   });
-}
-
-/// socet-journal-v1 JSONL: spans don't cross the journal, but every
-/// event carries `corr` (the job) and `span` (the innermost open span
-/// name), so each correlation id folds into an envelope: one
-/// `journal/corr` root from first to last event, one child per span
-/// name bounding the events recorded under it.  Approximate by
-/// construction — event-bounded envelopes, not closed spans.
-bool load_journal(std::string_view text, TraceData* out, std::string* error) {
-  struct Envelope {
-    double first_us = 0;
-    double last_us = 0;
-    std::map<std::string, std::pair<double, double>> by_span;
-    bool any = false;
-  };
-  std::map<std::string, Envelope> corrs;
-  std::size_t line_no = 0;
-  std::size_t pos = 0;
-  while (pos < text.size()) {
-    std::size_t end = text.find('\n', pos);
-    if (end == std::string_view::npos) end = text.size();
-    const std::string_view line = text.substr(pos, end - pos);
-    pos = end + 1;
-    ++line_no;
-    if (line.empty()) continue;
-    JsonValue event;
-    std::string parse_error;
-    if (!json_parse(line, &event, &parse_error) || !event.is_object()) {
-      return fail(error, "line " + std::to_string(line_no) + ": " +
-                             (parse_error.empty() ? "not a JSON object"
-                                                  : parse_error));
-    }
-    if (event.get("schema") != nullptr) continue;  // header / kind line
-    const JsonValue* ts = event.get("ts_us");
-    if (ts == nullptr || !ts->is_number()) {
-      return fail(error, "line " + std::to_string(line_no) +
-                             ": journal event has no numeric ts_us");
-    }
-    const std::string corr =
-        event.get("corr") != nullptr ? event.get("corr")->string_or("") : "";
-    Envelope& envelope = corrs[corr.empty() ? "-" : corr];
-    const double at = ts->number_value;
-    if (!envelope.any || at < envelope.first_us) envelope.first_us = at;
-    if (!envelope.any || at > envelope.last_us) envelope.last_us = at;
-    envelope.any = true;
-    const std::string span =
-        event.get("span") != nullptr ? event.get("span")->string_or("") : "";
-    if (!span.empty()) {
-      auto [it, inserted] = envelope.by_span.emplace(span, std::pair{at, at});
-      if (!inserted) {
-        it->second.first = std::min(it->second.first, at);
-        it->second.second = std::max(it->second.second, at);
-      }
-    }
-  }
-  for (const auto& [corr, envelope] : corrs) {
-    Node root;
-    root.name = "journal/corr";
-    root.start_us = envelope.first_us;
-    root.end_us = envelope.last_us;
-    const int root_index = static_cast<int>(out->spans.size());
-    out->spans.push_back(std::move(root));
-    for (const auto& [span_name, bounds] : envelope.by_span) {
-      Node child;
-      child.name = span_name;
-      child.start_us = bounds.first;
-      child.end_us = bounds.second;
-      child.parent_index = root_index;
-      out->spans.push_back(std::move(child));
-    }
-  }
-  out->journal = true;
-  // Parent links are already explicit; just fill children/roots.
-  for (std::size_t i = 0; i < out->spans.size(); ++i) {
-    const int parent = out->spans[i].parent_index;
-    if (parent >= 0) {
-      out->spans[static_cast<std::size_t>(parent)].children.push_back(
-          static_cast<int>(i));
-    } else {
-      out->roots.push_back(static_cast<int>(i));
-    }
-  }
-  return true;
 }
 
 /// Critical-path walk (see header): cover [span.start, until] with the
@@ -451,16 +337,14 @@ bool load_trace(std::string_view text, TraceData* out, std::string* error) {
   if (first == std::string_view::npos) {
     return fail(error, "line 1: empty trace artifact");
   }
-  // A journal is JSONL whose header line names the schema; everything
-  // else is treated as one Chrome trace document.
-  const std::size_t first_line_end = text.find('\n', first);
-  const std::string_view first_line = text.substr(
-      first, (first_line_end == std::string_view::npos ? text.size()
-                                                       : first_line_end) -
-                 first);
+  // A journal answers "why", not "where did the time go": name the
+  // tool that reads it instead of a JSON error on its second line.
+  const std::string_view first_line =
+      text.substr(first, text.find('\n', first) - first);
   if (first_line.find("\"socet-journal-v1\"") != std::string_view::npos) {
-    if (!load_journal(text, out, error)) return false;
-    return true;
+    return fail(error, "line " + std::to_string(line_of(text, first)) +
+                           ": a socet-journal-v1 document is not a span "
+                           "trace; query it with `socet explain`");
   }
   if (!load_chrome(text, out, error)) return false;
   build_forest(out);
@@ -476,7 +360,9 @@ TraceData recorded_trace() {
   for (const TraceEvent& event : events) {
     Node span;
     span.name = event.name;
-    span.tid = static_cast<int>(event.tid);
+    span.tid = event.tid;
+    span.id = event.id;
+    span.parent = event.parent;
     span.start_us = static_cast<double>(event.start_ns - epoch) / 1e3;
     span.end_us = static_cast<double>(event.end_ns - epoch) / 1e3;
     out.spans.push_back(std::move(span));

@@ -54,7 +54,7 @@ ClientReport Client::run_lines(const std::vector<std::string>& lines) {
   // its (positionally matched) response comes back — the span covers
   // the job's full wire lifetime, which is what the daemon's
   // queue/job/respond spans nest under.
-  std::vector<obs::SpanRecord> submits;
+  std::vector<obs::TraceEvent> submits;
   if (options_.trace) submits.resize(batch.size());
 
   std::size_t sent = 0;
@@ -115,14 +115,14 @@ std::int64_t Client::clock_handshake() {
   return obs::estimate_clock_offset_ns(samples);
 }
 
-std::vector<obs::SpanRecord> Client::collect_spans(std::uint64_t trace_id) {
+std::vector<obs::TraceEvent> Client::collect_spans(std::uint64_t trace_id) {
   write_frame(fd_, "spans " + hex_id(trace_id));
   auto response = read_frame(fd_);
   util::require(response.has_value() && response->rfind("ok spans ", 0) == 0,
                 "span collection failed: daemon answered '" +
                     response.value_or("<eof>") + "'");
   const auto newline = response->find('\n');
-  std::vector<obs::SpanRecord> spans;
+  std::vector<obs::TraceEvent> spans;
   if (newline != std::string::npos) {
     std::string error;
     // Parse first: the message must be built after `error` is filled.
@@ -144,7 +144,6 @@ std::string Client::query(const std::string& verb) {
 
 std::string ClientTrace::chrome_trace() const {
   obs::MergeInput input;
-  input.trace_id = trace_id;
   input.clock_offset_ns = clock_offset_ns;
   input.client_spans = client_spans;
   input.daemon_spans = daemon_spans;

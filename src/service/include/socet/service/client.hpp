@@ -41,8 +41,8 @@ struct ClientOptions {
 struct ClientTrace {
   std::uint64_t trace_id = 0;  ///< 0 = tracing was off
   std::int64_t clock_offset_ns = 0;
-  std::vector<obs::SpanRecord> client_spans;  ///< client clock
-  std::vector<obs::SpanRecord> daemon_spans;  ///< daemon clock
+  std::vector<obs::TraceEvent> client_spans;  ///< client clock
+  std::vector<obs::TraceEvent> daemon_spans;  ///< daemon clock
 
   /// The merged Chrome trace-event document (obs::merged_chrome_trace).
   [[nodiscard]] std::string chrome_trace() const;
@@ -82,7 +82,7 @@ class Client {
   /// A few `clock` probes → min-RTT midpoint offset estimate.
   std::int64_t clock_handshake();
   /// Fetch (and release) the daemon's spans for `trace_id`.
-  std::vector<obs::SpanRecord> collect_spans(std::uint64_t trace_id);
+  std::vector<obs::TraceEvent> collect_spans(std::uint64_t trace_id);
 
   ClientOptions options_;
   int fd_ = -1;

@@ -28,7 +28,8 @@
 // frame per request.  The four control verbs (`stats`, `clock`,
 // `spans`, `journal`) are answered inline by the event loop and occupy
 // a slot like any request, so their position in the response stream is
-// deterministic too.
+// deterministic too.  `journal` reads the process's flight recorder
+// (obs::journal_start_flight, `socet serve --flight-recorder N`).
 //
 // Graceful drain (SIGTERM/SIGINT or request_drain()): stop accepting,
 // finish every admitted job, answer `busy draining` to new work, flush,
@@ -81,12 +82,6 @@ struct ServerOptions {
   /// (FORMATS.md §7) — empty = off.  Appended and flushed per line, so
   /// an external `logrotate` with `copytruncate` can bound its size.
   std::string access_log;
-  /// Retain the newest N journal lines in memory for the `journal`
-  /// protocol verb / `socet explain --connect` (0 = off).  start()
-  /// installs the journal tap that feeds it and wait() removes it, so
-  /// decision events are rendered while the daemon runs — same stdout
-  /// guarantee as every other telemetry flag.
-  std::size_t journal_ring = 0;
 
   /// Test hook: runs on the worker thread before each job executes
   /// (admission-control and drain tests park workers here).

@@ -12,7 +12,6 @@
 #include <cerrno>
 #include <chrono>
 #include <csignal>
-#include <cstdlib>
 #include <cstring>
 #include <deque>
 #include <fstream>
@@ -203,13 +202,8 @@ struct Server::Impl {
   static constexpr std::size_t kMaxTraces = 64;
   static constexpr std::size_t kMaxSpansPerTrace = 4096;
   std::mutex trace_mutex;
-  std::map<std::uint64_t, std::vector<obs::SpanRecord>> trace_store;
+  std::map<std::uint64_t, std::vector<obs::TraceEvent>> trace_store;
   std::deque<std::uint64_t> trace_order;
-
-  // The journal ring (`journal` verb): the tap callback appends from
-  // whichever thread records an event, the event loop reads.
-  std::mutex ring_mutex;
-  std::deque<std::string> journal_ring_lines;
 
   WorkQueue<Task> queue;
   std::mutex completions_mutex;
@@ -274,7 +268,7 @@ struct Server::Impl {
         capture.reset();
         // Synthesize the queue-wait span (admission → pickup) on the
         // event-loop lane (tid 0); the merge tool stripes it visually.
-        spans.push_back(obs::SpanRecord{"serve/queue", 0, obs::new_span_id(),
+        spans.push_back(obs::TraceEvent{"serve/queue", 0, obs::new_span_id(),
                                         task->parent_span, task->admit_ns,
                                         start_ns});
         store_trace_spans(task->trace_id, std::move(spans));
@@ -308,10 +302,10 @@ struct Server::Impl {
     // A full pipe is fine: the loop drains it and rescans everything.
   }
 
-  // ------------------------------------------------ tracing + journal ring
+  // ---------------------------------------------------------------- tracing
 
   void store_trace_spans(std::uint64_t trace_id,
-                         std::vector<obs::SpanRecord> spans) {
+                         std::vector<obs::TraceEvent> spans) {
     std::lock_guard<std::mutex> lock(trace_mutex);
     auto it = trace_store.find(trace_id);
     if (it == trace_store.end()) {
@@ -320,26 +314,13 @@ struct Server::Impl {
         trace_order.pop_front();
       }
       trace_order.push_back(trace_id);
-      it = trace_store.emplace(trace_id, std::vector<obs::SpanRecord>{}).first;
+      it = trace_store.emplace(trace_id, std::vector<obs::TraceEvent>{}).first;
     }
     auto& stored = it->second;
     for (auto& span : spans) {
       if (stored.size() >= kMaxSpansPerTrace) break;
       stored.push_back(std::move(span));
     }
-  }
-
-  /// Feed the journal ring from the tap.  The callback runs on
-  /// whichever thread records the event, so it only touches the
-  /// mutex-guarded ring — never connection state.
-  void install_tap() {
-    obs::journal_set_tap([this](const std::string& line) {
-      std::lock_guard<std::mutex> lock(ring_mutex);
-      journal_ring_lines.push_back(line);
-      while (journal_ring_lines.size() > options.journal_ring) {
-        journal_ring_lines.pop_front();
-      }
-    });
   }
 
   // -------------------------------------------------------------- the loop
@@ -453,7 +434,7 @@ struct Server::Impl {
         // the tail latency a client sees past the job itself.
         store_trace_spans(
             completion.trace_id,
-            {obs::SpanRecord{"serve/respond", 0, obs::new_span_id(),
+            {obs::TraceEvent{"serve/respond", 0, obs::new_span_id(),
                              completion.parent_span, completion.finish_ns,
                              obs::now_ns()}});
       }
@@ -651,17 +632,13 @@ struct Server::Impl {
                       std::uint64_t depth) {
     const auto tokens = split_tokens(line);
     std::uint64_t trace_id = 0;
-    if (tokens.size() == 2) {
-      char* end = nullptr;
-      trace_id = std::strtoull(tokens[1].c_str(), &end, 16);
-      if (end == nullptr || *end != '\0') trace_id = 0;
-    }
-    if (trace_id == 0) {
+    if (tokens.size() != 2 || !obs::parse_span_id(tokens[1], &trace_id) ||
+        trace_id == 0) {
       add_done_slot(conn, "error bad spans id '" + line + "'");
       log_access(conn->id, corr, "spans", "error", depth, 0, nullptr);
       return;
     }
-    std::vector<obs::SpanRecord> spans;
+    std::vector<obs::TraceEvent> spans;
     {
       std::lock_guard<std::mutex> lock(trace_mutex);
       auto it = trace_store.find(trace_id);
@@ -677,36 +654,23 @@ struct Server::Impl {
     log_access(conn->id, corr, "spans", "ok", depth, 0, nullptr);
   }
 
-  /// `journal`: the retained decision-journal ring as socet-journal-v1
-  /// text, newest lines kept when the ring exceeds the frame budget.
+  /// `journal`: the flight-recorder ring as socet-journal-v1 text, the
+  /// newest lines that fit well under kMaxFrameBytes.
   void dispatch_journal(const std::shared_ptr<Conn>& conn,
                         const std::string& corr, std::uint64_t depth) {
-    if (options.journal_ring == 0) {
+    constexpr std::size_t kBodyBudget = 900 * 1024;
+    const auto lines = obs::journal_flight_lines(kBodyBudget);
+    if (!lines) {
       add_done_slot(conn,
                     "error journal ring disabled "
-                    "(start serve with --journal-ring N)");
+                    "(start serve with --flight-recorder N)");
       log_access(conn->id, corr, "journal", "error", depth, 0, nullptr);
       return;
     }
-    // Stay well under kMaxFrameBytes: walk the ring newest-first until
-    // the budget is spent, then emit in chronological order.
-    constexpr std::size_t kBodyBudget = 900 * 1024;
-    std::vector<std::string> lines;
-    {
-      std::lock_guard<std::mutex> lock(ring_mutex);
-      std::size_t used = 0;
-      for (auto it = journal_ring_lines.rbegin();
-           it != journal_ring_lines.rend(); ++it) {
-        if (used + it->size() + 1 > kBodyBudget) break;
-        used += it->size() + 1;
-        lines.push_back(*it);
-      }
-    }
-    std::reverse(lines.begin(), lines.end());
     std::string body =
         "ok journal\n{\"schema\":\"socet-journal-v1\",\"events\":" +
-        std::to_string(lines.size()) + ",\"kind\":\"ring\"}";
-    for (const auto& entry : lines) {
+        std::to_string(lines->size()) + ",\"kind\":\"ring\"}";
+    for (const auto& entry : *lines) {
       body += '\n';
       body += entry;
     }
@@ -877,9 +841,6 @@ void Server::start() {
           return {404, "text/plain; charset=utf-8", "not found\n"};
         });
   }
-  // Last, once nothing above can throw: the tap calls back into this
-  // server, so a failed start() must not leave it installed.
-  if (impl_->options.journal_ring > 0) impl_->install_tap();
   impl_->workers.reserve(impl_->options.threads);
   for (unsigned t = 0; t < impl_->options.threads; ++t) {
     impl_->workers.emplace_back([this, t] { impl_->worker_main(t); });
@@ -901,7 +862,6 @@ void Server::wait() {
   if (!impl_->started || impl_->joined) return;
   impl_->loop_thread.join();
   for (auto& worker : impl_->workers) worker.join();
-  if (impl_->options.journal_ring > 0) obs::journal_set_tap({});
   // The telemetry listener outlives the event loop on purpose: /readyz
   // answers 503 for the whole drain, and the last scrape still sees the
   // final counters.  Stop it only once the daemon is fully quiesced.

@@ -3,16 +3,23 @@
 // mutations of valid inputs.  The daemon's decoders get the same
 // treatment: the §6 frame reader, the §4 job-line parser that every
 // non-verb request reaches, and the journal loader behind
-// `explain --connect`.
+// `explain --connect`.  So do the span readers: the JSON parser under
+// them, the `spans` reply parser, and `trace-analyze`'s loader — each
+// rejection must say where.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "socet/core/serialize.hpp"
 #include "socet/obs/explain.hpp"
 #include "socet/obs/journal.hpp"
+#include "socet/obs/jsonin.hpp"
+#include "socet/obs/trace.hpp"
+#include "socet/obs/traceanalyze.hpp"
+#include "socet/obs/tracemerge.hpp"
 #include "socet/rtl/text.hpp"
 #include "socet/service/job.hpp"
 #include "socet/service/protocol.hpp"
@@ -324,6 +331,121 @@ TEST(Fuzz, MutatedJournalRepliesLoadOrSayWhy) {
     } else {
       EXPECT_FALSE(error.empty()) << text;
       ++refused;
+    }
+  }
+  EXPECT_GT(loaded, 0);
+  EXPECT_GT(refused, 0);
+}
+
+/// Flip up to three bytes of `valid` (structural characters or raw
+/// bytes) and sometimes truncate it — the mutation every reader suite
+/// below shares.
+std::string mutate(const std::string& valid, util::Rng& rng) {
+  static constexpr char structural[] = "{}[]\":,\\\n 0123456789abcdefxXBE-.";
+  std::string text = valid;
+  const int flips = static_cast<int>(rng.next_below(4));
+  for (int f = 0; f < flips; ++f) {
+    text[rng.next_below(text.size())] =
+        rng.next_bool() ? structural[rng.next_below(sizeof(structural) - 1)]
+                        : static_cast<char>(rng.next_below(256));
+  }
+  if (flips == 0 || rng.next_bool()) {
+    text.resize(rng.next_below(text.size() + 1));
+  }
+  return text;
+}
+
+/// A `--trace` document as the CLI writes it: a named lane, nested
+/// slices with ids, and a second thread's lane.
+std::string sample_span_trace() {
+  obs::reset_trace();
+  obs::set_trace_enabled(true);
+  obs::name_this_thread("fuzz-main");
+  {
+    SOCET_SPAN("fuzz/outer");
+    { SOCET_SPAN("fuzz/inner"); }
+  }
+  std::thread([] { SOCET_SPAN("fuzz/worker"); }).join();
+  obs::set_trace_enabled(false);
+  std::string json = obs::chrome_trace_json();
+  obs::reset_trace();
+  return json;
+}
+
+TEST(Fuzz, MutatedJsonParsesOrNamesAByte) {
+  const std::vector<std::string> corpus = {
+      sample_span_trace(),
+      R"({"a":[1,-2.5e3,true,false,null,"\u00b5\"\\\n"],"b":{"c":{}},"d":[]})",
+  };
+  util::Rng rng(0xF029);
+  int parsed = 0;
+  int refused = 0;
+  for (int trial = 0; trial < 3000; ++trial) {
+    const std::string text = mutate(corpus[rng.next_below(corpus.size())], rng);
+    obs::JsonValue value;
+    std::string error;
+    if (obs::json_parse(text, &value, &error)) {
+      ++parsed;
+      continue;
+    }
+    ++refused;
+    const std::size_t at = error.rfind(" at byte ");
+    ASSERT_NE(at, std::string::npos) << error;
+    EXPECT_LE(std::stoull(error.substr(at + 9)), text.size()) << error;
+  }
+  EXPECT_GT(parsed, 0);
+  EXPECT_GT(refused, 0);
+}
+
+TEST(Fuzz, MutatedSpanLinesParseOrNameTheLine) {
+  std::vector<obs::TraceEvent> spans(3);
+  for (std::size_t i = 0; i < spans.size(); ++i) {
+    spans[i] = {"serve/job \"" + std::to_string(i) + "\"",
+                static_cast<std::uint32_t>(i), 0x1000 + i, i == 0 ? 0u : 0x1000u,
+                (1ull << 60) + 10 * i, (1ull << 60) + 100};
+  }
+  const std::string valid = obs::remote_spans_jsonl(spans);
+  util::Rng rng(0xF02A);
+  int parsed = 0;
+  int refused = 0;
+  for (int trial = 0; trial < 3000; ++trial) {
+    const std::string text = mutate(valid, rng);
+    std::vector<obs::TraceEvent> out;
+    std::string error;
+    if (obs::parse_remote_spans_jsonl(text, &out, &error)) {
+      ++parsed;
+      for (const obs::TraceEvent& span : out) {
+        EXPECT_LE(span.start_ns, span.end_ns) << text;
+      }
+    } else {
+      ++refused;
+      EXPECT_EQ(error.rfind("span line ", 0), 0u) << error;
+    }
+  }
+  EXPECT_GT(parsed, 0);
+  EXPECT_GT(refused, 0);
+}
+
+TEST(Fuzz, MutatedTracesLoadOrSayWhere) {
+  const std::string valid = sample_span_trace();
+  util::Rng rng(0xF02B);
+  int loaded = 0;
+  int refused = 0;
+  for (int trial = 0; trial < 3000; ++trial) {
+    const std::string text = mutate(valid, rng);
+    obs::analyze::TraceData trace;
+    std::string error;
+    if (obs::analyze::load_trace(text, &trace, &error)) {
+      ++loaded;
+      // Whatever loads, the analyses digest without crashing.
+      (void)obs::analyze::critical_paths(trace);
+      (void)obs::analyze::aggregate({trace});
+      (void)obs::analyze::folded_stacks({trace});
+    } else {
+      ++refused;
+      EXPECT_TRUE(error.rfind("line ", 0) == 0 ||
+                  error.rfind("traceEvents[", 0) == 0)
+          << error;
     }
   }
   EXPECT_GT(loaded, 0);

@@ -2,13 +2,15 @@
 //
 // Covers: the SOCET_EVENT fast path when disabled, typed field
 // rendering, correlation scopes and span capture, multi-thread merge
-// order, the flight-recorder ring (wrap-around, crash-handler dump),
+// order, the flight-recorder ring (wrap-around, the newest-lines
+// reader, concurrent writers and readers, crash-handler dump),
 // journal provenance of a full barcode plan — including the Section
 // 5.1 reservation-shift bookkeeping cross-checked against the plan's
 // own routes — the optimizer's rejection trail, the four explain
 // queries, and the CLI `--journal` / `explain` round trip.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdio>
 #include <fstream>
 #include <iterator>
@@ -76,60 +78,6 @@ TEST_F(JournalTest, DisabledByDefaultRecordsNothing) {
   SOCET_EVENT("test/noop", {"ignored", 1});
   EXPECT_EQ(obs::journal_event_count(), 0u);
   EXPECT_NE(obs::journal_jsonl().find("\"events\":0"), std::string::npos);
-}
-
-TEST_F(JournalTest, TapReceivesTypeCorrAndRenderedLine) {
-  std::vector<std::string> lines;
-  obs::journal_set_tap([&](const std::string& line) { lines.push_back(line); });
-  // The tap alone is a sink: SOCET_EVENT takes the enabled path.
-  EXPECT_TRUE(obs::journal_enabled());
-  {
-    obs::JournalScope scope("job-9");
-    SOCET_EVENT("test/tap", {"k", 1});
-  }
-  SOCET_EVENT("test/bare", {"k", 2});
-  // One call per event, each with the whole rendered line: the type and
-  // correlation id travel inside it.
-  ASSERT_EQ(lines.size(), 2u);
-  const obs::JournalDoc doc = load_or_die(
-      "{\"schema\":\"socet-journal-v1\"}\n" + lines[0] + "\n" + lines[1]);
-  ASSERT_EQ(doc.events.size(), 2u);
-  EXPECT_EQ(str_field(doc.events[0], "type"), "test/tap") << lines[0];
-  EXPECT_EQ(str_field(doc.events[0], "corr"), "job-9") << lines[0];
-  EXPECT_EQ(str_field(doc.events[1], "type"), "test/bare");
-  // No scope, no correlation.
-  EXPECT_EQ(field(doc.events[1], "corr"), nullptr) << lines[1];
-
-  // An empty function uninstalls; the journal goes quiet again.
-  obs::journal_set_tap({});
-  EXPECT_FALSE(obs::journal_enabled());
-  SOCET_EVENT("test/after", {"k", 3});
-  EXPECT_EQ(lines.size(), 2u);
-}
-
-TEST_F(JournalTest, TapComposesWithTheMemorySink) {
-  std::size_t taps = 0;
-  obs::journal_start_memory();
-  obs::journal_set_tap([&](const std::string&) { ++taps; });
-  SOCET_EVENT("test/both", {"n", 1});
-  EXPECT_EQ(taps, 1u);
-
-  // Uninstalling the tap must not stop the memory sink.
-  obs::journal_set_tap({});
-  EXPECT_TRUE(obs::journal_enabled());
-  SOCET_EVENT("test/both", {"n", 2});
-  EXPECT_EQ(taps, 1u);
-  obs::journal_stop();
-  EXPECT_EQ(obs::journal_event_count(), 2u);  // both hit the memory sink
-}
-
-TEST_F(JournalTest, ResetClearsTheTap) {
-  std::size_t taps = 0;
-  obs::journal_set_tap([&](const std::string&) { ++taps; });
-  obs::journal_reset();
-  EXPECT_FALSE(obs::journal_enabled());
-  SOCET_EVENT("test/gone", {"n", 1});
-  EXPECT_EQ(taps, 0u);
 }
 
 TEST_F(JournalTest, MemorySinkRendersTypedFields) {
@@ -207,7 +155,7 @@ TEST_F(JournalTest, ThreadsMergeInSequenceOrder) {
 #if SOCET_TEST_HAS_SIGNALS
 
 TEST_F(JournalTest, FlightRingKeepsOnlyTheLastEvents) {
-  obs::journal_start_flight(16, /*install_crash_handler=*/false);
+  obs::journal_start_flight(16);
   for (int i = 0; i < 40; ++i) {
     SOCET_EVENT("test/ring", {"idx", i});
   }
@@ -234,13 +182,79 @@ TEST_F(JournalTest, FlightRingKeepsOnlyTheLastEvents) {
   EXPECT_NE(dump.find("\"type\":\"crash/active_spans\""), std::string::npos);
 }
 
+TEST_F(JournalTest, FlightLinesAreTheNewestThatFitOldestFirst) {
+  EXPECT_FALSE(obs::journal_flight_lines(1 << 20).has_value());  // ring off
+
+  obs::journal_start_flight(16);
+  for (int i = 0; i < 40; ++i) SOCET_EVENT("test/ring", {"idx", i});
+  // One line too long for a ring slot: left out of the reply.
+  SOCET_EVENT("test/long", {"pad", std::string(600, 'x')});
+  obs::journal_stop();
+
+  const auto all = obs::journal_flight_lines(1 << 20);
+  ASSERT_TRUE(all.has_value());
+  ASSERT_EQ(all->size(), 15u);  // the 16 newest, minus the long one
+  for (std::size_t i = 0; i < all->size(); ++i) {
+    const obs::JournalDoc doc =
+        load_or_die("{\"schema\":\"socet-journal-v1\"}\n" + (*all)[i]);
+    ASSERT_EQ(doc.events.size(), 1u);
+    EXPECT_EQ(int_field(doc.events[0], "idx"), static_cast<long long>(25 + i));
+  }
+  // A budget for two lines keeps the two newest, still oldest first.
+  const std::size_t two = (*all)[13].size() + (*all)[14].size() + 2;
+  const auto newest = obs::journal_flight_lines(two);
+  ASSERT_TRUE(newest.has_value());
+  ASSERT_EQ(newest->size(), 2u);
+  EXPECT_EQ((*newest)[0], (*all)[13]);
+  EXPECT_EQ((*newest)[1], (*all)[14]);
+}
+
+TEST_F(JournalTest, FlightRingSurvivesConcurrentWritersAndReaders) {
+  // Eight writers contend for a 16-slot ring while a reader copies it
+  // out: every line a reader returns is whole (a writer that finds its
+  // slot held drops its line), and TSan sees no race.
+  obs::journal_start_flight(16);
+  std::atomic<bool> writing{true};
+  std::size_t reads = 0;
+  std::thread reader([&] {
+    while (writing.load()) {
+      const auto lines = obs::journal_flight_lines(1 << 20);
+      ASSERT_TRUE(lines.has_value());
+      ASSERT_LE(lines->size(), 16u);
+      for (const std::string& line : *lines) {
+        obs::JsonValue event;
+        std::string error;
+        ASSERT_TRUE(obs::json_parse(line, &event, &error))
+            << error << ": " << line;
+        EXPECT_EQ(str_field(event, "type"), "test/contended");
+      }
+      ++reads;
+    }
+  });
+  std::vector<std::thread> writers;
+  for (int t = 0; t < 8; ++t) {
+    writers.emplace_back([t] {
+      for (int i = 0; i < 2000; ++i) {
+        SOCET_EVENT("test/contended", {"writer", t}, {"i", i},
+                    {"pad", std::string(static_cast<std::size_t>(i % 300),
+                                        static_cast<char>('a' + t))});
+      }
+    });
+  }
+  for (std::thread& writer : writers) writer.join();
+  writing.store(false);
+  reader.join();
+  EXPECT_GT(reads, 0u);
+  EXPECT_EQ(obs::journal_event_count(), 8u * 2000u);
+}
+
 using JournalDeathTest = JournalTest;
 
 TEST_F(JournalDeathTest, CrashHandlerDumpsRingOnFatalSignal) {
   testing::FLAGS_gtest_death_test_style = "threadsafe";
   EXPECT_EXIT(
       {
-        obs::journal_start_flight(64, /*install_crash_handler=*/true);
+        obs::journal_start_flight(64);
         obs::Span span("test/crashing_phase");
         SOCET_EVENT("test/last_words", {"detail", "ring survives"});
         ::raise(SIGSEGV);

@@ -1,11 +1,13 @@
 // Observability subsystem: histogram bucket/quantile edge cases,
-// counters under concurrent increments, trace export shape (matched B/E
-// pairs, named worker lanes), the run-report JSON with its per-stage
-// span times and whole-run resources block, and the sampling profiler.
+// counters under concurrent increments, trace export shape (`X` slices
+// with parent ids, named worker lanes), the run-report JSON with its
+// per-stage span times and whole-run resources block, and the sampling
+// profiler.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cmath>
+#include <cstdio>
 #include <string>
 #include <thread>
 #include <vector>
@@ -279,7 +281,7 @@ TEST_F(ObsTest, DisabledTracingRecordsNoSpans) {
   EXPECT_TRUE(obs::collect_trace_events().empty());
 }
 
-TEST_F(ObsTest, TraceExportHasMatchedPairsAndWorkerLanes) {
+TEST_F(ObsTest, TraceExportHasParentedSlicesAndWorkerLanes) {
   obs::set_trace_enabled(true);
   {
     SOCET_SPAN("obs_test/outer");
@@ -295,20 +297,36 @@ TEST_F(ObsTest, TraceExportHasMatchedPairsAndWorkerLanes) {
 
   const auto events = obs::collect_trace_events();
   ASSERT_EQ(events.size(), 4u);
-  for (const auto& event : events) EXPECT_LE(event.start_ns, event.end_ns);
+  std::uint64_t outer_id = 0;
+  for (const auto& event : events) {
+    EXPECT_LE(event.start_ns, event.end_ns);
+    EXPECT_NE(event.id, 0u);
+    if (event.name == "obs_test/outer") outer_id = event.id;
+  }
+  ASSERT_NE(outer_id, 0u);
+  for (const auto& event : events) {
+    // Inner spans hang off the span open around them on their thread;
+    // the outer span and the worker's span are roots.
+    const std::uint64_t parent = event.name == "obs_test/inner" ? outer_id : 0;
+    EXPECT_EQ(event.parent, parent) << event.name;
+  }
 
   const std::string json = obs::chrome_trace_json();
   EXPECT_TRUE(json_balanced(json)) << json;
-  EXPECT_EQ(count_occurrences(json, "\"ph\":\"B\""), 4u);
-  EXPECT_EQ(count_occurrences(json, "\"ph\":\"E\""), 4u);
-  EXPECT_EQ(count_occurrences(json, "\"obs_test/inner\""), 4u);  // 2 B + 2 E
+  EXPECT_EQ(count_occurrences(json, "\"ph\":\"X\""), 4u);
+  EXPECT_EQ(count_occurrences(json, "\"ph\":\"B\""), 0u);
+  EXPECT_EQ(count_occurrences(json, "\"ph\":\"E\""), 0u);
+  EXPECT_EQ(count_occurrences(json, "\"obs_test/inner\""), 2u);
+  char parent[40];
+  std::snprintf(parent, sizeof(parent), "\"parent\":\"0x%llx\"",
+                static_cast<unsigned long long>(outer_id));
+  EXPECT_EQ(count_occurrences(json, parent), 2u) << json;
+  EXPECT_EQ(count_occurrences(json, "\"parent\":\"0x0\""), 2u) << json;
   // The worker lane is labelled via a thread_name metadata event.
   EXPECT_EQ(count_occurrences(json, "\"ph\":\"M\""), 1u);
   EXPECT_NE(json.find("\"worker-1\""), std::string::npos);
-  // Nesting: outer's B comes first in its lane (first mention) and its E
-  // comes after every inner E (last mention).
+  // Slices are in start order: the outer span precedes its children.
   EXPECT_LT(json.find("\"obs_test/outer\""), json.find("\"obs_test/inner\""));
-  EXPECT_GT(json.rfind("\"obs_test/outer\""), json.rfind("\"obs_test/inner\""));
 }
 
 // ------------------------------------------------------------------- report

@@ -18,6 +18,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "socet/obs/explain.hpp"
@@ -807,10 +808,19 @@ TEST(Serve, SpansVerbRejectsMalformedIds) {
   EXPECT_EQ(client.query("spans deadbeef").rfind("ok spans 0", 0), 0u);
 }
 
+/// Arms the process flight recorder for one test — what `socet serve
+/// --flight-recorder N` does — and switches it off again.
+struct FlightRecorder {
+  explicit FlightRecorder(std::size_t capacity) {
+    obs::journal_start_flight(capacity);
+  }
+  ~FlightRecorder() { obs::journal_reset(); }
+};
+
 TEST(Serve, JournalRingServesTheJournalVerb) {
+  const FlightRecorder ring(256);
   service::ServerOptions options;
   options.threads = 1;
-  options.journal_ring = 256;
   service::Server server(std::move(options));
   server.start();
   auto client = connect_to(server);
@@ -826,9 +836,9 @@ TEST(Serve, JournalRingServesTheJournalVerb) {
 }
 
 TEST(Serve, JournalRingKeepsTheNewestLines) {
+  const FlightRecorder ring(16);
   service::ServerOptions options;
   options.threads = 1;
-  options.journal_ring = 16;
   service::Server server(std::move(options));
   server.start();
   auto client = connect_to(server);
@@ -859,8 +869,8 @@ TEST(Serve, JournalVerbWithoutARingIsAStructuredError) {
   service::Server server(std::move(options));
   server.start();
   auto client = connect_to(server);
-  EXPECT_EQ(client.query("journal").rfind("error journal ring disabled", 0),
-            0u);
+  EXPECT_EQ(client.query("journal"),
+            "error journal ring disabled (start serve with --flight-recorder N)");
 }
 
 TEST(Serve, UnwritableMetricsPortFileFailsStart) {
@@ -974,6 +984,45 @@ TEST(Cli, ServeRejectsAPortThatWouldWrap) {
     ASSERT_TRUE(WIFEXITED(status)) << flag;
     EXPECT_EQ(WEXITSTATUS(status), 1) << flag;
   }
+}
+
+TEST(Cli, UnknownOptionsAreRejectedByName) {
+  // An option the command does not read is a typo, not a default: exit
+  // 1 naming it, before any work.  `serve` would otherwise listen
+  // forever, so `timeout` bounds it (exit 124).
+  const std::string jobs = testing::TempDir() + "serve_cli_typo_jobs.txt";
+  {
+    std::ofstream file(jobs);
+    file << "plan system=barcode selection=1,2,1\n";
+  }
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {"plan --system barcode --no-such-flag 3",
+       "error: unknown option '--no-such-flag' for 'plan'"},
+      {"batch --jobs " + jobs + " --theads 8",
+       "error: unknown option '--theads' for 'batch'"},
+      {"serve --journal-rign 5",
+       "error: unknown option '--journal-rign' for 'serve'"},
+      // The daemon journal is the flight recorder now.
+      {"serve --journal-ring 5",
+       "error: unknown option '--journal-ring' for 'serve'"},
+  };
+  for (const auto& [arguments, message] : cases) {
+    const std::string command = std::string("timeout 10 ") + SOCET_CLI_PATH +
+                                " " + arguments + " 2>&1 >/dev/null";
+    FILE* pipe = popen(command.c_str(), "r");
+    ASSERT_NE(pipe, nullptr);
+    std::string stderr_text;
+    char buffer[1024];
+    std::size_t n = 0;
+    while ((n = fread(buffer, 1, sizeof(buffer), pipe)) > 0) {
+      stderr_text.append(buffer, n);
+    }
+    const int status = pclose(pipe);
+    ASSERT_TRUE(WIFEXITED(status)) << arguments;
+    EXPECT_EQ(WEXITSTATUS(status), 1) << arguments;
+    EXPECT_EQ(stderr_text, message + "\n") << arguments;
+  }
+  std::remove(jobs.c_str());
 }
 
 TEST(Cli, BatchConnectTraceKeepsStdoutIdenticalAndWritesOneMergedTrace) {

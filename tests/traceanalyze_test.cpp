@@ -1,7 +1,8 @@
 // Trace analytics engine: golden critical paths on hand-built span
 // trees, aggregation quantiles against a naive oracle, diff ranking
-// stability, malformed/truncated artifact rejection with line numbers,
-// and CLI round-trips on real `batch --trace` artifacts.
+// stability, malformed/truncated artifact rejection with a location,
+// the exported trace reloading into the recorded forest, and CLI
+// round-trips on real `batch --trace` artifacts.
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
@@ -11,6 +12,8 @@
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "socet/obs/trace.hpp"
@@ -135,24 +138,21 @@ TEST(CriticalPathGolden, DeepNestingDescendsThroughEveryLevel) {
   EXPECT_EQ(max_depth, 2);
 }
 
-TEST(CriticalPathGolden, LocalBETraceNestsByContainment) {
-  // The local --trace flavor: B/E pairs, no span ids; nesting comes
-  // from containment within one (pid,tid) lane.
+TEST(CriticalPathGolden, IdlessSlicesNestByContainment) {
+  // The `socet_workload --trace` flavor: X slices without span ids;
+  // nesting comes from containment within one (pid,tid) lane.
   const std::string doc =
       R"({"traceEvents":[)"
-      R"({"name":"cli/run","cat":"socet","ph":"B","ts":0,"pid":1,"tid":1},)"
+      R"({"name":"cli/run","ph":"X","ts":0,"dur":100,"pid":1,"tid":1},)"
       "\n"
-      R"({"name":"soc/plan","cat":"socet","ph":"B","ts":10,"pid":1,"tid":1},)"
+      R"({"name":"soc/plan","ph":"X","ts":10,"dur":50,"pid":1,"tid":1},)"
       "\n"
-      R"({"cat":"socet","ph":"E","ts":60,"pid":1,"tid":1},)"
-      "\n"
-      R"({"cat":"socet","ph":"E","ts":100,"pid":1,"tid":1}]})";
+      R"({"name":"soc/other_lane","ph":"X","ts":20,"dur":10,"pid":1,"tid":2}]})";
   const TraceData trace = load_ok(doc);
-  ASSERT_EQ(trace.spans.size(), 2u);
-  ASSERT_EQ(trace.roots.size(), 1u);
-  EXPECT_FALSE(trace.merged);
+  ASSERT_EQ(trace.spans.size(), 3u);
+  ASSERT_EQ(trace.roots.size(), 2u);  // cli/run and the other lane's span
   const auto paths = obs::analyze::critical_paths(trace);
-  ASSERT_EQ(paths.size(), 1u);
+  ASSERT_EQ(paths.size(), 2u);
   ASSERT_EQ(paths[0].steps.size(), 3u);
   EXPECT_EQ(paths[0].steps[1].name, "soc/plan");
   EXPECT_DOUBLE_EQ(paths[0].steps[1].self_us(), 50.0);
@@ -320,24 +320,64 @@ TEST(LoadTrace, TruncatedJsonNamesTheBreakLine) {
   EXPECT_NE(error.find("line 3"), std::string::npos) << error;
 }
 
-TEST(LoadTrace, UnclosedSpanIsATruncatedTrace) {
-  const std::string doc =
-      R"({"traceEvents":[)"
-      R"({"name":"cli/run","ph":"B","ts":0,"pid":1,"tid":1}]})";
+/// load_trace must reject `text` with an error holding every needle.
+void expect_rejected(const std::string& text,
+                     const std::vector<std::string>& needles) {
   TraceData trace;
   std::string error;
-  EXPECT_FALSE(obs::analyze::load_trace(doc, &trace, &error));
-  EXPECT_NE(error.find("truncated"), std::string::npos) << error;
-  EXPECT_NE(error.find("cli/run"), std::string::npos) << error;
+  EXPECT_FALSE(obs::analyze::load_trace(text, &trace, &error)) << text;
+  for (const std::string& needle : needles) {
+    EXPECT_NE(error.find(needle), std::string::npos)
+        << "'" << needle << "' not in: " << error;
+  }
+}
+
+TEST(LoadTrace, BeginEventsAreRejectedWithALocation) {
+  expect_rejected(
+      R"({"traceEvents":[{"name":"cli/run","ph":"B","ts":0,"pid":1,"tid":1}]})",
+      {"traceEvents[0]", "'B'", "'X' slices only"});
 }
 
 TEST(LoadTrace, EndWithoutBeginIsRejected) {
-  const std::string doc =
-      R"({"traceEvents":[{"ph":"E","ts":5,"pid":1,"tid":1}]})";
-  TraceData trace;
-  std::string error;
-  EXPECT_FALSE(obs::analyze::load_trace(doc, &trace, &error));
-  EXPECT_NE(error.find("no open 'B'"), std::string::npos) << error;
+  expect_rejected(
+      R"({"traceEvents":[)"
+      R"({"name":"a","ph":"X","ts":0,"dur":5,"pid":1,"tid":1},)"
+      R"({"ph":"E","ts":5,"pid":1,"tid":1}]})",
+      {"traceEvents[1]", "'E'"});
+}
+
+TEST(LoadTrace, TidsBeyondIntKeepTheirOwnLanes) {
+  // Valid uint32_t tids that an `int` cannot hold: two lanes, so the
+  // shorter span is not nested under the longer one.
+  const TraceData trace = load_ok(
+      R"({"traceEvents":[)"
+      R"({"name":"a/outer","ph":"X","ts":0,"dur":100,"pid":1,"tid":3000000000},)"
+      R"({"name":"b/other_thread","ph":"X","ts":10,"dur":20,"pid":1,"tid":4000000000}]})");
+  ASSERT_EQ(trace.spans.size(), 2u);
+  EXPECT_EQ(trace.roots.size(), 2u);
+  EXPECT_EQ(trace.spans[0].tid, 3'000'000'000u);
+  EXPECT_EQ(trace.spans[1].tid, 4'000'000'000u);
+}
+
+TEST(LoadTrace, FractionalTidIsRejected) {
+  expect_rejected(
+      R"({"traceEvents":[{"name":"a","ph":"X","ts":0,"dur":5,"pid":1,"tid":2.5}]})",
+      {"traceEvents[0]", "'tid'"});
+}
+
+TEST(LoadTrace, StringTidIsRejected) {
+  expect_rejected(
+      R"({"traceEvents":[{"name":"a","ph":"X","ts":0,"dur":5,"pid":1,"tid":"7"}]})",
+      {"traceEvents[0]", "'tid'"});
+}
+
+TEST(LoadTrace, NonHexSpanIdIsRejected) {
+  expect_rejected(R"({"traceEvents":[)"
+                  R"({"name":"a","ph":"X","ts":0,"dur":5,"pid":1,"tid":1,)"
+                  R"("args":{"span":"0x1","parent":"0x0"}},)"
+                  R"({"name":"b","ph":"X","ts":1,"dur":2,"pid":1,"tid":1,)"
+                  R"("args":{"span":"zz","parent":"0x1"}}]})",
+                  {"traceEvents[1]", "'args.span'"});
 }
 
 TEST(LoadTrace, MissingTraceEventsAndEmptyInputAreRejected) {
@@ -350,54 +390,32 @@ TEST(LoadTrace, MissingTraceEventsAndEmptyInputAreRejected) {
 }
 
 TEST(LoadTrace, MalformedJournalLineIsNamed) {
+  // A decision journal is not a span trace: rejected at its header
+  // line, pointing at the tool that answers from it.
   const std::string journal =
       "{\"schema\":\"socet-journal-v1\",\"events\":2}\n"
       "{\"seq\":0,\"ts_us\":10,\"tid\":1,\"corr\":\"job-1\","
       "\"span\":\"soc/plan\",\"type\":\"route\"}\n"
       "{broken\n";
-  TraceData trace;
-  std::string error;
-  EXPECT_FALSE(obs::analyze::load_trace(journal, &trace, &error));
-  EXPECT_NE(error.find("line 3"), std::string::npos) << error;
-}
-
-TEST(LoadTrace, JournalFoldsIntoPerCorrEnvelopes) {
-  const std::string journal =
-      "{\"schema\":\"socet-journal-v1\",\"events\":4}\n"
-      "{\"seq\":0,\"ts_us\":10,\"tid\":1,\"corr\":\"job-1\","
-      "\"span\":\"soc/plan\",\"type\":\"route\"}\n"
-      "{\"seq\":1,\"ts_us\":50,\"tid\":1,\"corr\":\"job-1\","
-      "\"span\":\"soc/plan\",\"type\":\"route\"}\n"
-      "{\"seq\":2,\"ts_us\":60,\"tid\":1,\"corr\":\"job-1\","
-      "\"span\":\"opt/move\",\"type\":\"move\"}\n"
-      "{\"seq\":3,\"ts_us\":30,\"tid\":2,\"corr\":\"job-2\","
-      "\"type\":\"cache\"}\n";
-  const TraceData trace = load_ok(journal);
-  EXPECT_TRUE(trace.journal);
-  ASSERT_EQ(trace.roots.size(), 2u);  // job-1, job-2
-  const Aggregate agg = obs::analyze::aggregate({trace});
-  bool saw_plan = false;
-  for (const NameStats& s : agg.by_name) {
-    if (s.name == "soc/plan") {
-      saw_plan = true;
-      EXPECT_DOUBLE_EQ(s.total_us, 40.0);  // event envelope [10,50]
-    }
-  }
-  EXPECT_TRUE(saw_plan);
+  expect_rejected(journal, {"line 1", "socet-journal-v1", "socet explain"});
 }
 
 TEST(LoadTrace, ExportedSpansPastOneSecondKeepTheirNesting) {
   // 1.5 s into a trace, microsecond gaps need more than six significant
-  // digits: the exporter must not collapse or reorder these B/E events.
-  obs::reset_trace();
+  // digits: the exporter must not collapse or reorder these slices.
   constexpr std::uint64_t kEpoch = 1'000'000'000;
   constexpr std::uint64_t kLate = kEpoch + 1'500'000'000;
-  obs::detail::record_span("t/epoch", kEpoch, kEpoch + 1'000);
-  obs::detail::record_span("t/outer", kLate, kLate + 3'000);
-  obs::detail::record_span("t/inner", kLate + 1'000, kLate + 2'000);
-  obs::detail::record_span("t/after", kLate + 3'000, kLate + 3'500);
-  const std::string json = obs::chrome_trace_json();
-  obs::reset_trace();
+  const std::vector<obs::TraceEvent> recorded = {
+      {"t/epoch", 1, 1, 0, kEpoch, kEpoch + 1'000},
+      {"t/outer", 1, 2, 0, kLate, kLate + 3'000},
+      {"t/inner", 1, 3, 2, kLate + 1'000, kLate + 2'000},
+      {"t/after", 1, 4, 0, kLate + 3'000, kLate + 3'500},
+  };
+  std::vector<std::string> slices;
+  for (const obs::TraceEvent& span : recorded) {
+    slices.push_back(obs::chrome_slice(span, 1, span.tid, kEpoch));
+  }
+  const std::string json = chrome_doc(slices);
 
   const TraceData trace = load_ok(json);
   ASSERT_EQ(trace.spans.size(), 4u) << json;
@@ -420,6 +438,50 @@ TEST(LoadTrace, ExportedSpansPastOneSecondKeepTheirNesting) {
   EXPECT_DOUBLE_EQ(trace.spans[outer].dur_us(), 3.0);
   EXPECT_DOUBLE_EQ(trace.spans[inner].dur_us(), 1.0);
   EXPECT_DOUBLE_EQ(trace.spans[after].dur_us(), 0.5);
+  EXPECT_GE(trace.spans[inner].start_us, trace.spans[outer].start_us);
+  EXPECT_LE(trace.spans[inner].end_us, trace.spans[outer].end_us);
+}
+
+TEST(LoadTrace, ExportedTraceReloadsIntoTheRecordedForest) {
+  // Nested spans on two threads, exported by chrome_trace_json and
+  // loaded back: the same parent links recorded_trace() builds from
+  // the live buffers.
+  obs::reset_trace();
+  obs::set_trace_enabled(true);
+  const auto nest = [](const char* outer, const char* inner) {
+    obs::Span a(outer);
+    { obs::Span b(inner); }
+    { obs::Span c(inner); }
+  };
+  nest("t/main_outer", "t/main_inner");
+  std::thread worker([&nest] { nest("t/worker_outer", "t/worker_inner"); });
+  worker.join();
+  obs::set_trace_enabled(false);
+
+  const TraceData recorded = obs::analyze::recorded_trace();
+  const TraceData reloaded = load_ok(obs::chrome_trace_json());
+  obs::reset_trace();
+  const auto links = [](const TraceData& trace) {
+    std::vector<std::pair<std::string, std::string>> out;
+    for (const auto& span : trace.spans) {
+      out.emplace_back(span.name,
+                       span.parent_index < 0
+                           ? std::string("-")
+                           : trace.spans[span.parent_index].name);
+    }
+    std::sort(out.begin(), out.end());
+    return out;
+  };
+  ASSERT_EQ(recorded.spans.size(), 6u);
+  EXPECT_EQ(links(reloaded), links(recorded));
+  EXPECT_EQ(reloaded.roots.size(), 2u);
+  for (const auto& [name, parent] : links(recorded)) {
+    if (name == "t/main_inner") {
+      EXPECT_EQ(parent, "t/main_outer");
+    } else if (name == "t/worker_inner") {
+      EXPECT_EQ(parent, "t/worker_outer");
+    }
+  }
 }
 
 TEST(LoadTrace, EmptyTraceEventsIsValidAndEmpty) {

@@ -1,7 +1,7 @@
 // Cross-process trace assembly: the clock-offset estimator against
-// deterministic fake-clock handshakes, the spans wire format, the
-// merged Chrome trace document (parent/child ordering on aligned
-// timelines).
+// deterministic fake-clock handshakes, the spans wire format and its
+// strict field parsing, the merged Chrome trace document (parent/child
+// ordering on aligned timelines).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -16,7 +16,7 @@ namespace socet {
 namespace {
 
 using obs::ClockSample;
-using obs::SpanRecord;
+using obs::TraceEvent;
 
 // ------------------------------------------------------------ clock offset
 
@@ -101,15 +101,15 @@ TEST(SpanIds, UniqueAndNonZero) {
 
 // ------------------------------------------------------- spans wire format
 
-std::vector<SpanRecord> sample_spans() {
-  SpanRecord outer;
+std::vector<TraceEvent> sample_spans() {
+  TraceEvent outer;
   outer.name = "serve/job";
   outer.tid = 3;
   outer.id = 0xabcdef0123456789ull;
   outer.parent = 0x42;
   outer.start_ns = (1ull << 60) + 100;  // beyond double precision
   outer.end_ns = (1ull << 60) + 9'100;
-  SpanRecord inner;
+  TraceEvent inner;
   inner.name = "plan \"quoted\"";
   inner.tid = 3;
   inner.id = 7;
@@ -122,7 +122,7 @@ std::vector<SpanRecord> sample_spans() {
 TEST(SpansJsonl, RoundTripsIdsAndNanosecondTimestamps) {
   const auto spans = sample_spans();
   const std::string text = obs::remote_spans_jsonl(spans);
-  std::vector<SpanRecord> parsed;
+  std::vector<TraceEvent> parsed;
   std::string error;
   ASSERT_TRUE(obs::parse_remote_spans_jsonl(text, &parsed, &error)) << error;
   ASSERT_EQ(parsed.size(), spans.size());
@@ -137,7 +137,7 @@ TEST(SpansJsonl, RoundTripsIdsAndNanosecondTimestamps) {
 }
 
 TEST(SpansJsonl, MalformedLinesFailWithALineNumber) {
-  std::vector<SpanRecord> parsed;
+  std::vector<TraceEvent> parsed;
   std::string error;
   EXPECT_FALSE(obs::parse_remote_spans_jsonl(
       obs::remote_spans_jsonl(sample_spans()) + "{not json\n", &parsed,
@@ -145,8 +145,46 @@ TEST(SpansJsonl, MalformedLinesFailWithALineNumber) {
   EXPECT_NE(error.find("line 3"), std::string::npos) << error;
 }
 
+/// One spans line as the daemon writes it, with `field` replaced by
+/// the raw JSON `value`.
+std::string span_line(const std::string& field, const std::string& value) {
+  std::string line = obs::remote_spans_jsonl({sample_spans()[0]});
+  const std::string key = "\"" + field + "\":";
+  const std::size_t at = line.find(key) + key.size();
+  const std::size_t end = line.find_first_of(",}", at);
+  return line.replace(at, end - at, value);
+}
+
+/// The parse must fail, naming line 2 and the field.
+void expect_bad_field(const std::string& field, const std::string& value) {
+  std::vector<TraceEvent> parsed;
+  std::string error;
+  const std::string good = obs::remote_spans_jsonl({sample_spans()[1]});
+  EXPECT_FALSE(obs::parse_remote_spans_jsonl(good + span_line(field, value),
+                                             &parsed, &error))
+      << field << "=" << value;
+  EXPECT_NE(error.find("span line 2"), std::string::npos) << error;
+  EXPECT_NE(error.find("'" + field + "'"), std::string::npos) << error;
+}
+
+TEST(SpansJsonl, NonHexIdIsRejected) { expect_bad_field("id", "\"zz\""); }
+
+TEST(SpansJsonl, NegativeStartIsRejected) {
+  expect_bad_field("start_ns", "\"-5\"");
+}
+
+TEST(SpansJsonl, HalfNumericStartIsRejected) {
+  expect_bad_field("start_ns", "\"12abc\"");
+}
+
+TEST(SpansJsonl, EndBeforeStartIsRejected) {
+  expect_bad_field("end_ns", "\"20\"");  // sample start is past 2^60
+}
+
+TEST(SpansJsonl, NegativeTidIsRejected) { expect_bad_field("tid", "-1"); }
+
 TEST(SpansJsonl, EmptyInputIsAnEmptySpanList) {
-  std::vector<SpanRecord> parsed;
+  std::vector<TraceEvent> parsed;
   ASSERT_TRUE(obs::parse_remote_spans_jsonl("", &parsed, nullptr));
   EXPECT_TRUE(parsed.empty());
 }
@@ -157,11 +195,10 @@ TEST(SpansJsonl, EmptyInputIsAnEmptySpanList) {
 /// clock, daemon spans on another exactly `offset` ahead.
 obs::MergeInput fake_trace(std::int64_t offset_ns) {
   obs::MergeInput input;
-  input.trace_id = 0x1234;
   input.clock_offset_ns = offset_ns;
   const std::uint64_t base = 1'000'000'000;  // client clock
   for (int job = 0; job < 2; ++job) {
-    SpanRecord submit;
+    TraceEvent submit;
     submit.name = "submit #" + std::to_string(job + 1);
     submit.id = 100 + static_cast<std::uint64_t>(job);
     submit.start_ns = base + static_cast<std::uint64_t>(job) * 50'000;
@@ -170,14 +207,14 @@ obs::MergeInput fake_trace(std::int64_t offset_ns) {
 
     const std::uint64_t daemon_base = static_cast<std::uint64_t>(
         static_cast<std::int64_t>(submit.start_ns + 5'000) + offset_ns);
-    SpanRecord queue;
+    TraceEvent queue;
     queue.name = "serve/queue";
     queue.tid = 0;
     queue.id = 200 + static_cast<std::uint64_t>(job);
     queue.parent = submit.id;
     queue.start_ns = daemon_base;
     queue.end_ns = daemon_base + 2'000;
-    SpanRecord work;
+    TraceEvent work;
     work.name = "serve/job";
     work.tid = 7;
     work.id = 300 + static_cast<std::uint64_t>(job);

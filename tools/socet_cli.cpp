@@ -26,6 +26,7 @@
 #include <iterator>
 #include <limits>
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -348,8 +349,6 @@ int cmd_serve(const Args& args) {
   options.metrics_host = args.get("metrics-host", options.metrics_host);
   options.metrics_port_file = args.get("metrics-port-file", "");
   options.access_log = args.get("access-log", "");
-  options.journal_ring =
-      parse_option_count(args, "journal-ring", options.journal_ring);
   const std::string host = options.host;
   const unsigned threads = options.threads;
   const bool metrics_http = options.metrics_http;
@@ -384,7 +383,7 @@ int cmd_client(const Args& args) {
 
 /// `socet trace-analyze FILE... [--json] [--folded] [--top N] [--out F]`
 /// or `socet trace-analyze --diff A.json B.json [--json]`: offline
-/// analytics over Chrome-trace / journal artifacts — critical path,
+/// analytics over span traces — critical path,
 /// per-stage latency distributions, and differential attribution
 /// (docs/OBSERVABILITY.md "Analyzing traces").
 int cmd_trace_analyze(const Args& args) {
@@ -531,8 +530,8 @@ int cmd_interface(const Args& args) {
 int cmd_explain(const Args& args) {
   std::string text;
   if (args.has("connect")) {
-    // Query the daemon's in-memory journal ring directly — no file
-    // shipping.  Needs `socet serve --journal-ring N`.
+    // Query the daemon's flight-recorder ring directly — no file
+    // shipping.  Needs `socet serve --flight-recorder N`.
     service::Client client(client_options(args));
     const std::string reply = client.query("journal");
     const std::string prefix = "ok journal\n";
@@ -599,18 +598,17 @@ int usage() {
       "            [--port-file FILE]\n"
       "            [--metrics-port N] [--metrics-host H]\n"
       "            [--metrics-port-file FILE] [--access-log FILE]\n"
-      "            [--journal-ring N]\n"
       "            (persistent planning daemon, docs/SERVICE.md; drain\n"
       "            with SIGTERM; wire protocol in docs/FORMATS.md §6;\n"
       "            --metrics-port serves GET /metrics /healthz /readyz,\n"
       "            --access-log appends one serve.access JSONL line per\n"
-      "            request (docs/FORMATS.md §7), --journal-ring keeps the\n"
-      "            newest N decision events for `journal`/explain)\n"
+      "            request (docs/FORMATS.md §7), --flight-recorder N\n"
+      "            serves the newest N decision events to `journal`/explain)\n"
       "  client    --connect HOST:PORT (--jobs FILE|- | stats | journal)\n"
       "            [--window N]\n"
       "  trace-analyze FILE... [--json] [--folded] [--top N] [--out FILE]\n"
       "            (critical path + per-stage latency distributions over\n"
-      "            Chrome-trace / journal artifacts)\n"
+      "            span traces: `--trace` files and merged traces)\n"
       "  trace-analyze --diff A.json B.json [--json] [--out FILE]\n"
       "            (rank stages by contribution to the B-A delta)\n"
       "  sweep     [--system ...] [--threads N] (parallel explore)\n"
@@ -621,7 +619,7 @@ int usage() {
       "  explain   mux|version|route|reject [NAME [VERSION]]\n"
       "            (--journal FILE | --connect HOST:PORT) (provenance\n"
       "            queries over a recorded decision journal, or the\n"
-      "            daemon's live ring via --connect + --journal-ring)\n"
+      "            daemon's flight-recorder ring via --connect)\n"
       "observability (any command; stdout is never touched):\n"
       "  --metrics       print the metrics table to stderr on exit\n"
       "  --trace FILE    write a Chrome trace-event JSON (chrome://tracing)\n"
@@ -633,25 +631,51 @@ int usage() {
       "                  moves, mux insertions, cache hits) as JSONL\n"
       "  --flight-recorder [N]  keep the last N decision events (default\n"
       "                  256) in a ring; dump them to stderr on a crash\n"
+      "                  (and, for serve, answer the `journal` verb)\n"
       "  (metric and span names: docs/OBSERVABILITY.md)\n");
   return 2;
 }
 
 using Command = int (*)(const Args&);
 
-const std::map<std::string, Command>& commands() {
-  static const std::map<std::string, Command> table = {
-      {"menus", cmd_menus},       {"plan", cmd_plan},
-      {"optimize", cmd_optimize}, {"explore", cmd_explore},
-      {"batch", cmd_batch},       {"sweep", cmd_sweep},
-      {"serve", cmd_serve},       {"client", cmd_client},
-      {"trace-analyze", cmd_trace_analyze},
-      {"program", cmd_program},
-      {"parallel", cmd_parallel}, {"verilog", cmd_verilog},
-      {"dot", cmd_dot},           {"interface", cmd_interface},
-      {"explain", cmd_explain}};
+/// A command and the options it reads.  Any other option, apart from
+/// the observability switches main() reads for every command, is an
+/// error: a typo must not silently fall back to a default.
+struct CommandSpec {
+  Command run;
+  std::set<std::string> options;
+};
+
+const std::map<std::string, CommandSpec>& commands() {
+  static const std::map<std::string, CommandSpec> table = {
+      {"menus", {cmd_menus, {"system"}}},
+      {"plan", {cmd_plan, {"system", "selection", "pipelined"}}},
+      {"optimize",
+       {cmd_optimize, {"system", "area-budget", "tat-budget", "w1", "w2"}}},
+      {"explore", {cmd_explore, {"system"}}},
+      {"batch",
+       {cmd_batch, {"jobs", "threads", "cache", "cache-bytes", "verbose",
+                    "connect", "window"}}},
+      {"sweep", {cmd_sweep, {"system", "threads", "cache", "cache-bytes"}}},
+      {"serve",
+       {cmd_serve, {"host", "port", "threads", "cache", "cache-bytes",
+                    "max-queue", "window", "port-file", "metrics-port",
+                    "metrics-host", "metrics-port-file", "access-log"}}},
+      {"client", {cmd_client, {"connect", "jobs", "window"}}},
+      {"trace-analyze",
+       {cmd_trace_analyze, {"json", "folded", "top", "out", "diff"}}},
+      {"program", {cmd_program, {"system", "selection"}}},
+      {"parallel", {cmd_parallel, {"system", "selection"}}},
+      {"verilog", {cmd_verilog, {"core", "gates"}}},
+      {"dot", {cmd_dot, {"core", "ccg", "system", "selection"}}},
+      {"interface", {cmd_interface, {"core"}}},
+      {"explain", {cmd_explain, {"connect", "window"}}}};
   return table;
 }
+
+/// The switches main() reads for every command.
+const std::set<std::string> kObservabilityOptions = {
+    "metrics", "trace", "report", "profile", "journal", "flight-recorder"};
 
 }  // namespace
 
@@ -665,6 +689,14 @@ int main(int argc, char** argv) {
     return usage();
   }
   const Args args = parse_args(argc, argv);
+  for (const auto& [option, value] : args.options) {
+    if (command->second.options.count(option) == 0 &&
+        kObservabilityOptions.count(option) == 0) {
+      std::fprintf(stderr, "error: unknown option '--%s' for '%s'\n",
+                   option.c_str(), argv[1]);
+      return 1;
+    }
+  }
 
   // Observability switches.  A run report embeds the metrics snapshot
   // and the span rollups, so --report implies both collectors.
@@ -706,7 +738,7 @@ int main(int argc, char** argv) {
     // The span name must outlive export; the command key is a static.
     static const std::string span_name = "cli/" + command->first;
     obs::Span span(span_name.c_str());
-    status = command->second(args);
+    status = command->second.run(args);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     status = 1;
