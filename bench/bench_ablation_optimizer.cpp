@@ -20,7 +20,7 @@ int main() {
   bool ok = true;
 
   for (auto* make : {&systems::make_barcode_system, &systems::make_system2}) {
-    auto system = make({});
+    auto system = make();
     auto points = opt::enumerate_design_space(*system.soc);
 
     for (double budget_scale : {1.5, 2.5, 10.0}) {

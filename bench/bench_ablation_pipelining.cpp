@@ -22,7 +22,7 @@ int main() {
                      "TAT (pipelined)", "speedup"});
   bool ok = true;
   for (auto* make : {&systems::make_barcode_system, &systems::make_system2}) {
-    auto system = make({});
+    auto system = make();
     for (unsigned v = 0; v < 3; ++v) {
       std::vector<unsigned> selection(system.soc->cores().size(), v);
       soc::PlanOptions pipelined;

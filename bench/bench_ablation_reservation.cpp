@@ -21,7 +21,7 @@ int main() {
   bool any_difference = false;
 
   for (auto* make : {&systems::make_barcode_system, &systems::make_system2}) {
-    auto system = make({});
+    auto system = make();
     for (unsigned v = 0; v < 2; ++v) {
       std::vector<unsigned> selection(system.soc->cores().size(), v);
       soc::PlanOptions naive;

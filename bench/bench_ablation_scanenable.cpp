@@ -23,7 +23,7 @@ int main() {
                      "HSCAN + SE pin FC%"});
   bool ok = true;
   for (auto* make : {&systems::make_barcode_system, &systems::make_system2}) {
-    auto system = make({});
+    auto system = make();
     auto none =
         bench::chip_sequential_coverage(system, bench::ChipMode::kNoDft);
     auto unreachable = bench::chip_sequential_coverage(

@@ -21,7 +21,7 @@ int main() {
 
   bool ok = true;
   for (auto* make : {&systems::make_barcode_system, &systems::make_system2}) {
-    auto system = make({});
+    auto system = make();
     std::printf("--- %s ---\n", system.soc->name().c_str());
 
     auto bscan = baselines::fscan_bscan(*system.soc);

@@ -6,6 +6,17 @@ namespace socet::baselines {
 
 namespace {
 
+/// A boundary-scan cell per internal port bit.  IEEE 1149.1-style cells
+/// are genuinely expensive: capture flip-flop + update latch + two muxes,
+/// about six gate-equivalents.
+constexpr unsigned kBoundaryCellsPerBit = 6;
+/// TAP controller and chip-level glue.
+constexpr unsigned kTapControllerCells = 40;
+/// Test-bus access mux per internal port bit.
+constexpr unsigned kTestBusMuxCellsPerBit = 1;
+/// Test-bus control.
+constexpr unsigned kTestBusControlCells = 16;
+
 /// Port bits of core `c` that are wired directly to a chip pin (and so
 /// need no boundary-scan cell / test-bus mux).
 std::set<rtl::PortId> externally_wired_ports(const soc::Soc& soc,
@@ -28,10 +39,9 @@ std::set<rtl::PortId> externally_wired_ports(const soc::Soc& soc,
 
 }  // namespace
 
-FscanBscanResult fscan_bscan(const soc::Soc& soc,
-                             const FscanBscanCostModel& cost) {
+FscanBscanResult fscan_bscan(const soc::Soc& soc) {
   FscanBscanResult result;
-  result.chip_level_cells = cost.tap_controller_cells;
+  result.chip_level_cells = kTapControllerCells;
   for (std::uint32_t c = 0; c < soc.cores().size(); ++c) {
     const core::Core& core = soc.core(c);
     const auto external = externally_wired_ports(soc, c);
@@ -48,18 +58,17 @@ FscanBscanResult fscan_bscan(const soc::Soc& soc,
     const unsigned long long chain = row.flip_flops + row.boundary_bits;
     row.tat = chain * row.vectors + (chain > 0 ? chain - 1 : 0);
 
-    result.core_level_cells += row.flip_flops * cost.fscan_per_ff;
-    result.chip_level_cells += row.boundary_bits * cost.boundary_cell_per_bit;
+    result.core_level_cells += core.fscan_overhead_cells();
+    result.chip_level_cells += row.boundary_bits * kBoundaryCellsPerBit;
     result.total_tat += row.tat;
     result.cores.push_back(std::move(row));
   }
   return result;
 }
 
-IsolationRingResult partial_isolation_rings(const soc::Soc& soc,
-                                            const FscanBscanCostModel& cost) {
+IsolationRingResult partial_isolation_rings(const soc::Soc& soc) {
   IsolationRingResult result;
-  result.chip_level_cells = cost.tap_controller_cells;
+  result.chip_level_cells = kTapControllerCells;
 
   // Under full-scan cores, a core-to-core wire is already accessible: the
   // driving neighbour's output registers are controllable through its scan
@@ -87,8 +96,8 @@ IsolationRingResult partial_isolation_rings(const soc::Soc& soc,
     }
 
     result.ring_bits += ring_bits;
-    result.core_level_cells += core.flip_flop_count() * cost.fscan_per_ff;
-    result.chip_level_cells += ring_bits * cost.boundary_cell_per_bit;
+    result.core_level_cells += core.fscan_overhead_cells();
+    result.chip_level_cells += ring_bits * kBoundaryCellsPerBit;
     const unsigned long long chain = core.flip_flop_count() + ring_bits;
     result.total_tat +=
         chain * core.scan_vectors() + (chain > 0 ? chain - 1 : 0);
@@ -96,9 +105,9 @@ IsolationRingResult partial_isolation_rings(const soc::Soc& soc,
   return result;
 }
 
-TestBusResult test_bus(const soc::Soc& soc, const TestBusCostModel& cost) {
+TestBusResult test_bus(const soc::Soc& soc) {
   TestBusResult result;
-  result.chip_level_cells = cost.bus_control_cells;
+  result.chip_level_cells = kTestBusControlCells;
   for (std::uint32_t c = 0; c < soc.cores().size(); ++c) {
     const core::Core& core = soc.core(c);
     const auto external = externally_wired_ports(soc, c);
@@ -106,7 +115,7 @@ TestBusResult test_bus(const soc::Soc& soc, const TestBusCostModel& cost) {
       const rtl::PortId port(p);
       if (external.count(port)) continue;
       result.chip_level_cells +=
-          core.netlist().port(port).width * cost.mux_per_bit;
+          core.netlist().port(port).width * kTestBusMuxCellsPerBit;
     }
     // Direct access: each HSCAN vector applies in one cycle; the last
     // response drains the deepest chain.

@@ -22,17 +22,6 @@
 
 namespace socet::baselines {
 
-struct FscanBscanCostModel {
-  /// A boundary-scan cell per internal port bit.  IEEE 1149.1-style cells
-  /// are genuinely expensive: capture flip-flop + update latch + two
-  /// muxes, about six gate-equivalents.
-  unsigned boundary_cell_per_bit = 6;
-  /// Full-scan conversion per flip-flop (scan mux + enable buffering).
-  unsigned fscan_per_ff = 4;
-  /// TAP controller and chip-level glue.
-  unsigned tap_controller_cells = 40;
-};
-
 struct FscanBscanCoreRow {
   std::string core;
   unsigned flip_flops = 0;
@@ -46,19 +35,9 @@ struct FscanBscanResult {
   unsigned long long total_tat = 0;
   unsigned core_level_cells = 0;  ///< FSCAN conversion, all cores
   unsigned chip_level_cells = 0;  ///< boundary cells + TAP
-
-  [[nodiscard]] unsigned total_cells() const {
-    return core_level_cells + chip_level_cells;
-  }
 };
 
-FscanBscanResult fscan_bscan(const soc::Soc& soc,
-                             const FscanBscanCostModel& cost = {});
-
-struct TestBusCostModel {
-  unsigned mux_per_bit = 1;
-  unsigned bus_control_cells = 16;
-};
+FscanBscanResult fscan_bscan(const soc::Soc& soc);
 
 struct TestBusResult {
   unsigned long long total_tat = 0;
@@ -66,7 +45,7 @@ struct TestBusResult {
 };
 
 /// Test-bus DFT on top of HSCAN cores: direct access to every port.
-TestBusResult test_bus(const soc::Soc& soc, const TestBusCostModel& cost = {});
+TestBusResult test_bus(const soc::Soc& soc);
 
 // ---------------------------------------------------------------------------
 
@@ -84,13 +63,8 @@ struct IsolationRingResult {
   unsigned core_level_cells = 0;  ///< FSCAN conversion
   unsigned chip_level_cells = 0;  ///< partial rings + control
   unsigned ring_bits = 0;
-
-  [[nodiscard]] unsigned total_cells() const {
-    return core_level_cells + chip_level_cells;
-  }
 };
 
-IsolationRingResult partial_isolation_rings(
-    const soc::Soc& soc, const FscanBscanCostModel& cost = {});
+IsolationRingResult partial_isolation_rings(const soc::Soc& soc);
 
 }  // namespace socet::baselines

@@ -52,7 +52,6 @@ class FaultyMemory {
   unsigned width() const { return width_; }
 
   void inject(const MemFault& fault);
-  void clear_faults();
 
   void write(std::uint32_t address, std::uint64_t value);
   std::uint64_t read(std::uint32_t address) const;

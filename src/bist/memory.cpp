@@ -27,8 +27,6 @@ void FaultyMemory::inject(const MemFault& fault) {
   }
 }
 
-void FaultyMemory::clear_faults() { faults_.clear(); }
-
 bool FaultyMemory::cell(std::uint32_t address, unsigned bit) const {
   return (data_[address] >> bit) & 1;
 }

@@ -2,16 +2,15 @@
 
 namespace socet::core {
 
-Core Core::prepare(rtl::Netlist netlist, const CoreCostModels& cost) {
+Core Core::prepare(rtl::Netlist netlist) {
   netlist.validate();
   Core core;
   core.netlist_ = std::make_shared<const rtl::Netlist>(std::move(netlist));
   core.ff_count_ = core.netlist_->flip_flop_count();
-  core.hscan_ = hscan::build_hscan(*core.netlist_, cost.hscan);
-  core.fscan_cells_ =
-      hscan::fscan_overhead_cells(*core.netlist_, cost.hscan);
+  core.hscan_ = hscan::build_hscan(*core.netlist_);
+  core.fscan_cells_ = hscan::fscan_overhead_cells(*core.netlist_);
   transparency::Rcg rcg(*core.netlist_, &core.hscan_);
-  core.versions_ = transparency::standard_versions(rcg, cost.transparency);
+  core.versions_ = transparency::standard_versions(rcg);
   return core;
 }
 
@@ -57,12 +56,6 @@ CoreInterface Core::to_interface() const {
   interface.flip_flops = ff_count_;
   interface.versions = versions_;
   return interface;
-}
-
-unsigned Core::total_port_bits() const {
-  unsigned bits = 0;
-  for (const auto& port : netlist_->ports()) bits += port.width;
-  return bits;
 }
 
 }  // namespace socet::core

@@ -17,11 +17,6 @@
 
 namespace socet::core {
 
-struct CoreCostModels {
-  hscan::HscanCostModel hscan;
-  transparency::TransparencyCostModel transparency;
-};
-
 /// Everything a core provider ships for a *hard* core: the interface and
 /// DFT/transparency summary, but no netlist.  See core/serialize.hpp for
 /// the text format.
@@ -40,7 +35,7 @@ class Core {
  public:
   /// Run the full provider-side flow on `netlist`: HSCAN chains, RCG,
   /// standard three-version transparency menu.
-  static Core prepare(rtl::Netlist netlist, const CoreCostModels& cost = {});
+  static Core prepare(rtl::Netlist netlist);
 
   /// Reconstruct a Core from a shipped interface (hard cores).  The
   /// resulting Core carries a ports-only netlist: it plugs into Soc,
@@ -78,8 +73,6 @@ class Core {
   unsigned hscan_overhead_cells() const { return hscan_.overhead_cells; }
   /// Cells full scan would have cost instead (FSCAN column of Table 2).
   unsigned fscan_overhead_cells() const { return fscan_cells_; }
-  /// Widths of all ports, for boundary-scan cell accounting.
-  unsigned total_port_bits() const;
   unsigned flip_flop_count() const { return ff_count_; }
 
  private:

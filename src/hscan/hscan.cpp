@@ -14,6 +14,18 @@ using rtl::PortId;
 using rtl::RegisterId;
 using rtl::TransferPath;
 
+// Per-feature cell costs, matching the paper's examples.
+/// A reused mux path needs "just two extra logic gates" (Figure 1(a)).
+constexpr unsigned kMuxPathLinkCells = 2;
+/// A reused direct connection needs "only an OR gate".
+constexpr unsigned kDirectLinkCells = 1;
+/// An inserted test mux costs one mux cell per bit (it is integrated into
+/// the destination scan flip-flops).
+constexpr unsigned kTestMuxCellsPerBit = 1;
+/// Full-scan conversion cost per flip-flop (scan mux + enable buffer),
+/// for the FSCAN comparison column.
+constexpr unsigned kFscanCellsPerFlipFlop = 4;
+
 /// Candidate chain hop backed by an existing path.
 struct Edge {
   NodeRef to;
@@ -32,8 +44,7 @@ bool HscanConfig::covers(rtl::RegisterId reg) const {
   return false;
 }
 
-HscanConfig build_hscan(const rtl::Netlist& netlist,
-                        const HscanCostModel& cost) {
+HscanConfig build_hscan(const rtl::Netlist& netlist) {
   const auto inputs = netlist.input_ports();
   const auto outputs = netlist.output_ports();
   util::require(!inputs.empty() && !outputs.empty(),
@@ -71,11 +82,11 @@ HscanConfig build_hscan(const rtl::Netlist& netlist,
   auto link_cost = [&](LinkKind kind, const NodeRef& to) -> unsigned {
     switch (kind) {
       case LinkKind::kDirect:
-        return cost.direct_link;
+        return kDirectLinkCells;
       case LinkKind::kMuxPath:
-        return cost.mux_path_link;
+        return kMuxPathLinkCells;
       case LinkKind::kTestMux:
-        return cost.test_mux_per_bit * rtl::node_width(netlist, to);
+        return kTestMuxCellsPerBit * rtl::node_width(netlist, to);
     }
     return 0;
   };
@@ -192,9 +203,8 @@ HscanConfig build_hscan(const rtl::Netlist& netlist,
   return config;
 }
 
-unsigned fscan_overhead_cells(const rtl::Netlist& netlist,
-                              const HscanCostModel& cost) {
-  return netlist.flip_flop_count() * cost.fscan_per_ff;
+unsigned fscan_overhead_cells(const rtl::Netlist& netlist) {
+  return netlist.flip_flop_count() * kFscanCellsPerFlipFlop;
 }
 
 }  // namespace socet::hscan

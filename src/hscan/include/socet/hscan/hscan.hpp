@@ -50,19 +50,6 @@ struct ScanChain {
   }
 };
 
-/// Per-feature cell costs, matching the paper's examples: a reused mux
-/// path needs "just two extra logic gates" (Figure 1(a)); a direct
-/// connection "only an OR gate"; an inserted test mux costs one mux cell
-/// per bit (it is integrated into the destination scan flip-flops).
-struct HscanCostModel {
-  unsigned mux_path_link = 2;
-  unsigned direct_link = 1;
-  unsigned test_mux_per_bit = 1;
-  /// Full-scan conversion cost per flip-flop (scan mux + enable buffer),
-  /// for the FSCAN comparison column.
-  unsigned fscan_per_ff = 4;
-};
-
 struct HscanConfig {
   std::vector<ScanChain> chains;
   unsigned overhead_cells = 0;
@@ -77,14 +64,12 @@ struct HscanConfig {
   /// reuses "existing paths in the core, including HSCAN paths").
   std::vector<std::pair<rtl::NodeRef, rtl::NodeRef>> added_links;
 
-  /// An HSCAN test sequence applies each combinational scan vector over
-  /// (max depth + 1) cycles (shift in depth cycles + 1 capture).
-  [[nodiscard]] unsigned vector_multiplier() const { return max_depth + 1; }
-
   /// HSCAN vector count for a combinational test set of `scan_vectors`
-  /// patterns (the paper's 105 -> 525 expansion for the DISPLAY).
+  /// patterns (the paper's 105 -> 525 expansion for the DISPLAY): each
+  /// scan vector applies over (max depth + 1) cycles, shifting in depth
+  /// cycles plus one capture.
   [[nodiscard]] unsigned sequence_length(unsigned scan_vectors) const {
-    return scan_vectors * vector_multiplier();
+    return scan_vectors * (max_depth + 1);
   }
 
   [[nodiscard]] bool covers(rtl::RegisterId reg) const;
@@ -94,12 +79,10 @@ struct HscanConfig {
 /// chain; chains are balanced round-robin across the available input
 /// ports.  Throws util::Error if the netlist has no input or no output
 /// port (nothing to anchor a chain to).
-HscanConfig build_hscan(const rtl::Netlist& netlist,
-                        const HscanCostModel& cost = {});
+HscanConfig build_hscan(const rtl::Netlist& netlist);
 
 /// Cell overhead of plain full scan on the same netlist (FSCAN column of
 /// Table 2): every flip-flop becomes a scan flip-flop.
-unsigned fscan_overhead_cells(const rtl::Netlist& netlist,
-                              const HscanCostModel& cost = {});
+unsigned fscan_overhead_cells(const rtl::Netlist& netlist);
 
 }  // namespace socet::hscan

@@ -59,9 +59,14 @@ std::uint64_t journal_event_count();
 /// Enable the unbounded in-memory sink (for `--journal FILE`).
 void journal_start_memory();
 
-/// Enable the fixed-capacity ring sink.  `capacity` is clamped to
-/// [16, 65536]; a call with a different capacity than the live ring
-/// starts a new, empty ring.  Fatal signals (SEGV/ABRT/BUS/FPE/ILL) dump
+/// Bounds on the flight ring's capacity, in events.
+inline constexpr std::size_t kMinFlightCapacity = 16;
+inline constexpr std::size_t kMaxFlightCapacity = 65536;
+
+/// Enable the fixed-capacity ring sink.  `capacity` must lie in
+/// [kMinFlightCapacity, kMaxFlightCapacity] (util::Error otherwise); a
+/// call with a different capacity than the live ring starts a new,
+/// empty ring.  Fatal signals (SEGV/ABRT/BUS/FPE/ILL) dump
 /// the ring and active spans to stderr before re-raising with the
 /// default disposition.
 void journal_start_flight(std::size_t capacity = 256);

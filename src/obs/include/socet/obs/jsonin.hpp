@@ -30,7 +30,6 @@ class JsonValue {
   std::vector<JsonValue> array_value;
   std::vector<std::pair<std::string, JsonValue>> object_value;
 
-  [[nodiscard]] bool is_null() const { return kind == Kind::kNull; }
   [[nodiscard]] bool is_bool() const { return kind == Kind::kBool; }
   [[nodiscard]] bool is_number() const { return kind == Kind::kNumber; }
   [[nodiscard]] bool is_string() const { return kind == Kind::kString; }
@@ -46,9 +45,6 @@ class JsonValue {
     return nullptr;
   }
 
-  [[nodiscard]] double number_or(double fallback) const {
-    return is_number() ? number_value : fallback;
-  }
   [[nodiscard]] bool bool_or(bool fallback) const {
     return is_bool() ? bool_value : fallback;
   }

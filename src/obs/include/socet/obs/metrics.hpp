@@ -46,10 +46,9 @@ class Counter {
   std::atomic<std::uint64_t> value_{0};
 };
 
-/// Last-written / running-maximum value (e.g. queue depth).
+/// Running-maximum value (e.g. a queue depth's high-water mark).
 class Gauge {
  public:
-  void set(std::int64_t v) { value_.store(v, std::memory_order_relaxed); }
   /// Raise the gauge to `v` if `v` is larger (monotone high-water mark).
   void record_max(std::int64_t v) {
     std::int64_t cur = value_.load(std::memory_order_relaxed);
@@ -205,14 +204,6 @@ inline Histogram& histogram(std::string_view name) {
       static ::socet::obs::Histogram& socet_obs_h =               \
           ::socet::obs::histogram(name);                          \
       socet_obs_h.record(static_cast<std::uint64_t>(v));          \
-    }                                                             \
-  } while (0)
-#define SOCET_GAUGE_SET(name, v)                                  \
-  do {                                                            \
-    if (::socet::obs::metrics_enabled()) {                        \
-      static ::socet::obs::Gauge& socet_obs_g =                   \
-          ::socet::obs::gauge(name);                              \
-      socet_obs_g.set(static_cast<std::int64_t>(v));              \
     }                                                             \
   } while (0)
 #define SOCET_GAUGE_MAX(name, v)                                  \

@@ -22,15 +22,6 @@
 
 namespace socet::obs {
 
-struct SamplerOptions {
-  /// Sampling period in CPU microseconds (ITIMER_PROF).  A prime-ish
-  /// default avoids lockstep with millisecond-periodic workloads.
-  unsigned interval_us = 1009;
-  /// Preallocated sample capacity; samples past it are counted as
-  /// dropped rather than blocking or allocating in the handler.
-  std::size_t max_samples = 1 << 16;
-};
-
 /// True when the platform supports profiling (Linux: SIGPROF +
 /// backtrace + dladdr).  On unsupported platforms `start` returns
 /// false and everything else is a no-op.
@@ -41,10 +32,11 @@ bool sampler_supported();
 /// never from a signal handler.
 class Sampler {
  public:
-  /// Install the SIGPROF handler and arm ITIMER_PROF.  Returns false
-  /// if already running or unsupported.  Existing samples from a
-  /// previous start/stop cycle are kept (accumulate) until `reset`.
-  static bool start(const SamplerOptions& options = {});
+  /// Install the SIGPROF handler and arm ITIMER_PROF (one sample per
+  /// 1009 us of CPU time, at most 65,536 kept).  Returns false if
+  /// already running or unsupported.  Existing samples from a previous
+  /// start/stop cycle are kept (accumulate) until `reset`.
+  static bool start();
   /// Disarm the timer and restore the previous SIGPROF disposition.
   static void stop();
   static bool running();
@@ -64,24 +56,6 @@ class Sampler {
 
   /// Drop all captured samples (sampler must be stopped).
   static void reset();
-};
-
-/// RAII start/stop for scoping a profile to a block (the CLI wraps the
-/// whole command in one).
-class ScopedSampler {
- public:
-  explicit ScopedSampler(const SamplerOptions& options = {})
-      : started_(Sampler::start(options)) {}
-  ~ScopedSampler() {
-    if (started_) Sampler::stop();
-  }
-  ScopedSampler(const ScopedSampler&) = delete;
-  ScopedSampler& operator=(const ScopedSampler&) = delete;
-
-  [[nodiscard]] bool started() const { return started_; }
-
- private:
-  bool started_ = false;
 };
 
 }  // namespace socet::obs

@@ -28,9 +28,6 @@ class StopWatch {
   void reset() { start_ = now_ns(); }
 
   [[nodiscard]] std::uint64_t elapsed_ns() const { return now_ns() - start_; }
-  [[nodiscard]] double elapsed_us() const {
-    return static_cast<double>(elapsed_ns()) / 1e3;
-  }
   [[nodiscard]] double elapsed_ms() const {
     return static_cast<double>(elapsed_ns()) / 1e6;
   }

@@ -9,6 +9,7 @@
 
 #include "socet/obs/report.hpp"
 #include "socet/obs/timer.hpp"
+#include "socet/util/error.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <csignal>
@@ -28,8 +29,6 @@ constexpr std::size_t kCorrBytes = 48;      ///< correlation id storage
 constexpr std::size_t kSlotText = 512;      ///< flight-recorder line storage
 constexpr std::size_t kSlotWords = kSlotText / sizeof(std::uint64_t);
 constexpr std::size_t kMaxLine = kSlotText - 1;  ///< longest whole line
-constexpr std::size_t kMinFlight = 16;
-constexpr std::size_t kMaxFlight = 65536;
 
 std::atomic<bool> g_enabled{false};
 std::atomic<bool> g_memory{false};
@@ -286,7 +285,11 @@ void journal_start_flight(std::size_t capacity) {
   std::uint64_t expected = 0;
   g_epoch_ns.compare_exchange_strong(expected, now_ns(),
                                      std::memory_order_relaxed);
-  capacity = std::max(kMinFlight, std::min(kMaxFlight, capacity));
+  util::require(
+      capacity >= kMinFlightCapacity && capacity <= kMaxFlightCapacity,
+      "journal_start_flight: capacity " + std::to_string(capacity) +
+          " outside " + std::to_string(kMinFlightCapacity) + ".." +
+          std::to_string(kMaxFlightCapacity));
   const FlightRing* ring = g_ring.load(std::memory_order_acquire);
   if (ring == nullptr || ring->capacity != capacity) {
     g_ring.store(new FlightRing(capacity, ring), std::memory_order_release);

@@ -25,6 +25,12 @@ namespace socet::obs {
 
 namespace {
 
+/// Sampling period in CPU microseconds (ITIMER_PROF).  A prime-ish
+/// period avoids lockstep with millisecond-periodic workloads.
+constexpr unsigned kIntervalUs = 1009;
+/// Preallocated sample capacity; samples past it are counted as dropped
+/// rather than blocking or allocating in the handler.
+constexpr std::size_t kMaxSamples = 1 << 16;
 constexpr int kMaxFrames = 48;
 // backtrace() called inside the handler sees: the handler itself, the
 // libc signal trampoline (__restore_rt), then the interrupted thread's
@@ -47,7 +53,6 @@ std::atomic<std::size_t> g_dropped{0};
 std::atomic<bool> g_running{false};
 
 struct sigaction g_previous_action;
-SamplerOptions g_options;
 
 void sigprof_handler(int, siginfo_t*, void*) {
   if (!g_running.load(std::memory_order_relaxed)) return;
@@ -142,12 +147,9 @@ std::vector<std::vector<std::string>> symbolized_stacks() {
 
 bool sampler_supported() { return true; }
 
-bool Sampler::start(const SamplerOptions& options) {
+bool Sampler::start() {
   if (g_running.load(std::memory_order_relaxed)) return false;
-  g_options = options;
-  if (g_samples.size() < options.max_samples) {
-    g_samples.resize(options.max_samples);
-  }
+  g_samples.resize(kMaxSamples);
 
   // backtrace() may lazily dlopen libgcc on first use, which is not
   // async-signal-safe — take that hit here, outside the handler.
@@ -163,8 +165,7 @@ bool Sampler::start(const SamplerOptions& options) {
   g_running.store(true, std::memory_order_relaxed);
 
   itimerval timer{};
-  timer.it_interval.tv_sec = options.interval_us / 1000000;
-  timer.it_interval.tv_usec = options.interval_us % 1000000;
+  timer.it_interval.tv_usec = kIntervalUs;
   timer.it_value = timer.it_interval;
   if (::setitimer(ITIMER_PROF, &timer, nullptr) != 0) {
     g_running.store(false, std::memory_order_relaxed);
@@ -269,7 +270,7 @@ void Sampler::reset() {
 #else  // !__linux__
 
 bool sampler_supported() { return false; }
-bool Sampler::start(const SamplerOptions&) { return false; }
+bool Sampler::start() { return false; }
 void Sampler::stop() {}
 bool Sampler::running() { return false; }
 std::size_t Sampler::sample_count() { return 0; }

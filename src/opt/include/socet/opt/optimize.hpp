@@ -56,19 +56,14 @@ DesignPoint minimize_area(const soc::Soc& soc, unsigned long long tat_budget,
 DesignPoint minimize_weighted(const soc::Soc& soc, double w1, double w2,
                               const OptimizeOptions& options = {});
 
-/// Every version selection in odometer order (the cross product of the
-/// cores' version menus) — the job list a parallel design-space sweep
-/// fans out over.
-std::vector<std::vector<unsigned>> enumerate_selections(const soc::Soc& soc);
-
 /// Every combination of core versions (Figure 10's scatter).
 std::vector<DesignPoint> enumerate_design_space(
     const soc::Soc& soc, const OptimizeOptions& options = {});
 
-/// The `socet explore` / `socet sweep` CSV: one row per design point
-/// (selection spelled 1-based as `1/2/1`), pareto column from
-/// pareto_front.  Points are emitted sorted by (area, TAT) so serial and
-/// parallel producers render byte-identical tables.
+/// The `socet explore` CSV: one row per design point (selection spelled
+/// 1-based as `1/2/1`), pareto column from pareto_front.  Points are
+/// emitted sorted by (area, TAT, selection), whatever order they come
+/// in.
 std::string design_space_csv(std::vector<DesignPoint> points);
 
 /// Non-dominated subset (lower TAT and lower area are both better),

@@ -339,11 +339,13 @@ DesignPoint minimize_weighted(const Soc& soc, double w1, double w2,
   return best;
 }
 
-std::vector<std::vector<unsigned>> enumerate_selections(const Soc& soc) {
-  std::vector<std::vector<unsigned>> selections;
+std::vector<DesignPoint> enumerate_design_space(const Soc& soc,
+                                                const OptimizeOptions& options) {
+  SOCET_SPAN("opt/enumerate_design_space");
+  std::vector<DesignPoint> points;
   std::vector<unsigned> selection(soc.cores().size(), 0);
   while (true) {
-    selections.push_back(selection);
+    points.push_back(evaluate(soc, selection, options));
     // Odometer increment over the version menus.
     std::size_t c = 0;
     while (c < selection.size()) {
@@ -355,16 +357,6 @@ std::vector<std::vector<unsigned>> enumerate_selections(const Soc& soc) {
       ++c;
     }
     if (c == selection.size()) break;
-  }
-  return selections;
-}
-
-std::vector<DesignPoint> enumerate_design_space(const Soc& soc,
-                                                const OptimizeOptions& options) {
-  SOCET_SPAN("opt/enumerate_design_space");
-  std::vector<DesignPoint> points;
-  for (auto& selection : enumerate_selections(soc)) {
-    points.push_back(evaluate(soc, std::move(selection), options));
   }
   std::sort(points.begin(), points.end(),
             [](const DesignPoint& a, const DesignPoint& b) {

@@ -40,10 +40,6 @@ class Interpreter {
   util::BitVector output(const std::string& port) const;
   util::BitVector output(PortId port) const;
 
-  /// Register contents after the last step().
-  util::BitVector register_value(RegisterId reg) const;
-  void set_register(RegisterId reg, util::BitVector value);
-
  private:
   /// Value currently on a driver pin (combinational evaluation with
   /// memoization per settle pass).

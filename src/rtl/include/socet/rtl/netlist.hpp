@@ -126,9 +126,6 @@ class Netlist {
   const Register& reg(RegisterId id) const { return registers_.at(id.index()); }
   const Mux& mux(MuxId id) const { return muxes_.at(id.index()); }
   const FunctionalUnit& fu(FuId id) const { return fus_.at(id.index()); }
-  const Constant& constant(ConstantId id) const {
-    return constants_.at(id.index());
-  }
 
   /// All input (output) port ids, in creation order.
   std::vector<PortId> input_ports() const;
@@ -141,8 +138,6 @@ class Netlist {
 
   /// Connections whose `from` is the given pin.
   std::vector<const Connection*> connections_from(const PinRef& pin) const;
-  /// Connections whose `to` is the given pin.
-  std::vector<const Connection*> connections_to(const PinRef& pin) const;
 
   /// Total flip-flop count (sum of register widths).
   unsigned flip_flop_count() const;

@@ -93,17 +93,6 @@ util::BitVector Interpreter::output(PortId port) const {
   return self.sink_value(netlist_.pin(port), netlist_.port(port).width);
 }
 
-util::BitVector Interpreter::register_value(RegisterId reg) const {
-  return registers_.at(reg.index());
-}
-
-void Interpreter::set_register(RegisterId reg, util::BitVector value) {
-  util::require(value.width() == netlist_.reg(reg).width,
-                "Interpreter::set_register: width mismatch");
-  registers_.at(reg.index()) = std::move(value);
-  memo_.clear();
-}
-
 util::BitVector Interpreter::sink_value(const PinRef& pin, unsigned width) {
   util::BitVector value(width);
   auto it = sinks_.find(pin);

@@ -249,15 +249,6 @@ std::vector<const Connection*> Netlist::connections_from(
   return out;
 }
 
-std::vector<const Connection*> Netlist::connections_to(
-    const PinRef& pin) const {
-  std::vector<const Connection*> out;
-  for (const auto& conn : connections_) {
-    if (conn.to == pin) out.push_back(&conn);
-  }
-  return out;
-}
-
 unsigned Netlist::flip_flop_count() const {
   unsigned total = 0;
   for (const auto& r : registers_) total += r.width;

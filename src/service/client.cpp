@@ -15,6 +15,9 @@ namespace socet::service {
 
 namespace {
 
+/// Clock-handshake probes (min-RTT midpoint estimate).
+constexpr std::size_t kClockProbes = 5;
+
 std::string hex_id(std::uint64_t id) {
   char buffer[32];
   std::snprintf(buffer, sizeof(buffer), "%" PRIx64, id);
@@ -99,8 +102,8 @@ ClientReport Client::run_lines(const std::vector<std::string>& lines) {
 
 std::int64_t Client::clock_handshake() {
   std::vector<obs::ClockSample> samples;
-  samples.reserve(options_.clock_probes);
-  for (std::size_t probe = 0; probe < options_.clock_probes; ++probe) {
+  samples.reserve(kClockProbes);
+  for (std::size_t probe = 0; probe < kClockProbes; ++probe) {
     obs::ClockSample sample;
     sample.send_ns = obs::now_ns();
     write_frame(fd_, "clock");

@@ -2,20 +2,20 @@
 //
 // Results are keyed by the FNV-1a hash of the job's canonical line plus
 // the plan-option fingerprint — identical requests hash identically, so
-// a repeated `plan` inside a batch, across batches, or inside the
-// `sweep` fan-out returns the memoized record instead of re-running the
-// CCG scheduler.  Bounded LRU with a single mutex: lookups move the
-// entry to the front, insertions evict from the back.  Capacity 0
-// disables caching (every lookup is a recorded miss) — the throughput
-// bench uses that to isolate worker-pool scaling from memoization.
+// a repeated `plan` inside a batch, across batches, or from any client
+// of the `serve` daemon returns the memoized record instead of
+// re-running the CCG scheduler.  Bounded LRU with a single mutex:
+// lookups move the entry to the front, insertions evict from the back.
+// Capacity 0 disables caching (every lookup is a recorded miss) — the
+// throughput bench uses that to isolate worker-pool scaling from
+// memoization.
 //
 // Two independent bounds govern eviction: an entry count (`capacity`)
 // and an approximate byte budget (`max_bytes`, 0 = unbounded).  The
 // byte bound is what keeps a long-running daemon (`socet serve`) from
 // growing without limit on a payload-heavy workload; bytes are
 // approximated as payload size plus a fixed per-entry overhead
-// (kEntryOverheadBytes covers the LRU node, index slot, and Entry
-// scalars).
+// (kEntryOverheadBytes covers the LRU node, index slot, and key).
 #pragma once
 
 #include <cstdint>
@@ -68,13 +68,10 @@ class PlanCache {
   struct Entry {
     /// The deterministic result payload (everything after "ok <verb> ").
     std::string payload;
-    /// Numeric results for verbs that have them (sweep aggregation).
-    unsigned long long tat = 0;
-    unsigned overhead_cells = 0;
   };
 
   /// Fixed accounting overhead per cached entry on top of the payload
-  /// text: LRU list node, hash-map slot, key, and the Entry scalars.
+  /// text: LRU list node, hash-map slot and key.
   static constexpr std::size_t kEntryOverheadBytes = 96;
 
   /// Approximate resident size of one entry.

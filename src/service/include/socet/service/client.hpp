@@ -32,8 +32,6 @@ struct ClientOptions {
   /// collects the daemon's spans afterwards.  Never changes records —
   /// the stdout byte-identity guarantee holds with this on.
   bool trace = false;
-  /// Clock-handshake probes (min-RTT midpoint estimate).
-  std::size_t clock_probes = 5;
 };
 
 /// The two halves of one cross-process trace, plus the clock offset

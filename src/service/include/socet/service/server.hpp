@@ -15,8 +15,8 @@
 //    buffer until responses drain (backpressure instead of unbounded
 //    queueing per client);
 //  * write budget — a client that stops reading accumulates at most
-//    `max_buffered_bytes` of unsent responses before the server also
-//    stops reading from it.
+//    256 KiB of unsent responses before the server also stops reading
+//    from it.
 //
 // Admission control, global: a job arriving while `max_queue` requests
 // are already queued (admitted, not yet executing) is answered with a
@@ -60,8 +60,6 @@ struct ServerOptions {
   std::size_t max_queue = 1024;
   /// Per-connection unanswered-request window (backpressure).
   std::size_t client_window = 64;
-  /// Per-connection unsent-response byte budget; reads pause above it.
-  std::size_t max_buffered_bytes = 256 * 1024;
   /// If non-empty, write "<port>\n" here once listening — how scripts
   /// and CI discover an ephemeral port.
   std::string port_file;

@@ -45,9 +45,6 @@ struct JobResult {
   std::string record;
   std::uint64_t key = 0;  ///< content hash (0 for parse failures)
   bool cache_hit = false;
-  /// Numeric payload for plan/optimize verbs (drives sweep aggregation).
-  unsigned long long tat = 0;
-  unsigned overhead_cells = 0;
   double queue_us = 0;  ///< enqueue -> worker pickup
   double wall_us = 0;   ///< worker pickup -> done
 };
@@ -118,10 +115,5 @@ class PlanningService {
 /// job line chained with the plan-option fingerprint
 /// (soc::plan_options_key).  Exposed for tests.
 std::uint64_t job_key(const Job& job);
-
-/// Parallel design-space sweep: fans one `plan` job per version
-/// selection of `system` through `service`, then renders
-/// opt::design_space_csv — byte-identical to serial `socet explore`.
-std::string sweep_csv(const std::string& system, PlanningService& service);
 
 }  // namespace socet::service

@@ -42,6 +42,9 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/// Per-connection unsent-response byte budget; reads pause above it.
+constexpr std::size_t kMaxBufferedBytes = 256 * 1024;
+
 void set_nonblocking(int fd) {
   const int flags = ::fcntl(fd, F_GETFL, 0);
   ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
@@ -328,7 +331,7 @@ struct Server::Impl {
   [[nodiscard]] bool can_read(const Conn& conn) const {
     return !conn.fatal && !conn.peer_eof && !conn.dead &&
            conn.slots.size() < options.client_window &&
-           conn.out.size() - conn.out_off < options.max_buffered_bytes;
+           conn.out.size() - conn.out_off < kMaxBufferedBytes;
   }
 
   void loop_main() {
@@ -521,7 +524,7 @@ struct Server::Impl {
   [[nodiscard]] bool can_read_frames(const Conn& conn) const {
     return !conn.fatal && !conn.dead &&
            conn.slots.size() < options.client_window &&
-           conn.out.size() - conn.out_off < options.max_buffered_bytes;
+           conn.out.size() - conn.out_off < kMaxBufferedBytes;
   }
 
   void add_done_slot(const std::shared_ptr<Conn>& conn, std::string body) {

@@ -125,11 +125,10 @@ PlanCache::Entry execute_job(const Job& job, SystemTable& systems) {
       const auto plan = soc::plan_chip_test(*system.soc, selection, options);
       const auto violations =
           soc::validate_plan(*system.soc, selection, plan, options);
-      entry.tat = plan.total_tat;
-      entry.overhead_cells = plan.total_overhead_cells();
       entry.payload = "sel=" + format_selection(selection) +
                       " tat=" + std::to_string(plan.total_tat) +
-                      " overhead=" + std::to_string(entry.overhead_cells) +
+                      " overhead=" +
+                      std::to_string(plan.total_overhead_cells()) +
                       " violations=" + std::to_string(violations.size());
       break;
     }
@@ -148,8 +147,6 @@ PlanCache::Entry execute_job(const Job& job, SystemTable& systems) {
         case Job::Objective::kNone:
           util::raise("optimize job has no objective");
       }
-      entry.tat = point.tat;
-      entry.overhead_cells = point.overhead_cells;
       entry.payload = "sel=" + format_selection(point.selection) +
                       " tat=" + std::to_string(point.tat) +
                       " overhead=" + std::to_string(point.overhead_cells) +
@@ -170,8 +167,6 @@ PlanCache::Entry execute_job(const Job& job, SystemTable& systems) {
           min_area = point.overhead_cells;
         }
       }
-      entry.tat = best_tat;
-      entry.overhead_cells = min_area;
       entry.payload = "points=" + std::to_string(points.size()) +
                       " pareto=" + std::to_string(front.size()) +
                       " best_tat=" + std::to_string(best_tat) +
@@ -183,8 +178,6 @@ PlanCache::Entry execute_job(const Job& job, SystemTable& systems) {
       const auto plan = soc::plan_chip_test(*system.soc, selection);
       const auto schedule =
           soc::schedule_parallel(*system.soc, selection, plan);
-      entry.tat = schedule.total_tat;
-      entry.overhead_cells = plan.total_overhead_cells();
       char speedup[32];
       std::snprintf(speedup, sizeof(speedup), "%.2f", schedule.speedup());
       entry.payload = "sel=" + format_selection(selection) +
@@ -201,8 +194,6 @@ PlanCache::Entry execute_job(const Job& job, SystemTable& systems) {
           soc::assemble_test_program(*system.soc, selection, plan);
       std::size_t events = 0;
       for (const auto& core : program.cores) events += core.frame.size();
-      entry.tat = program.total_cycles;
-      entry.overhead_cells = plan.total_overhead_cells();
       entry.payload = "sel=" + format_selection(selection) +
                       " cores=" + std::to_string(program.cores.size()) +
                       " frame_events=" + std::to_string(events) +
@@ -263,8 +254,6 @@ JobResult Executor::run_line(const std::string& line, std::uint64_t ordinal) {
                 {"cache", result.cache_hit ? "hit" : "miss"},
                 {"key", key_hex});
     result.ok = true;
-    result.tat = entry.tat;
-    result.overhead_cells = entry.overhead_cells;
     result.record =
         std::string("ok ") + verb_name(job.verb) + " " + entry.payload;
   } catch (const std::exception& error) {
@@ -390,33 +379,6 @@ std::string BatchReport::summary_table() const {
   table.add_row({"max job wall time", std::to_string(wall_hist.max()) + " us"});
   table.add_row({"batch wall time", util::Table::num(wall_ms, 2) + " ms"});
   return table.to_text();
-}
-
-std::string sweep_csv(const std::string& system_name,
-                      PlanningService& service) {
-  const systems::System system = resolve_system(system_name);
-  const auto selections = opt::enumerate_selections(*system.soc);
-  std::vector<Job> jobs;
-  jobs.reserve(selections.size());
-  for (const auto& selection : selections) {
-    Job job;
-    job.verb = Verb::kPlan;
-    job.system = system_name;
-    job.selection = selection;
-    jobs.push_back(std::move(job));
-  }
-  const BatchReport report = service.run(jobs);
-  std::vector<opt::DesignPoint> points;
-  points.reserve(report.results.size());
-  for (const JobResult& result : report.results) {
-    util::require(result.ok, "sweep " + result.record);
-    opt::DesignPoint point;
-    point.selection = selections[result.index];
-    point.tat = result.tat;
-    point.overhead_cells = result.overhead_cells;
-    points.push_back(std::move(point));
-  }
-  return opt::design_space_csv(std::move(points));
 }
 
 }  // namespace socet::service

@@ -28,13 +28,6 @@
 namespace socet::soc {
 
 struct PlanOptions {
-  /// Cells per bit of an inserted system-level test mux, plus its select
-  /// driver.
-  unsigned system_mux_per_bit = 1;
-  unsigned system_mux_control = 1;
-  /// The chip test controller FSM (clock gating + transparency mode
-  /// sequencing) — a small constant.
-  unsigned controller_cells = 8;
   /// Core inputs/outputs the optimizer decided to wire straight to chip
   /// pins through test muxes (Section 5.2's escalation); routing skips
   /// them and the mux cost is charged.

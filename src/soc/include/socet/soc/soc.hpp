@@ -64,7 +64,6 @@ class Soc {
   }
   const std::vector<Link>& links() const { return links_; }
 
-  PiId find_pi(const std::string& name) const;
   PoId find_po(const std::string& name) const;
   std::uint32_t find_core(const std::string& name) const;
 

@@ -17,6 +17,14 @@ namespace {
 
 constexpr unsigned kInf = std::numeric_limits<unsigned>::max() / 4;
 
+/// Cells per bit of an inserted system-level test mux, plus its select
+/// driver.
+constexpr unsigned kSystemMuxCellsPerBit = 1;
+constexpr unsigned kSystemMuxControlCells = 1;
+/// The chip test controller FSM (clock gating + transparency mode
+/// sequencing) — a small constant.
+constexpr unsigned kControllerCells = 8;
+
 /// Reservation duration of an edge: latency-0 interconnect still occupies
 /// its wire for the cycle in which the value crosses it.
 unsigned duration_of(const CcgEdge& edge) {
@@ -160,7 +168,7 @@ ChipTestPlan plan_chip_test(const Soc& soc,
   soc.validate();
   Ccg ccg(soc, selection);
   ChipTestPlan plan;
-  plan.controller_cells = options.controller_cells;
+  plan.controller_cells = kControllerCells;
   for (std::uint32_t c = 0; c < soc.cores().size(); ++c) {
     plan.version_cells += soc.core(c).version(selection[c]).extra_cells;
   }
@@ -226,8 +234,8 @@ ChipTestPlan plan_chip_test(const Soc& soc,
         mux_route.via_system_mux = true;
         mux_route.arrival = 1;  // PI -> test mux -> core input, one cycle
         const unsigned mux_cells =
-            options.system_mux_per_bit * cut.netlist().port(port).width +
-            options.system_mux_control;
+            kSystemMuxCellsPerBit * cut.netlist().port(port).width +
+            kSystemMuxControlCells;
         core_plan.system_mux_cells += mux_cells;
         SOCET_EVENT("ccg/mux", {"core", cut.name()},
                     {"port", cut.netlist().port(port).name},
@@ -275,8 +283,8 @@ ChipTestPlan plan_chip_test(const Soc& soc,
         mux_route.via_system_mux = true;
         mux_route.arrival = 0;  // core output -> test mux -> PO
         const unsigned mux_cells =
-            options.system_mux_per_bit * cut.netlist().port(port).width +
-            options.system_mux_control;
+            kSystemMuxCellsPerBit * cut.netlist().port(port).width +
+            kSystemMuxControlCells;
         core_plan.system_mux_cells += mux_cells;
         SOCET_EVENT("ccg/mux", {"core", cut.name()},
                     {"port", cut.netlist().port(port).name},
@@ -353,10 +361,7 @@ ChipTestPlan plan_chip_test(const Soc& soc,
 }
 
 std::string plan_options_key(const PlanOptions& options) {
-  std::string key = "mux=" + std::to_string(options.system_mux_per_bit) + "+" +
-                    std::to_string(options.system_mux_control) +
-                    ";ctrl=" + std::to_string(options.controller_cells) +
-                    ";resv=" + std::to_string(options.ignore_reservations) +
+  std::string key = "resv=" + std::to_string(options.ignore_reservations) +
                     ";pipe=" + std::to_string(options.allow_pipelining);
   const auto append_refs = [&key](const char* label,
                                   const std::vector<CorePortRef>& refs) {

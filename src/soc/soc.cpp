@@ -61,13 +61,6 @@ void Soc::connect(std::uint32_t core, const std::string& output_port,
   links_.push_back(Link{CorePortRef{core, port}, po});
 }
 
-PiId Soc::find_pi(const std::string& name) const {
-  for (std::size_t i = 0; i < pis_.size(); ++i) {
-    if (pis_[i].name == name) return PiId(static_cast<std::uint32_t>(i));
-  }
-  util::raise("find_pi: no PI named '" + name + "'");
-}
-
 PoId Soc::find_po(const std::string& name) const {
   for (std::size_t i = 0; i < pos_.size(); ++i) {
     if (pos_[i].name == name) return PoId(static_cast<std::uint32_t>(i));

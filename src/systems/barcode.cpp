@@ -304,14 +304,14 @@ core::Core& System::core_named(const std::string& name) {
   util::raise("System: no core named '" + name + "'");
 }
 
-System make_barcode_system(const core::CoreCostModels& cost) {
+System make_barcode_system() {
   System system;
   system.cores.push_back(std::make_unique<core::Core>(
-      core::Core::prepare(make_cpu_rtl(), cost)));
+      core::Core::prepare(make_cpu_rtl())));
   system.cores.push_back(std::make_unique<core::Core>(
-      core::Core::prepare(make_preprocessor_rtl(), cost)));
+      core::Core::prepare(make_preprocessor_rtl())));
   system.cores.push_back(std::make_unique<core::Core>(
-      core::Core::prepare(make_display_rtl(), cost)));
+      core::Core::prepare(make_display_rtl())));
 
   // Default precomputed test-set sizes (combinational scan vectors); the
   // benchmark harness can overwrite them with measured ATPG counts.  The

@@ -54,9 +54,9 @@ struct System {
 };
 
 /// System 1, the barcode SOC of Figure 2 (CPU + PREPROCESSOR + DISPLAY).
-System make_barcode_system(const core::CoreCostModels& cost = {});
+System make_barcode_system();
 
 /// System 2 (GRAPHICS + GCD + X25).
-System make_system2(const core::CoreCostModels& cost = {});
+System make_system2();
 
 }  // namespace socet::systems

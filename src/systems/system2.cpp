@@ -215,14 +215,14 @@ rtl::Netlist make_x25_rtl() {
   return n;
 }
 
-System make_system2(const core::CoreCostModels& cost) {
+System make_system2() {
   System system;
   system.cores.push_back(std::make_unique<core::Core>(
-      core::Core::prepare(make_graphics_rtl(), cost)));
+      core::Core::prepare(make_graphics_rtl())));
   system.cores.push_back(std::make_unique<core::Core>(
-      core::Core::prepare(make_gcd_rtl(), cost)));
+      core::Core::prepare(make_gcd_rtl())));
   system.cores.push_back(std::make_unique<core::Core>(
-      core::Core::prepare(make_x25_rtl(), cost)));
+      core::Core::prepare(make_x25_rtl())));
 
   system.core_named("GRAPHICS").set_scan_vectors(130);
   system.core_named("GCD").set_scan_vectors(55);

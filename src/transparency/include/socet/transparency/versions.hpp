@@ -25,15 +25,6 @@
 
 namespace socet::transparency {
 
-struct TransparencyCostModel {
-  unsigned freeze_cell = 1;          ///< per balancing freeze point
-  unsigned non_hscan_edge_cell = 2;  ///< select gating per recruited edge
-  unsigned trans_mux_per_bit = 1;    ///< inserted transparency mux, per bit
-  unsigned trans_mux_control = 1;    ///< its select-line driver
-  unsigned shared_group_control = 1; ///< sequencing control per shared group
-  unsigned control_bypass_per_bit = 1;  ///< 1-bit bypass for control signals
-};
-
 /// One usable transparency move: a value applied at `input` appears at
 /// `output` after `latency` cycles in transparency mode.
 struct TransparencyEdgeSpec {
@@ -72,16 +63,9 @@ struct VersionPolicy {
 };
 
 /// Build one version of the core whose RCG this is.
-CoreVersion make_version(const Rcg& rcg, const VersionPolicy& policy,
-                         const TransparencyCostModel& cost = {});
+CoreVersion make_version(const Rcg& rcg, const VersionPolicy& policy);
 
 /// The paper's standard three-version menu, ordered minimum-area first.
-std::vector<CoreVersion> standard_versions(
-    const Rcg& rcg, const TransparencyCostModel& cost = {});
-
-/// Insert a transparency mux for every pair of `version` slower than one
-/// cycle (the Figure 5 move), charging its cost.
-void force_latency_one(CoreVersion& version, const rtl::Netlist& netlist,
-                       const TransparencyCostModel& cost);
+std::vector<CoreVersion> standard_versions(const Rcg& rcg);
 
 }  // namespace socet::transparency

@@ -15,6 +15,20 @@ namespace {
 using rtl::NodeKind;
 using rtl::PortId;
 
+// Cell costs of the transparency logic.
+/// Per balancing freeze point.
+constexpr unsigned kFreezeCells = 1;
+/// Select gating per recruited non-HSCAN edge.
+constexpr unsigned kNonHscanEdgeCells = 2;
+/// An inserted transparency mux, per bit.
+constexpr unsigned kTransMuxCellsPerBit = 1;
+/// The inserted mux's select-line driver.
+constexpr unsigned kTransMuxControlCells = 1;
+/// Sequencing control per shared serial group.
+constexpr unsigned kSharedGroupControlCells = 1;
+/// A control signal's 1-bit bypass, per bit.
+constexpr unsigned kControlBypassCellsPerBit = 1;
+
 /// Union-find over path indices, used to build serial groups from shared
 /// RCG edges.
 class UnionFind {
@@ -38,6 +52,20 @@ struct FoundPath {
   std::vector<std::pair<PortId, PortId>> pairs;  ///< (input, output)
   bool added_mux = false;
 };
+
+/// Insert a transparency mux for every pair of `version` slower than one
+/// cycle (the Figure 5 move), charging its cost.
+void force_latency_one(CoreVersion& version, const rtl::Netlist& netlist) {
+  for (auto& edge : version.edges) {
+    if (edge.latency <= 1) continue;
+    const auto& out = netlist.port(edge.output);
+    version.extra_cells +=
+        kTransMuxCellsPerBit * out.width + kTransMuxControlCells;
+    edge.latency = 1;
+    edge.serial_group = -1;
+    edge.via_added_mux = true;
+  }
+}
 
 }  // namespace
 
@@ -67,8 +95,7 @@ unsigned CoreVersion::total_latency_from(PortId input) const {
   return total;
 }
 
-CoreVersion make_version(const Rcg& rcg, const VersionPolicy& policy,
-                         const TransparencyCostModel& cost) {
+CoreVersion make_version(const Rcg& rcg, const VersionPolicy& policy) {
   SOCET_SPAN("transparency/make_version");
   SOCET_COUNT("transparency/versions_built");
   CoreVersion version;
@@ -151,9 +178,9 @@ CoreVersion make_version(const Rcg& rcg, const VersionPolicy& policy,
       const bool control =
           netlist.port(out_port).kind == rtl::PortKind::kControl;
       const unsigned mux_cells =
-          (control ? cost.control_bypass_per_bit : cost.trans_mux_per_bit) *
+          (control ? kControlBypassCellsPerBit : kTransMuxCellsPerBit) *
               netlist.port(out_port).width +
-          cost.trans_mux_control;
+          kTransMuxControlCells;
       version.extra_cells += mux_cells;
       SOCET_EVENT("transparency/mux", {"core", netlist.name()},
                   {"version", policy.name},
@@ -215,9 +242,9 @@ CoreVersion make_version(const Rcg& rcg, const VersionPolicy& policy,
       paths.push_back(std::move(fp));
       const bool control = netlist.port(in_port).kind == rtl::PortKind::kControl;
       const unsigned mux_cells =
-          (control ? cost.control_bypass_per_bit : cost.trans_mux_per_bit) *
+          (control ? kControlBypassCellsPerBit : kTransMuxCellsPerBit) *
               netlist.port(in_port).width +
-          cost.trans_mux_control;
+          kTransMuxControlCells;
       version.extra_cells += mux_cells;
       SOCET_EVENT("transparency/mux", {"core", netlist.name()},
                   {"version", policy.name},
@@ -231,11 +258,11 @@ CoreVersion make_version(const Rcg& rcg, const VersionPolicy& policy,
   // --- Cost of the found paths. ------------------------------------------
   std::set<std::uint32_t> non_hscan_costed;
   for (const FoundPath& fp : paths) {
-    version.extra_cells += fp.result.freeze_points * cost.freeze_cell;
+    version.extra_cells += fp.result.freeze_points * kFreezeCells;
     for (std::uint32_t e : fp.result.edges) {
       if (!rcg.edge(e).hscan && !non_hscan_costed.count(e)) {
         non_hscan_costed.insert(e);
-        version.extra_cells += cost.non_hscan_edge_cell;
+        version.extra_cells += kNonHscanEdgeCells;
       }
     }
   }
@@ -266,7 +293,7 @@ CoreVersion make_version(const Rcg& rcg, const VersionPolicy& policy,
       if (it == root_to_group.end()) {
         group = next_group++;
         root_to_group.emplace(root, group);
-        version.extra_cells += cost.shared_group_control;
+        version.extra_cells += kSharedGroupControlCells;
       } else {
         group = it->second;
       }
@@ -296,33 +323,19 @@ CoreVersion make_version(const Rcg& rcg, const VersionPolicy& policy,
 
   // --- Version 3: force every pair to latency one with added muxes. ------
   if (policy.force_latency_one) {
-    force_latency_one(version, netlist, cost);
+    force_latency_one(version, netlist);
   }
   return version;
 }
 
-void force_latency_one(CoreVersion& version, const rtl::Netlist& netlist,
-                       const TransparencyCostModel& cost) {
-  for (auto& edge : version.edges) {
-    if (edge.latency <= 1) continue;
-    const auto& out = netlist.port(edge.output);
-    version.extra_cells +=
-        cost.trans_mux_per_bit * out.width + cost.trans_mux_control;
-    edge.latency = 1;
-    edge.serial_group = -1;
-    edge.via_added_mux = true;
-  }
-}
-
-std::vector<CoreVersion> standard_versions(const Rcg& rcg,
-                                           const TransparencyCostModel& cost) {
+std::vector<CoreVersion> standard_versions(const Rcg& rcg) {
   std::vector<CoreVersion> versions;
-  versions.push_back(make_version(
-      rcg, VersionPolicy{"Version 1", true, true, false}, cost));
-  versions.push_back(make_version(
-      rcg, VersionPolicy{"Version 2", false, true, false}, cost));
-  versions.push_back(make_version(
-      rcg, VersionPolicy{"Version 3", false, true, true}, cost));
+  versions.push_back(
+      make_version(rcg, VersionPolicy{"Version 1", true, true, false}));
+  versions.push_back(
+      make_version(rcg, VersionPolicy{"Version 2", false, true, false}));
+  versions.push_back(
+      make_version(rcg, VersionPolicy{"Version 3", false, true, true}));
 
   // Versions are cumulative: the transparency logic of version k+1
   // includes version k's, so every pair inherits the best latency seen so
@@ -362,7 +375,7 @@ std::vector<CoreVersion> standard_versions(const Rcg& rcg,
   }
   // Pairs inherited into the minimum-latency version must also be forced
   // down to one cycle (they pay for their own muxes).
-  force_latency_one(versions.back(), rcg.netlist(), cost);
+  force_latency_one(versions.back(), rcg.netlist());
   return versions;
 }
 

@@ -1,6 +1,5 @@
 #include "socet/util/bitvector.hpp"
 
-#include <bit>
 
 #include "socet/util/error.hpp"
 
@@ -42,22 +41,11 @@ void BitVector::set(std::size_t bit, bool value) {
   }
 }
 
-void BitVector::set_all(bool value) {
-  for (auto& word : words_) word = value ? ~0ULL : 0ULL;
-  mask_top();
-}
-
 BitVector BitVector::slice(std::size_t lo, std::size_t len) const {
   require(lo + len <= width_, "BitVector::slice: range out of bounds");
   BitVector out(len);
   for (std::size_t i = 0; i < len; ++i) out.set(i, get(lo + i));
   return out;
-}
-
-void BitVector::write_slice(std::size_t lo, const BitVector& src) {
-  require(lo + src.width() <= width_,
-          "BitVector::write_slice: range out of bounds");
-  for (std::size_t i = 0; i < src.width(); ++i) set(lo + i, src.get(i));
 }
 
 void BitVector::append(const BitVector& other) {
@@ -80,12 +68,6 @@ std::string BitVector::to_string() const {
     if (get(i)) out[width_ - 1 - i] = '1';
   }
   return out;
-}
-
-std::size_t BitVector::count_ones() const {
-  std::size_t total = 0;
-  for (auto word : words_) total += static_cast<std::size_t>(std::popcount(word));
-  return total;
 }
 
 bool operator==(const BitVector& a, const BitVector& b) {

@@ -43,14 +43,10 @@ class BitVector {
 
   [[nodiscard]] bool get(std::size_t bit) const;
   void set(std::size_t bit, bool value);
-  void set_all(bool value);
 
   /// Bits [lo, lo+len) as a new vector.  Throws if the range is out of
   /// bounds.
   [[nodiscard]] BitVector slice(std::size_t lo, std::size_t len) const;
-
-  /// Overwrite bits [lo, lo+src.width()) with `src`.
-  void write_slice(std::size_t lo, const BitVector& src);
 
   /// Append `other` above the current most significant bit.
   void append(const BitVector& other);
@@ -60,8 +56,6 @@ class BitVector {
 
   /// MSB-first character string, e.g. "0101".
   [[nodiscard]] std::string to_string() const;
-
-  [[nodiscard]] std::size_t count_ones() const;
 
   friend bool operator==(const BitVector& a, const BitVector& b);
   friend bool operator!=(const BitVector& a, const BitVector& b) {

@@ -47,11 +47,6 @@ class Rng {
 
   bool next_bool() { return (next_u64() & 1) != 0; }
 
-  /// Uniform double in [0, 1).
-  double next_double() {
-    return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
-  }
-
  private:
   static std::uint64_t rotl(std::uint64_t x, int k) {
     return (x << k) | (x >> (64 - k));

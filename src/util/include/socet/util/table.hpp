@@ -2,7 +2,7 @@
 //
 // Every benchmark binary reproduces one of the paper's tables or figures;
 // this helper renders them with aligned columns so the output can be
-// compared to the paper side by side, and can also dump CSV for plotting.
+// compared to the paper side by side.
 #pragma once
 
 #include <string>
@@ -19,11 +19,6 @@ class Table {
 
   /// Render with ASCII borders and right-padded cells.
   [[nodiscard]] std::string to_text() const;
-
-  /// Render as comma-separated values (cells containing commas are quoted).
-  [[nodiscard]] std::string to_csv() const;
-
-  [[nodiscard]] std::size_t row_count() const { return rows_.size(); }
 
   /// Format a double with `digits` places after the decimal point.
   static std::string num(double value, int digits = 1);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <sstream>
 
 #include "socet/util/error.hpp"
 
@@ -42,25 +41,6 @@ std::string Table::to_text() const {
   for (const auto& row : rows_) out += render_row(row);
   out += rule();
   return out;
-}
-
-std::string Table::to_csv() const {
-  auto quote = [](const std::string& cell) {
-    if (cell.find(',') == std::string::npos) return cell;
-    return "\"" + cell + "\"";
-  };
-  std::ostringstream out;
-  for (std::size_t c = 0; c < headers_.size(); ++c) {
-    out << (c ? "," : "") << quote(headers_[c]);
-  }
-  out << "\n";
-  for (const auto& row : rows_) {
-    for (std::size_t c = 0; c < row.size(); ++c) {
-      out << (c ? "," : "") << quote(row[c]);
-    }
-    out << "\n";
-  }
-  return out.str();
 }
 
 std::string Table::num(double value, int digits) {

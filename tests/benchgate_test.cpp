@@ -34,7 +34,7 @@ TEST(JsonInTest, ParsesScalarsAndContainers) {
   EXPECT_EQ(doc.get("n")->number_value, -12.5);
   EXPECT_TRUE(doc.get("t")->bool_value);
   EXPECT_FALSE(doc.get("f")->bool_value);
-  EXPECT_TRUE(doc.get("z")->is_null());
+  EXPECT_EQ(doc.get("z")->kind, JsonValue::Kind::kNull);
   ASSERT_EQ(doc.get("a")->array_value.size(), 3u);
   EXPECT_EQ(doc.get("a")->array_value[2].number_value, 3.0);
   EXPECT_EQ(doc.get("o")->get("k")->number_value, 7.0);

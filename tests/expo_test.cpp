@@ -37,7 +37,7 @@ TEST_F(ExpoTest, PrometheusNameSanitizesOutsideTheAllowedSet) {
 
 TEST_F(ExpoTest, RendersCountersGaugesAndSummaries) {
   obs::Registry::instance().counter("serve/requests").add(7);
-  obs::Registry::instance().gauge("pool/size").set(3);
+  obs::Registry::instance().gauge("pool/size").record_max(3);
   auto& h = obs::Registry::instance().histogram("serve/request_us");
   for (std::uint64_t v = 1; v <= 100; ++v) h.record(v);
 

@@ -91,7 +91,7 @@ TEST(Compaction, EmptyInEmptyOut) {
 
 TEST(IsolationRings, CheaperThanFullBoundaryScan) {
   for (auto* make : {&systems::make_barcode_system, &systems::make_system2}) {
-    auto system = make({});
+    auto system = make();
     auto full = baselines::fscan_bscan(*system.soc);
     auto partial = baselines::partial_isolation_rings(*system.soc);
     EXPECT_LT(partial.chip_level_cells, full.chip_level_cells);

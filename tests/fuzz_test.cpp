@@ -20,7 +20,6 @@
 #include "socet/obs/trace.hpp"
 #include "socet/obs/traceanalyze.hpp"
 #include "socet/obs/tracemerge.hpp"
-#include "socet/rtl/text.hpp"
 #include "socet/service/job.hpp"
 #include "socet/service/protocol.hpp"
 #include "socet/systems/systems.hpp"
@@ -40,45 +39,12 @@ std::string random_garbage(util::Rng& rng, std::size_t length) {
   return out;
 }
 
-TEST(Fuzz, RtlParserNeverAcceptsGarbage) {
-  util::Rng rng(0xF022);
-  for (int trial = 0; trial < 200; ++trial) {
-    const auto text = random_garbage(rng, 40 + rng.next_below(200));
-    EXPECT_THROW(rtl::parse_netlist(text), util::Error) << text;
-  }
-}
-
 TEST(Fuzz, InterfaceParserNeverAcceptsGarbage) {
   util::Rng rng(0xF023);
   for (int trial = 0; trial < 200; ++trial) {
     const auto text = random_garbage(rng, 40 + rng.next_below(200));
     EXPECT_THROW(core::parse_interface(text), util::Error) << text;
   }
-}
-
-TEST(Fuzz, MutatedValidRtlThrowsOrParses) {
-  // Flip random characters in a valid dump: the parser must either accept
-  // a (still well-formed) variant or throw — never crash or hang.
-  const std::string valid = rtl::serialize_netlist(systems::make_gcd_rtl());
-  util::Rng rng(0xF024);
-  int accepted = 0;
-  int rejected = 0;
-  for (int trial = 0; trial < 150; ++trial) {
-    std::string mutated = valid;
-    const int flips = 1 + static_cast<int>(rng.next_below(4));
-    for (int f = 0; f < flips; ++f) {
-      mutated[rng.next_below(mutated.size())] =
-          static_cast<char>('0' + rng.next_below(75));
-    }
-    try {
-      auto netlist = rtl::parse_netlist(mutated);
-      ++accepted;
-    } catch (const util::Error&) {
-      ++rejected;
-    }
-  }
-  EXPECT_GT(rejected, 0) << "mutations never rejected - parser too lax?";
-  EXPECT_EQ(accepted + rejected, 150);
 }
 
 TEST(Fuzz, MutatedValidInterfaceThrowsOrParses) {
@@ -106,11 +72,15 @@ TEST(Fuzz, MutatedValidInterfaceThrowsOrParses) {
 }
 
 TEST(Fuzz, TruncatedInputsAlwaysRejected) {
-  const std::string valid = rtl::serialize_netlist(systems::make_gcd_rtl());
-  // Any strict prefix misses "end" (and possibly more): must throw.
-  for (std::size_t keep : {10u, 50u, 200u}) {
-    if (keep >= valid.size()) continue;
-    EXPECT_THROW(rtl::parse_netlist(valid.substr(0, keep)), util::Error);
+  core::Core gcd = core::Core::prepare(systems::make_gcd_rtl());
+  gcd.set_scan_vectors(10);
+  const std::string valid = core::serialize_interface(gcd);
+  ASSERT_EQ(valid.back(), '\n');
+  // Every strict prefix misses "end" (and possibly more) and must throw,
+  // except the one that drops only the final newline.
+  for (std::size_t keep = 0; keep + 1 < valid.size(); ++keep) {
+    EXPECT_THROW(core::parse_interface(valid.substr(0, keep)), util::Error)
+        << "prefix of " << keep << " bytes accepted";
   }
 }
 

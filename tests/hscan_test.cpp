@@ -84,9 +84,7 @@ TEST(Hscan, TestMuxCostScalesWithWidth) {
   n.add_output("Z", 1);
   n.add_register("WIDE", 16);
 
-  HscanCostModel cost;
-  cost.test_mux_per_bit = 1;
-  auto config = build_hscan(n, cost);
+  auto config = build_hscan(n);
   // Head link: test mux into 16-bit register (16 cells); tail link: test
   // mux onto the 1-bit output (1 cell).
   EXPECT_EQ(config.overhead_cells, 17u);
@@ -114,15 +112,13 @@ TEST(Hscan, VectorAccountingMatchesPaperExample) {
   // -> 525 HSCAN vectors.
   HscanConfig config;
   config.max_depth = 4;
-  EXPECT_EQ(config.vector_multiplier(), 5u);
+  EXPECT_EQ(config.sequence_length(1), 5u);
   EXPECT_EQ(config.sequence_length(105), 525u);
 }
 
 TEST(Hscan, FscanOverheadPerFlipFlop) {
-  auto n = make_fig1();  // 32 flip-flops
-  HscanCostModel cost;
-  cost.fscan_per_ff = 3;
-  EXPECT_EQ(fscan_overhead_cells(n, cost), 96u);
+  auto n = make_fig1();  // 32 flip-flops, 4 cells each
+  EXPECT_EQ(fscan_overhead_cells(n), 128u);
 }
 
 TEST(Hscan, HscanCheaperThanFscanOnMuxRichDesign) {

@@ -1,14 +1,13 @@
 // End-to-end integration: every stage of the SOCET flow composed on a
-// fresh two-core SOC that enters the library as *text* (the way a user's
-// design data would), plus whole-flow determinism checks on the paper
-// systems.
+// fresh two-core SOC built through the rtl::Netlist API (the way a core
+// provider's design data enters the library), plus whole-flow
+// determinism checks on the paper systems.
 #include <gtest/gtest.h>
 
 #include "socet/atpg/atpg.hpp"
 #include "socet/core/serialize.hpp"
 #include "socet/emit/verilog.hpp"
 #include "socet/opt/optimize.hpp"
-#include "socet/rtl/text.hpp"
 #include "socet/soc/controller.hpp"
 #include "socet/soc/parallel.hpp"
 #include "socet/soc/testprogram.hpp"
@@ -19,55 +18,52 @@
 namespace socet {
 namespace {
 
-// Two small cores, written as the text format a user repository would
-// hold.
-constexpr const char* kProducerRtl = R"(socet-rtl v1
-netlist PRODUCER
-input SAMPLE data 8
-input Gate control 1
-input Mode control 1
-output FILTERED data 8
-register S1 8 load
-register S2 8 noload
-mux m_s1 8 2
-fu AVG add 8 2
-connect port:SAMPLE 0 -> mux:m_s1.in0 0 8
-connect fu:AVG.out 0 -> mux:m_s1.in1 0 8
-connect mux:m_s1.out 0 -> reg:S1.d 0 8
-connect port:Gate 0 -> reg:S1.load 0 1
-connect port:Mode 0 -> mux:m_s1.sel 0 1
-connect reg:S1.q 0 -> reg:S2.d 0 8
-connect reg:S1.q 0 -> fu:AVG.in0 0 8
-connect reg:S2.q 0 -> fu:AVG.in1 0 8
-connect reg:S2.q 0 -> port:FILTERED 0 8
-end
-)";
+/// A two-tap averaging filter: SAMPLE (or the average of the two taps)
+/// loads S1 under Gate, S1 shifts into S2, and S2 drives FILTERED.
+rtl::Netlist make_producer() {
+  rtl::Netlist n("PRODUCER");
+  const auto sample = n.add_input("SAMPLE", 8);
+  const auto gate = n.add_input("Gate", 1, rtl::PortKind::kControl);
+  const auto mode = n.add_input("Mode", 1, rtl::PortKind::kControl);
+  const auto filtered = n.add_output("FILTERED", 8);
+  const auto s1 = n.add_register("S1", 8);
+  const auto s2 = n.add_register("S2", 8, /*has_load_enable=*/false);
+  const auto m_s1 = n.add_mux("m_s1", 8, 2);
+  const auto avg = n.add_fu("AVG", rtl::FuKind::kAdd, 8, 2);
+  n.connect(n.pin(sample), n.mux_in(m_s1, 0));
+  n.connect(n.fu_out(avg), n.mux_in(m_s1, 1));
+  n.connect(n.mux_out(m_s1), n.reg_d(s1));
+  n.connect(n.pin(gate), n.reg_load(s1));
+  n.connect(n.pin(mode), n.mux_select(m_s1));
+  n.connect(n.reg_q(s1), n.reg_d(s2));
+  n.connect(n.reg_q(s1), n.fu_in(avg, 0));
+  n.connect(n.reg_q(s2), n.fu_in(avg, 1));
+  n.connect(n.reg_q(s2), n.pin(filtered));
+  return n;
+}
 
-constexpr const char* kConsumerRtl = R"(socet-rtl v1
-netlist CONSUMER
-input DIN data 8
-output PEAK data 8
-register HOLD 8 load
-fu BIGGER less 8 2
-mux m_hold 8 2
-connect port:DIN 0 -> mux:m_hold.in0 0 8
-connect reg:HOLD.q 0 -> mux:m_hold.in1 0 8
-connect fu:BIGGER.out 0 -> mux:m_hold.sel 0 1
-connect port:DIN 0 -> fu:BIGGER.in0 0 8
-connect reg:HOLD.q 0 -> fu:BIGGER.in1 0 8
-connect mux:m_hold.out 0 -> reg:HOLD.d 0 8
-connect reg:HOLD.q 0 -> port:PEAK 0 8
-end
-)";
+/// A peak detector: HOLD keeps the larger of itself and DIN.
+rtl::Netlist make_consumer() {
+  rtl::Netlist n("CONSUMER");
+  const auto din = n.add_input("DIN", 8);
+  const auto peak = n.add_output("PEAK", 8);
+  const auto hold = n.add_register("HOLD", 8);
+  const auto bigger = n.add_fu("BIGGER", rtl::FuKind::kLess, 8, 2);
+  const auto m_hold = n.add_mux("m_hold", 8, 2);
+  n.connect(n.pin(din), n.mux_in(m_hold, 0));
+  n.connect(n.reg_q(hold), n.mux_in(m_hold, 1));
+  n.connect(n.fu_out(bigger), n.mux_select(m_hold));
+  n.connect(n.pin(din), n.fu_in(bigger, 0));
+  n.connect(n.reg_q(hold), n.fu_in(bigger, 1));
+  n.connect(n.mux_out(m_hold), n.reg_d(hold));
+  n.connect(n.reg_q(hold), n.pin(peak));
+  return n;
+}
 
 TEST(Integration, TextToTestProgramEndToEnd) {
-  // 1. Parse the user's RTL.
-  auto producer_rtl = rtl::parse_netlist(kProducerRtl);
-  auto consumer_rtl = rtl::parse_netlist(kConsumerRtl);
-
-  // 2. Provider flow: measure real test sets with ATPG.
-  core::Core producer = core::Core::prepare(std::move(producer_rtl));
-  core::Core consumer = core::Core::prepare(std::move(consumer_rtl));
+  // 1. Provider flow: measure real test sets with ATPG.
+  core::Core producer = core::Core::prepare(make_producer());
+  core::Core consumer = core::Core::prepare(make_consumer());
   for (core::Core* core : {&producer, &consumer}) {
     auto elab = synth::elaborate(core->netlist());
     auto atpg = atpg::generate_tests(elab.gates, {.random_patterns = 32});
@@ -75,7 +71,7 @@ TEST(Integration, TextToTestProgramEndToEnd) {
     core->set_scan_vectors(static_cast<unsigned>(atpg.vector_count()));
   }
 
-  // 3. Integrator flow: wire the chip.
+  // 2. Integrator flow: wire the chip.
   soc::Soc chip("STREAM");
   auto cp = chip.add_core(&producer);
   auto cc = chip.add_core(&consumer);
@@ -90,7 +86,7 @@ TEST(Integration, TextToTestProgramEndToEnd) {
   chip.connect(cc, "PEAK", peak);
   chip.validate();
 
-  // 4. Plan, validate, optimize, schedule, assemble.
+  // 3. Plan, validate, optimize, schedule, assemble.
   const std::vector<unsigned> min_area(2, 0);
   auto plan = soc::plan_chip_test(chip, min_area);
   EXPECT_TRUE(soc::validate_plan(chip, min_area, plan).empty());
@@ -105,14 +101,14 @@ TEST(Integration, TextToTestProgramEndToEnd) {
   auto program = soc::assemble_test_program(chip, min_area, plan);
   EXPECT_EQ(program.total_cycles, plan.total_tat);
 
-  // 5. Generate the controller and check it elaborates.
+  // 4. Generate the controller and check it elaborates.
   soc::Ccg ccg(chip, min_area);
   auto spec = soc::derive_controller_spec(chip, ccg, plan);
   auto controller_rtl = soc::generate_controller_rtl(spec);
   auto controller_gates = synth::elaborate(controller_rtl);
   EXPECT_GT(controller_gates.gates.cell_count(), 0u);
 
-  // 6. Everything emits.
+  // 5. Everything emits.
   EXPECT_NO_THROW(emit::emit_verilog(producer.netlist()));
   EXPECT_NO_THROW(emit::emit_verilog(controller_rtl));
   EXPECT_NO_THROW(core::serialize_interface(producer));
@@ -134,7 +130,7 @@ TEST(Integration, WholeFlowDeterministicOnSystem1) {
 
 TEST(Integration, SelectionSweepAllValidOnBothSystems) {
   for (auto* make : {&systems::make_barcode_system, &systems::make_system2}) {
-    auto system = make({});
+    auto system = make();
     auto points = opt::enumerate_design_space(*system.soc);
     for (const auto& point : points) {
       auto violations =

@@ -116,16 +116,6 @@ TEST(Interpreter, SlicedConnections) {
   EXPECT_EQ(sim.output("OUT").to_u64(), 0xB3u);
 }
 
-TEST(Interpreter, SetRegisterDirectly) {
-  Netlist n("r");
-  auto out = n.add_output("OUT", 8);
-  auto r = n.add_register("R", 8);
-  n.connect(n.reg_q(r), n.pin(out));
-  Interpreter sim(n);
-  sim.set_register(r, BitVector(8, 0x5A));
-  EXPECT_EQ(sim.output("OUT").to_u64(), 0x5Au);
-}
-
 TEST(Interpreter, RejectsRandomLogic) {
   Netlist n("cloud");
   auto in = n.add_input("IN", 4);

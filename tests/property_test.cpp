@@ -19,7 +19,6 @@
 #include "socet/bist/march.hpp"
 #include "socet/core/serialize.hpp"
 #include "socet/gate/sim.hpp"
-#include "socet/rtl/text.hpp"
 #include "socet/hscan/hscan.hpp"
 #include "socet/rtl/interpreter.hpp"
 #include "socet/synth/elaborate.hpp"
@@ -117,7 +116,7 @@ TEST_P(SeededProperty, HscanCoversRegistersExactlyOnce) {
   EXPECT_EQ(seen.size(), netlist.registers().size());
   EXPECT_EQ(config.overhead_cells, link_cost_sum);
   EXPECT_EQ(config.max_depth, max_depth);
-  EXPECT_EQ(config.vector_multiplier(), max_depth + 1);
+  EXPECT_EQ(config.sequence_length(1), max_depth + 1);
 }
 
 TEST_P(SeededProperty, HscanReusedEdgesAreRealPaths) {
@@ -469,14 +468,6 @@ TEST_P(SeededProperty, MarchCMinusCatchesRandomFaults) {
 }
 
 // --------------------------------------------------- serialization sweeps
-
-TEST_P(SeededProperty, RtlTextRoundTripsOnSyntheticCores) {
-  auto original = make_synthetic_core("rt", GetParam(), {});
-  auto restored = rtl::parse_netlist(rtl::serialize_netlist(original));
-  EXPECT_EQ(rtl::serialize_netlist(restored),
-            rtl::serialize_netlist(original));
-  restored.validate();
-}
 
 TEST_P(SeededProperty, CoreInterfaceRoundTripsOnSyntheticCores) {
   auto prepared = core::Core::prepare(make_synthetic_core("ci", GetParam(), {}));

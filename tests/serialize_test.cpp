@@ -22,7 +22,6 @@ TEST(Serialize, RoundTripPreservesEverything) {
   EXPECT_EQ(restored.fscan_overhead_cells(), cpu.fscan_overhead_cells());
   EXPECT_EQ(restored.flip_flop_count(), cpu.flip_flop_count());
   EXPECT_EQ(restored.hscan_vectors(), cpu.hscan_vectors());
-  EXPECT_EQ(restored.total_port_bits(), cpu.total_port_bits());
 
   ASSERT_EQ(restored.version_count(), cpu.version_count());
   for (std::size_t v = 0; v < cpu.version_count(); ++v) {

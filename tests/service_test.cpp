@@ -1,7 +1,6 @@
 // Concurrent planning service: job-line parsing, the FNV-1a LRU cache,
 // the work queue, batch determinism across thread counts, error
-// isolation, sweep-vs-explore equivalence, and a CLI round-trip through
-// the real `socet` binary.
+// isolation, and a CLI round-trip through the real `socet` binary.
 #include <gtest/gtest.h>
 #include <sys/wait.h>
 
@@ -177,10 +176,10 @@ TEST(Fnv1a, MatchesReferenceVectors) {
 
 TEST(PlanCache, LruEvictsLeastRecentlyUsed) {
   service::PlanCache cache(2);
-  cache.insert(1, {"one", 0, 0});
-  cache.insert(2, {"two", 0, 0});
+  cache.insert(1, {"one"});
+  cache.insert(2, {"two"});
   ASSERT_TRUE(cache.lookup(1).has_value());  // 1 becomes most recent
-  cache.insert(3, {"three", 0, 0});          // evicts 2
+  cache.insert(3, {"three"});          // evicts 2
   EXPECT_TRUE(cache.lookup(1).has_value());
   EXPECT_FALSE(cache.lookup(2).has_value());
   EXPECT_TRUE(cache.lookup(3).has_value());
@@ -194,7 +193,7 @@ TEST(PlanCache, LruEvictsLeastRecentlyUsed) {
 
 TEST(PlanCache, ZeroCapacityDisablesMemoization) {
   service::PlanCache cache(0);
-  cache.insert(1, {"one", 0, 0});
+  cache.insert(1, {"one"});
   EXPECT_FALSE(cache.lookup(1).has_value());
   EXPECT_EQ(cache.size(), 0u);
   EXPECT_EQ(cache.stats().misses, 1u);
@@ -202,8 +201,8 @@ TEST(PlanCache, ZeroCapacityDisablesMemoization) {
 
 TEST(PlanCache, DuplicateInsertKeepsIncumbent) {
   service::PlanCache cache(4);
-  cache.insert(1, {"first", 10, 1});
-  cache.insert(1, {"second", 20, 2});
+  cache.insert(1, {"first"});
+  cache.insert(1, {"second"});
   EXPECT_EQ(cache.lookup(1)->payload, "first");
   EXPECT_EQ(cache.stats().insertions, 1u);
 }
@@ -367,26 +366,6 @@ TEST(PlanningService, SummaryTableCarriesTheCounters) {
   EXPECT_EQ(report.errors, 1u);
 }
 
-TEST(Sweep, MatchesSerialExploreByteForByte) {
-  auto system = systems::make_barcode_system();
-  const std::string serial =
-      opt::design_space_csv(opt::enumerate_design_space(*system.soc));
-  for (unsigned threads : {1u, 4u}) {
-    service::PlanningService svc({threads, 4096});
-    EXPECT_EQ(service::sweep_csv("barcode", svc), serial) << threads;
-  }
-}
-
-TEST(Sweep, HitsTheCacheOnRepeatedSweeps) {
-  service::PlanningService svc({2, 4096});
-  (void)service::sweep_csv("barcode", svc);
-  const auto before = svc.cache().stats();
-  (void)service::sweep_csv("barcode", svc);
-  const auto after = svc.cache().stats();
-  EXPECT_EQ(after.hits - before.hits, 27u);  // 3^3 design points, all hits
-  EXPECT_EQ(after.misses, before.misses);
-}
-
 // ------------------------------------------------------------ CLI round-trip
 
 struct CliRun {
@@ -512,16 +491,6 @@ TEST(Cli, VerboseBatchStdoutStaysStable) {
   std::remove(path.c_str());
 }
 
-TEST(Cli, SweepMatchesExplore) {
-  const CliRun explore = run_cli("explore --system barcode");
-  const CliRun sweep = run_cli("sweep --system barcode --threads 4");
-  EXPECT_EQ(explore.exit_code, 0);
-  EXPECT_EQ(sweep.exit_code, 0);
-  EXPECT_EQ(sweep.output, explore.output);
-  EXPECT_NE(sweep.output.find("selection,area_cells,tat_cycles,pareto"),
-            std::string::npos);
-}
-
 TEST(Cli, RejectsBadSelectionAndUnknownCommand) {
   EXPECT_EQ(run_cli("plan --selection 0,1").exit_code, 1);
   EXPECT_EQ(run_cli("plan --selection 1,2,").exit_code, 1);
@@ -530,6 +499,8 @@ TEST(Cli, RejectsBadSelectionAndUnknownCommand) {
   // `tail` is not a command: the daemon's journal is read with
   // `explain --connect` or `client journal`.
   EXPECT_EQ(run_cli("tail --connect 127.0.0.1:1").exit_code, 2);
+  // Nor is `sweep`: `explore` prints the design-space CSV.
+  EXPECT_EQ(run_cli("sweep --system barcode").exit_code, 2);
 }
 
 TEST(Cli, BatchRejectsAThreadCountThatWouldWrap) {
@@ -569,6 +540,22 @@ TEST(Cli, OptimizeRejectsNumbersThatWouldWrapOrHalfParse) {
   EXPECT_EQ(
       run_cli("optimize --system barcode --area-budget 4294967295").exit_code,
       0);
+}
+
+TEST(Cli, FlightRecorderRejectsCapacitiesOutsideTheRing) {
+  // `abc` and `-5` used to abort (exit 134) before the error handler;
+  // 0, 5 and 99999999 were silently clamped to 16..65536.
+  for (const std::string value : {"abc", "-5", "0", "5", "99999999"}) {
+    const CliRun run = run_cli("plan --flight-recorder " + value,
+                               " 2>&1 >/dev/null");
+    EXPECT_EQ(run.exit_code, 1) << value;
+    EXPECT_NE(run.output.find("error: bad --flight-recorder '" + value +
+                              "' (want 16..65536)"),
+              std::string::npos)
+        << value << ": " << run.output;
+  }
+  EXPECT_EQ(run_cli("plan --flight-recorder 16").exit_code, 0);
+  EXPECT_EQ(run_cli("plan --flight-recorder 65536").exit_code, 0);
 }
 
 }  // namespace

@@ -100,7 +100,6 @@ TEST(Soc, Lookups) {
   EXPECT_EQ(chip.soc.find_core("A"), 0u);
   EXPECT_EQ(chip.soc.find_core("B"), 1u);
   EXPECT_THROW(chip.soc.find_core("C"), util::Error);
-  EXPECT_EQ(chip.soc.find_pi("PI").value(), 0u);
   EXPECT_THROW(chip.soc.find_po("nope"), util::Error);
 }
 

@@ -23,7 +23,6 @@ TEST(BitVector, WidthConstructorZeroFills) {
   BitVector v(130);
   EXPECT_EQ(v.width(), 130u);
   for (std::size_t i = 0; i < 130; ++i) EXPECT_FALSE(v.get(i));
-  EXPECT_EQ(v.count_ones(), 0u);
 }
 
 TEST(BitVector, ValueConstructorSetsLowBits) {
@@ -63,7 +62,8 @@ TEST(BitVector, SetAndGetAcrossWordBoundary) {
   EXPECT_TRUE(v.get(63));
   EXPECT_TRUE(v.get(64));
   EXPECT_TRUE(v.get(99));
-  EXPECT_EQ(v.count_ones(), 3u);
+  EXPECT_FALSE(v.get(62));
+  EXPECT_FALSE(v.get(65));
   v.set(64, false);
   EXPECT_FALSE(v.get(64));
 }
@@ -72,14 +72,6 @@ TEST(BitVector, GetOutOfRangeThrows) {
   BitVector v(4);
   EXPECT_THROW((void)v.get(4), Error);
   EXPECT_THROW(v.set(4, true), Error);
-}
-
-TEST(BitVector, SetAllThenMaskKeepsWidth) {
-  BitVector v(70);
-  v.set_all(true);
-  EXPECT_EQ(v.count_ones(), 70u);
-  v.set_all(false);
-  EXPECT_EQ(v.count_ones(), 0u);
 }
 
 TEST(BitVector, SliceExtractsRange) {
@@ -91,12 +83,6 @@ TEST(BitVector, SliceExtractsRange) {
 TEST(BitVector, SliceOutOfRangeThrows) {
   BitVector v(8);
   EXPECT_THROW(v.slice(5, 4), Error);
-}
-
-TEST(BitVector, WriteSliceOverwrites) {
-  BitVector v(8);
-  v.write_slice(2, BitVector::from_string("111"));
-  EXPECT_EQ(v.to_string(), "00011100");
 }
 
 TEST(BitVector, AppendConcatenates) {
@@ -179,15 +165,6 @@ TEST(Rng, NextBelowCoversRange) {
   EXPECT_EQ(seen.size(), 4u);
 }
 
-TEST(Rng, NextDoubleInUnitInterval) {
-  Rng rng(11);
-  for (int i = 0; i < 1000; ++i) {
-    const double d = rng.next_double();
-    EXPECT_GE(d, 0.0);
-    EXPECT_LT(d, 1.0);
-  }
-}
-
 // -------------------------------------------------------------------- Table
 
 TEST(Table, RendersAlignedText) {
@@ -197,18 +174,11 @@ TEST(Table, RendersAlignedText) {
   const auto text = t.to_text();
   EXPECT_NE(text.find("| alpha | 1     |"), std::string::npos);
   EXPECT_NE(text.find("| b     | 20    |"), std::string::npos);
-  EXPECT_EQ(t.row_count(), 2u);
 }
 
 TEST(Table, RejectsMismatchedRow) {
   Table t({"a", "b"});
   EXPECT_THROW(t.add_row({"only-one"}), Error);
-}
-
-TEST(Table, CsvQuotesCommas) {
-  Table t({"k", "v"});
-  t.add_row({"x,y", "3"});
-  EXPECT_EQ(t.to_csv(), "k,v\n\"x,y\",3\n");
 }
 
 TEST(Table, NumFormatsDigits) {

@@ -24,6 +24,8 @@
 // trajectory point and this run (both carry `stage_<stage>_ms` extras).
 // Schemas and the refresh workflow: docs/BENCHMARKS.md.
 #include <algorithm>
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -126,12 +128,24 @@ bool parse_options(int argc, char** argv, Options* out) {
     } else if (arg == "--repeat") {
       const char* v = value();
       if (v == nullptr) return false;
-      out->repeat = static_cast<unsigned>(std::strtoul(v, nullptr, 10));
-      if (out->repeat == 0) return false;
+      const char* end = v + std::strlen(v);
+      const auto [ptr, ec] = std::from_chars(v, end, out->repeat);
+      if (ec != std::errc() || ptr != end || out->repeat == 0) {
+        std::fprintf(stderr, "error: bad --repeat '%s' (want a whole "
+                     "number >= 1)\n", v);
+        return false;
+      }
     } else if (arg == "--tolerance-pct") {
       const char* v = value();
       if (v == nullptr) return false;
-      out->tolerance_pct = std::strtod(v, nullptr);
+      char* end = nullptr;
+      out->tolerance_pct = std::strtod(v, &end);
+      if (end == v || *end != '\0' || !std::isfinite(out->tolerance_pct) ||
+          out->tolerance_pct < 0) {
+        std::fprintf(stderr, "error: bad --tolerance-pct '%s' (want a "
+                     "finite number >= 0)\n", v);
+        return false;
+      }
     } else {
       std::fprintf(stderr, "error: unknown option '%s'\n", arg.c_str());
       return false;
@@ -145,13 +159,17 @@ std::string strip_prefix(const std::string& binary) {
   return binary.rfind("bench_", 0) == 0 ? binary.substr(6) : binary;
 }
 
+/// True when filter token `name` names `binary`.
+bool names_bench(const std::string& name, const std::string& binary) {
+  return name == binary || name == strip_prefix(binary);
+}
+
 bool filter_matches(const Options& options, const std::string& binary) {
-  if (options.filter.empty()) return true;
-  const std::string bare = strip_prefix(binary);
-  return std::find(options.filter.begin(), options.filter.end(), binary) !=
-             options.filter.end() ||
-         std::find(options.filter.begin(), options.filter.end(), bare) !=
-             options.filter.end();
+  return options.filter.empty() ||
+         std::any_of(options.filter.begin(), options.filter.end(),
+                     [&](const std::string& name) {
+                       return names_bench(name, binary);
+                     });
 }
 
 std::vector<std::string> discover_benches(const std::string& bin_dir) {
@@ -296,6 +314,17 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "error: no bench_* executables in '%s'\n",
                  options.bin_dir.c_str());
     return 2;
+  }
+  // A misspelled or renamed bench must not silently drop out of the gate.
+  for (const auto& name : options.filter) {
+    if (std::none_of(binaries.begin(), binaries.end(),
+                     [&](const std::string& binary) {
+                       return names_bench(name, binary);
+                     })) {
+      std::fprintf(stderr, "error: --filter '%s' matches no bench in '%s'\n",
+                   name.c_str(), options.bin_dir.c_str());
+      return 2;
+    }
   }
   if (options.list_only) {
     for (const auto& binary : binaries) {

@@ -10,7 +10,6 @@
 //   socet serve    [--port N] [--threads N]  # persistent planning daemon
 //   socet client   --connect HOST:PORT (--jobs FILE | stats | journal)
 //   socet trace-analyze TRACE.json [--diff A B]  # critical path / attribution
-//   socet sweep    [--system ...] [--threads N]  # parallel explore
 //   socet program  [--system ...]            # assembled test program
 //   socet verilog  --core CPU [--gates]      # Verilog to stdout
 //   socet dot      (--core CPU | --ccg) [--system ...]   # Graphviz
@@ -179,21 +178,21 @@ int cmd_plan(const Args& args) {
   return violations.empty() ? 0 : 1;
 }
 
-/// `--key` as a decimal count of the fallback's type, or `fallback`
-/// when absent.  A value the type cannot hold is an error, never a
-/// silent wrap (`--port 70000` must not listen on 4464).
+/// `--key` as a decimal count in [lo, hi], or `fallback` when absent.
+/// A value outside the range is an error, never a silent wrap or clamp
+/// (`--port 70000` must not listen on 4464).
 template <typename T>
-T parse_option_count(const Args& args, const std::string& key, T fallback) {
+T parse_option_count(const Args& args, const std::string& key, T fallback,
+                     T lo = 0, T hi = std::numeric_limits<T>::max()) {
   if (!args.has(key)) return fallback;
   const std::string text = args.get(key, "");
-  constexpr unsigned long long kMax = std::numeric_limits<T>::max();
   unsigned long long value = 0;
   const char* end = text.data() + text.size();
   const auto [ptr, ec] = std::from_chars(text.data(), end, value);
   util::require(!text.empty() && ec == std::errc() && ptr == end &&
-                    value <= kMax,
-                "bad --" + key + " '" + text + "' (want 0.." +
-                    std::to_string(kMax) + ")");
+                    value >= lo && value <= hi,
+                "bad --" + key + " '" + text + "' (want " +
+                    std::to_string(lo) + ".." + std::to_string(hi) + ")");
   return static_cast<T>(value);
 }
 
@@ -454,14 +453,6 @@ int cmd_trace_analyze(const Args& args) {
   return 0;
 }
 
-int cmd_sweep(const Args& args) {
-  service::PlanningService service(service_options(args));
-  const std::string csv =
-      service::sweep_csv(args.get("system", "barcode"), service);
-  std::printf("%s", csv.c_str());
-  return 0;
-}
-
 int cmd_parallel(const Args& args) {
   auto system = load_system(args);
   auto selection = parse_selection(args, system);
@@ -611,7 +602,6 @@ int usage() {
       "            span traces: `--trace` files and merged traces)\n"
       "  trace-analyze --diff A.json B.json [--json] [--out FILE]\n"
       "            (rank stages by contribution to the B-A delta)\n"
-      "  sweep     [--system ...] [--threads N] (parallel explore)\n"
       "  program   [--system ...] [--selection 1,2,3]\n"
       "  verilog   --core NAME [--gates]\n"
       "  dot       --core NAME | --ccg [--system ...]\n"
@@ -629,9 +619,9 @@ int usage() {
       "                  FILE (flamegraph-ready), top functions to stderr\n"
       "  --journal FILE  record the decision journal (routes, optimizer\n"
       "                  moves, mux insertions, cache hits) as JSONL\n"
-      "  --flight-recorder [N]  keep the last N decision events (default\n"
-      "                  256) in a ring; dump them to stderr on a crash\n"
-      "                  (and, for serve, answer the `journal` verb)\n"
+      "  --flight-recorder [N]  keep the last N decision events (16..65536,\n"
+      "                  default 256) in a ring; dump them to stderr on a\n"
+      "                  crash (and, for serve, answer the `journal` verb)\n"
       "  (metric and span names: docs/OBSERVABILITY.md)\n");
   return 2;
 }
@@ -656,7 +646,6 @@ const std::map<std::string, CommandSpec>& commands() {
       {"batch",
        {cmd_batch, {"jobs", "threads", "cache", "cache-bytes", "verbose",
                     "connect", "window"}}},
-      {"sweep", {cmd_sweep, {"system", "threads", "cache", "cache-bytes"}}},
       {"serve",
        {cmd_serve, {"host", "port", "threads", "cache", "cache-bytes",
                     "max-queue", "window", "port-file", "metrics-port",
@@ -715,7 +704,7 @@ int main(int argc, char** argv) {
   if ((!trace_path.empty() && !remote_trace) || !report_path.empty()) {
     obs::set_trace_enabled(true);
   }
-  if (!profile_path.empty() && !obs::Sampler::start({})) {
+  if (!profile_path.empty() && !obs::Sampler::start()) {
     std::fprintf(stderr, "warning: --profile unavailable on this platform\n");
   }
   // For `explain`, --journal names the *input* document; every other
@@ -724,17 +713,18 @@ int main(int argc, char** argv) {
   const std::string journal_path =
       is_explain ? std::string() : args.get("journal", "");
   if (!journal_path.empty()) obs::journal_start_memory();
-  if (args.has("flight-recorder") && !is_explain) {
-    const std::string capacity_text = args.get("flight-recorder", "");
-    const unsigned long capacity =
-        capacity_text.empty()
-            ? 256
-            : parse_option_count(args, "flight-recorder", 256ul);
-    obs::journal_start_flight(capacity);
-  }
 
   int status = 1;
   try {
+    if (args.has("flight-recorder") && !is_explain) {
+      // A bare `--flight-recorder` keeps the default capacity.
+      obs::journal_start_flight(
+          args.get("flight-recorder", "").empty()
+              ? 256
+              : parse_option_count(args, "flight-recorder", std::size_t{256},
+                                   obs::kMinFlightCapacity,
+                                   obs::kMaxFlightCapacity));
+    }
     // The span name must outlive export; the command key is a static.
     static const std::string span_name = "cli/" + command->first;
     obs::Span span(span_name.c_str());
