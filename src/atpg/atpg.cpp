@@ -34,19 +34,22 @@ AtpgResult generate_tests(const gate::GateNetlist& netlist,
   ScanFaultSim sim(netlist);
 
   // Phase 1: random patterns, kept only if they detect something new.
-  std::vector<ScanPattern> batch;
-  for (unsigned i = 0; i < options.random_patterns; i += 16) {
-    batch.clear();
-    for (unsigned k = 0; k < 16 && i + k < options.random_patterns; ++k) {
-      batch.push_back(random_pattern(netlist, rng));
-    }
-    auto before = faultsim::summarize(result.statuses).detected;
-    sim.run(result.faults, batch, result.statuses);
-    auto after = faultsim::summarize(result.statuses).detected;
-    if (after > before) {
-      SOCET_COUNT_N("atpg/random_patterns_kept", batch.size());
-      result.patterns.insert(result.patterns.end(), batch.begin(),
-                             batch.end());
+  {
+    SOCET_SPAN("atpg/random_phase");
+    std::vector<ScanPattern> batch;
+    for (unsigned i = 0; i < options.random_patterns; i += 16) {
+      batch.clear();
+      for (unsigned k = 0; k < 16 && i + k < options.random_patterns; ++k) {
+        batch.push_back(random_pattern(netlist, rng));
+      }
+      auto before = faultsim::summarize(result.statuses).detected;
+      sim.run(result.faults, batch, result.statuses);
+      auto after = faultsim::summarize(result.statuses).detected;
+      if (after > before) {
+        SOCET_COUNT_N("atpg/random_patterns_kept", batch.size());
+        result.patterns.insert(result.patterns.end(), batch.begin(),
+                               batch.end());
+      }
     }
   }
 
@@ -55,7 +58,9 @@ AtpgResult generate_tests(const gate::GateNetlist& netlist,
   // list), then a patient pass for the leftovers.
   const unsigned limits[2] = {
       std::min(options.backtrack_limit, 24u), options.backtrack_limit};
+  const char* const pass_spans[2] = {"atpg/podem_fast", "atpg/podem_patient"};
   for (unsigned pass = 0; pass < 2; ++pass) {
+    SOCET_SPAN(pass_spans[pass]);
     PodemOptions podem_options;
     podem_options.backtrack_limit = limits[pass];
     for (std::size_t fi = 0; fi < result.faults.size(); ++fi) {
@@ -95,18 +100,21 @@ AtpgResult generate_tests(const gate::GateNetlist& netlist,
   // Final regrade: a fault that aborted early may still be detected
   // incidentally by patterns generated later (dropping skipped it once it
   // was marked).  One full-set simulation settles it.
-  std::vector<std::size_t> aborted;
-  for (std::size_t fi = 0; fi < result.faults.size(); ++fi) {
-    if (result.statuses[fi] == FaultStatus::kAborted) {
-      aborted.push_back(fi);
-      result.statuses[fi] = FaultStatus::kUndetected;
+  {
+    SOCET_SPAN("atpg/regrade");
+    std::vector<std::size_t> aborted;
+    for (std::size_t fi = 0; fi < result.faults.size(); ++fi) {
+      if (result.statuses[fi] == FaultStatus::kAborted) {
+        aborted.push_back(fi);
+        result.statuses[fi] = FaultStatus::kUndetected;
+      }
     }
-  }
-  if (!aborted.empty()) {
-    sim.run(result.faults, result.patterns, result.statuses);
-    for (std::size_t fi : aborted) {
-      if (result.statuses[fi] == FaultStatus::kUndetected) {
-        result.statuses[fi] = FaultStatus::kAborted;
+    if (!aborted.empty()) {
+      sim.run(result.faults, result.patterns, result.statuses);
+      for (std::size_t fi : aborted) {
+        if (result.statuses[fi] == FaultStatus::kUndetected) {
+          result.statuses[fi] = FaultStatus::kAborted;
+        }
       }
     }
   }

@@ -259,12 +259,6 @@ class Podem {
     }
   }
 
-  bool pin_fault_pending() const {
-    std::vector<GateId> pending;
-    pending_pin_sites(pending);
-    return !pending.empty();
-  }
-
   /// D-frontier: gates whose output is X on either side but with a D on
   /// some input (plus fault gates with excited pin faults).
   std::vector<GateId> d_frontier() const {

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "socet/obs/trace.hpp"
+
 namespace socet::atpg {
 
 namespace {
@@ -97,6 +99,7 @@ std::vector<Fault> map_fault(const UnrolledCircuit& unrolled,
 
 SeqAtpgResult sequential_atpg(const gate::GateNetlist& netlist,
                               const SeqAtpgOptions& options) {
+  SOCET_SPAN("atpg/sequential");
   SeqAtpgResult result;
   result.faults = faultsim::enumerate_faults(netlist);
   result.statuses.assign(result.faults.size(), FaultStatus::kUndetected);

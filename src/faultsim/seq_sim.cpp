@@ -8,6 +8,7 @@
 #include "socet/faultsim/scan_sim.hpp"
 #include "socet/gate/eval.hpp"
 #include "socet/obs/metrics.hpp"
+#include "socet/obs/trace.hpp"
 #include "socet/util/error.hpp"
 
 namespace socet::faultsim {
@@ -301,6 +302,7 @@ void SequentialFaultSim::run(const std::vector<Fault>& faults,
                              std::vector<FaultStatus>& statuses) {
   util::require(statuses.size() == faults.size(),
                 "SequentialFaultSim::run: status vector size mismatch");
+  SOCET_SPAN("faultsim/seq_run");
   const auto live = static_cast<std::size_t>(
       std::count(statuses.begin(), statuses.end(), FaultStatus::kUndetected));
   if (live == 0) return;

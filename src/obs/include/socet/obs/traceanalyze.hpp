@@ -177,9 +177,9 @@ std::string analysis_json(const std::vector<CriticalPath>& paths,
 std::string diff_json(const DiffResult& result);
 
 /// Folded stacks over the whole forest (`root;child;leaf <self_us>`
-/// with integer microseconds, identical paths summed) — the same
-/// format the SIGPROF sampler emits, so existing flamegraph tooling
-/// applies unchanged.
+/// with integer microseconds, identical paths summed) — the folded
+/// format `flamegraph.pl` and speedscope read, so a span trace needs
+/// no sampling profiler to become a flamegraph.
 std::string folded_stacks(const std::vector<TraceData>& traces);
 
 }  // namespace socet::obs::analyze

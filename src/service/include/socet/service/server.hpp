@@ -63,22 +63,10 @@ struct ServerOptions {
   /// If non-empty, write "<port>\n" here once listening — how scripts
   /// and CI discover an ephemeral port.
   std::string port_file;
-
-  // -- telemetry plane (docs/SERVICE.md "Live daemon telemetry") ----------
-  // Everything below is off by default; enabling it never touches the
-  // daemon's wire responses or stdout.
-
-  /// Serve GET /metrics (Prometheus text), /healthz, and /readyz over an
-  /// embedded HTTP/1.0 listener (httpd.hpp).  Readiness flips to 503
-  /// while draining.  The only switch that turns on metrics collection.
-  bool metrics_http = false;
-  std::string metrics_host = "127.0.0.1";
-  unsigned short metrics_port = 0;  ///< 0 = ephemeral
-  /// If non-empty, the bound metrics port is written here (CI/scripts).
-  std::string metrics_port_file;
   /// JSONL access log: one `serve.access` object per request
   /// (FORMATS.md §7) — empty = off.  Appended and flushed per line, so
   /// an external `logrotate` with `copytruncate` can bound its size.
+  /// It never touches the daemon's wire responses or stdout.
   std::string access_log;
 
   /// Test hook: runs on the worker thread before each job executes
@@ -87,7 +75,9 @@ struct ServerOptions {
 };
 
 /// A monotonic snapshot of the daemon's counters; the `stats` protocol
-/// verb renders exactly this.
+/// verb renders exactly this.  It is the daemon's one live-state
+/// channel: a `stats` round trip is the liveness probe and `draining`
+/// the readiness signal.
 struct ServerStats {
   std::uint64_t connections_accepted = 0;
   std::uint64_t connections_open = 0;
@@ -124,9 +114,6 @@ class Server {
 
   /// The bound port (resolves port 0 after start()).
   [[nodiscard]] unsigned short port() const;
-
-  /// The bound telemetry HTTP port (0 unless metrics_http is on).
-  [[nodiscard]] unsigned short metrics_port() const;
 
   /// Thread- and signal-safe-adjacent: ask the event loop to begin a
   /// graceful drain.  Callable from any thread; the actual signal

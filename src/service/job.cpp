@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdio>
 #include <limits>
+#include <set>
 
 #include "socet/util/error.hpp"
 
@@ -149,6 +150,10 @@ Job parse_job_line(const std::string& line) {
   const bool takes_selection = job.verb == Verb::kPlan ||
                                job.verb == Verb::kParallel ||
                                job.verb == Verb::kProgram;
+  // Each option sets one field, so a second copy would silently
+  // overwrite the first: `plan system=barcode system=system2` must not
+  // plan System 2.
+  std::set<std::string> seen;
   for (std::size_t t = 1; t < tokens.size(); ++t) {
     const std::string& token = tokens[t].text;
     const std::size_t column = tokens[t].column;
@@ -157,6 +162,9 @@ Job parse_job_line(const std::string& line) {
     const std::string value =
         eq == std::string::npos ? "" : token.substr(eq + 1);
     const bool has_value = eq != std::string::npos;
+    if (!seen.insert(key).second) {
+      fail_at("repeated option '" + key + "'", column);
+    }
 
     if (key == "system" && has_value) {
       if (value.empty()) fail_at("empty system name", column);

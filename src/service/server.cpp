@@ -23,14 +23,10 @@
 #include <utility>
 #include <vector>
 
-#include "socet/obs/build.hpp"
-#include "socet/obs/expo.hpp"
 #include "socet/obs/journal.hpp"
-#include "socet/obs/metrics.hpp"
 #include "socet/obs/report.hpp"
 #include "socet/obs/trace.hpp"
 #include "socet/obs/tracemerge.hpp"
-#include "socet/service/httpd.hpp"
 #include "socet/service/protocol.hpp"
 #include "socet/service/queue.hpp"
 #include "socet/service/service.hpp"
@@ -190,14 +186,8 @@ struct Server::Impl {
   bool started = false;
   bool joined = false;
 
-  // Telemetry plane (all dormant unless the options enable it).
-  Httpd httpd;
   std::ofstream access_log;  ///< written only by the event-loop thread
   Clock::time_point start_time = Clock::now();
-  std::int64_t start_unix_seconds =
-      std::chrono::duration_cast<std::chrono::seconds>(
-          std::chrono::system_clock::now().time_since_epoch())
-          .count();
 
   // Cross-process tracing: spans captured for propagated trace ids,
   // held until the client fetches them with the `spans` verb.  Bounded
@@ -279,7 +269,6 @@ struct Server::Impl {
       const double request_us =
           std::chrono::duration<double, std::micro>(Clock::now() - start)
               .count();
-      SOCET_HISTOGRAM("serve/request_us", request_us);
       responses.fetch_add(1, std::memory_order_relaxed);
       inflight.fetch_sub(1, std::memory_order_relaxed);
       completion.conn = std::move(task->conn);
@@ -467,7 +456,6 @@ struct Server::Impl {
       conns.emplace(fd, conn);
       accepted.fetch_add(1, std::memory_order_relaxed);
       open_conns.fetch_add(1, std::memory_order_relaxed);
-      SOCET_COUNT("serve/connections");
       SOCET_EVENT("serve/conn", {"conn", conn->id}, {"event", "accept"});
     }
   }
@@ -505,7 +493,6 @@ struct Server::Impl {
     }
     if (conn->reader.overflowed() && !conn->fatal) {
       bad_frames.fetch_add(1, std::memory_order_relaxed);
-      SOCET_COUNT("serve/bad_frames");
       SOCET_EVENT("serve/frame", {"conn", conn->id}, {"event", "oversized"},
                   {"announced", conn->reader.announced()});
       add_done_slot(conn,
@@ -584,7 +571,6 @@ struct Server::Impl {
     }
     if (draining.load(std::memory_order_relaxed)) {
       busy_rejects.fetch_add(1, std::memory_order_relaxed);
-      SOCET_COUNT("serve/busy_rejects");
       SOCET_EVENT("serve/busy", {"conn", conn->id}, {"why", "draining"});
       add_done_slot(conn, "busy draining");
       log_access(conn->id, corr, verb, "busy", depth, 0, nullptr);
@@ -592,7 +578,6 @@ struct Server::Impl {
     }
     if (depth >= options.max_queue) {
       busy_rejects.fetch_add(1, std::memory_order_relaxed);
-      SOCET_COUNT("serve/busy_rejects");
       SOCET_EVENT("serve/busy", {"conn", conn->id}, {"why", "queue_full"},
                   {"queue", depth}, {"limit", options.max_queue});
       add_done_slot(conn, "busy queue=" + std::to_string(depth) +
@@ -602,9 +587,7 @@ struct Server::Impl {
       return;
     }
     requests.fetch_add(1, std::memory_order_relaxed);
-    SOCET_COUNT("serve/requests");
     queue_depth.fetch_add(1, std::memory_order_relaxed);
-    SOCET_GAUGE_MAX("serve/queue_depth", depth + 1);
     std::uint64_t hwm = queue_hwm.load(std::memory_order_relaxed);
     while (depth + 1 > hwm &&
            !queue_hwm.compare_exchange_weak(hwm, depth + 1,
@@ -681,9 +664,21 @@ struct Server::Impl {
     log_access(conn->id, corr, "journal", "ok", depth, 0, nullptr);
   }
 
+  /// Frame every finished reply at the head of the FIFO.  This is the one
+  /// place replies are framed, so it bounds them: a body over
+  /// kMaxFrameBytes (an error that echoes a near-limit request) goes out
+  /// as a short error naming its size instead of throwing on this thread.
   void flush_ready(const std::shared_ptr<Conn>& conn) {
     while (!conn->slots.empty() && conn->slots.front().done) {
-      conn->out += encode_frame(conn->slots.front().body);
+      const std::string& body = conn->slots.front().body;
+      if (body.size() <= kMaxFrameBytes) {
+        conn->out += encode_frame(body);
+      } else {
+        conn->out += encode_frame(
+            "error reply of " + std::to_string(body.size()) +
+            " bytes exceeds the " + std::to_string(kMaxFrameBytes) +
+            "-byte frame limit");
+      }
       conn->slots.pop_front();
     }
   }
@@ -729,20 +724,6 @@ struct Server::Impl {
     conns.erase(conn->fd);
     open_conns.fetch_sub(1, std::memory_order_relaxed);
     SOCET_EVENT("serve/conn", {"conn", conn->id}, {"event", "close"});
-  }
-
-  /// The Prometheus exposition: the registry plus build identity and
-  /// start time, the standard idiom for "which binary is this and how
-  /// long has it been up".  Live server state is the `stats` verb's.
-  [[nodiscard]] std::string exposition() const {
-    std::string out = obs::prometheus_text();
-    out += "# TYPE socet_build_info gauge\n";
-    out += std::string("socet_build_info{version=\"") + obs::build_version() +
-           "\",git=\"" + obs::build_git() + "\"} 1\n";
-    out += "# TYPE socet_start_time_seconds gauge\n";
-    out += "socet_start_time_seconds " + std::to_string(start_unix_seconds) +
-           "\n";
-    return out;
   }
 
   [[nodiscard]] ServerStats snapshot() const {
@@ -801,48 +782,13 @@ void Server::start() {
     util::require(file.good(), "cannot write port file '" +
                                    impl_->options.port_file + "'");
   }
-  // Telemetry plane: set up before any thread runs so the event loop
-  // never races the access-log open.  The HTTP listener turns metrics
-  // collection on — the registry renders to HTTP only, so wire
-  // responses and stdout are untouched.
-  if (impl_->options.metrics_http) obs::set_metrics_enabled(true);
+  // Open the access log before any thread runs, so the event loop never
+  // races the open.
   if (!impl_->options.access_log.empty()) {
     impl_->access_log.open(impl_->options.access_log, std::ios::app);
     util::require(impl_->access_log.is_open(),
                   "cannot open access log '" + impl_->options.access_log +
                       "'");
-  }
-  if (impl_->options.metrics_http) {
-    HttpdOptions http_options;
-    http_options.host = impl_->options.metrics_host;
-    http_options.port = impl_->options.metrics_port;
-    http_options.port_file = impl_->options.metrics_port_file;
-    Impl* impl = impl_.get();
-    impl_->httpd.start(
-        http_options,
-        [impl](const std::string& method,
-               const std::string& path) -> HttpResponse {
-          if (method != "GET") {
-            return {405, "text/plain; charset=utf-8", "method not allowed\n"};
-          }
-          if (path == "/metrics") {
-            return {200, "text/plain; version=0.0.4; charset=utf-8",
-                    impl->exposition()};
-          }
-          if (path == "/healthz") {
-            return {200, "text/plain; charset=utf-8", "ok\n"};
-          }
-          if (path == "/readyz") {
-            // Readiness flips during drain so a load balancer stops
-            // routing to a daemon that will `busy` every job.
-            return impl->draining.load(std::memory_order_relaxed)
-                       ? HttpResponse{503, "text/plain; charset=utf-8",
-                                      "draining\n"}
-                       : HttpResponse{200, "text/plain; charset=utf-8",
-                                      "ready\n"};
-          }
-          return {404, "text/plain; charset=utf-8", "not found\n"};
-        });
   }
   impl_->workers.reserve(impl_->options.threads);
   for (unsigned t = 0; t < impl_->options.threads; ++t) {
@@ -854,8 +800,6 @@ void Server::start() {
 
 unsigned short Server::port() const { return impl_->bound_port; }
 
-unsigned short Server::metrics_port() const { return impl_->httpd.port(); }
-
 void Server::request_drain() {
   impl_->drain_requested.store(true, std::memory_order_release);
   if (impl_->started) impl_->wake();
@@ -865,10 +809,6 @@ void Server::wait() {
   if (!impl_->started || impl_->joined) return;
   impl_->loop_thread.join();
   for (auto& worker : impl_->workers) worker.join();
-  // The telemetry listener outlives the event loop on purpose: /readyz
-  // answers 503 for the whole drain, and the last scrape still sees the
-  // final counters.  Stop it only once the daemon is fully quiesced.
-  impl_->httpd.stop();
   if (impl_->access_log.is_open()) impl_->access_log.close();
   impl_->joined = true;
 }

@@ -29,6 +29,14 @@ double microseconds_between(Clock::time_point from, Clock::time_point to) {
   return std::chrono::duration<double, std::micro>(to - from).count();
 }
 
+/// Bounds that keep one job line from holding a worker for minutes.
+/// `explore` enumerates every point of the version lattice (3^11 points
+/// took about 25 s on a 4-vCPU host), and a synthetic SOC's planning
+/// cost grows with its core count.  The paper systems' lattices have 27
+/// points, and 64 cores is the largest SOC the benchmark notes probe.
+constexpr unsigned kMaxSyntheticCores = 64;
+constexpr unsigned long long kMaxExplorePoints = 65536;
+
 /// Resolve a job's system name.  Besides the paper's two systems, the
 /// service accepts `synthetic:<seed>[:<cores>]` so load generators can
 /// request arbitrarily many distinct, deterministic SOCs.
@@ -54,8 +62,11 @@ systems::System resolve_system(const std::string& name) {
       auto [cptr, cec] = std::from_chars(
           cores_text.data(), cores_text.data() + cores_text.size(), cores);
       util::require(cec == std::errc() && cores >= 1 &&
+                        cores <= kMaxSyntheticCores &&
                         cptr == cores_text.data() + cores_text.size(),
-                    "bad synthetic core count in system '" + name + "'");
+                    "bad synthetic core count in system '" + name +
+                        "' (want 1.." + std::to_string(kMaxSyntheticCores) +
+                        ")");
       options.cores = cores;
     }
     return systems::make_synthetic_system(seed, options);
@@ -155,6 +166,17 @@ PlanCache::Entry execute_job(const Job& job, SystemTable& systems) {
       break;
     }
     case Verb::kExplore: {
+      // Refuse before enumerating.  The running product is checked per
+      // core, so it cannot overflow.
+      unsigned long long lattice = 1;
+      for (const core::Core* core : system.soc->cores()) {
+        lattice *= core->version_count();
+        if (lattice > kMaxExplorePoints) {
+          util::raise("explore of system '" + job.system +
+                      "' spans more than the " +
+                      std::to_string(kMaxExplorePoints) + "-point limit");
+        }
+      }
       const auto points = opt::enumerate_design_space(*system.soc);
       const auto front = opt::pareto_front(points);
       unsigned long long best_tat = 0;

@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
+#include <vector>
 
 #include "socet/atpg/atpg.hpp"
 #include "socet/atpg/podem.hpp"
+#include "socet/obs/trace.hpp"
 #include "socet/rtl/netlist.hpp"
 #include "socet/synth/elaborate.hpp"
 #include "socet/util/error.hpp"
@@ -227,6 +230,53 @@ TEST(Atpg, DeterministicAcrossRuns) {
   for (std::size_t i = 0; i < r1.patterns.size(); ++i) {
     EXPECT_EQ(r1.patterns[i].pi, r2.patterns[i].pi);
   }
+}
+
+TEST(Atpg, TracedRunRecordsEachPhaseAsAChildOfGenerateTests) {
+  // Spans answer "where did the ATPG time go": each phase is a child of
+  // atpg/generate_tests, and the fault simulation it runs nests under
+  // the phase, so per-phase self time needs no sampling profiler.
+  GateNetlist n("c");
+  auto a = n.add_input("a");
+  auto b = n.add_input("b");
+  auto c = n.add_input("c");
+  auto g1 = n.add_gate(GateKind::kNand, {a, b}, "g1");
+  auto g2 = n.add_gate(GateKind::kNor, {b, c}, "g2");
+  auto z = n.add_gate(GateKind::kXor, {g1, g2}, "z");
+  n.mark_output(z);
+
+  obs::reset_trace();
+  obs::set_trace_enabled(true);
+  generate_tests(n, {.random_patterns = 8, .seed = 3});
+  obs::set_trace_enabled(false);
+  const std::vector<obs::TraceEvent> events = obs::collect_trace_events();
+  obs::reset_trace();
+
+  std::uint64_t root = 0;
+  for (const obs::TraceEvent& event : events) {
+    if (event.name == "atpg/generate_tests") root = event.id;
+  }
+  ASSERT_NE(root, 0u);
+  std::vector<std::uint64_t> phases;
+  for (const char* phase : {"atpg/random_phase", "atpg/podem_fast",
+                            "atpg/podem_patient", "atpg/regrade"}) {
+    std::size_t seen = 0;
+    for (const obs::TraceEvent& event : events) {
+      if (event.name != phase) continue;
+      ++seen;
+      EXPECT_EQ(event.parent, root) << phase;
+      phases.push_back(event.id);
+    }
+    EXPECT_EQ(seen, 1u) << phase;
+  }
+  std::size_t scan_runs = 0;
+  for (const obs::TraceEvent& event : events) {
+    if (event.name != "faultsim/scan_run") continue;
+    ++scan_runs;
+    EXPECT_NE(std::find(phases.begin(), phases.end(), event.parent),
+              phases.end());
+  }
+  EXPECT_GT(scan_runs, 0u);
 }
 
 // --------------------------------------------------- sequential baselines

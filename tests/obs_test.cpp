@@ -1,11 +1,9 @@
 // Observability subsystem: histogram bucket/quantile edge cases,
 // counters under concurrent increments, trace export shape (`X` slices
 // with parent ids, named worker lanes), the run-report JSON with its
-// per-stage span times and whole-run resources block, and the sampling
-// profiler.
+// per-stage span times and whole-run resources block.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <string>
@@ -15,41 +13,8 @@
 #include "socet/obs/jsonin.hpp"
 #include "socet/obs/metrics.hpp"
 #include "socet/obs/report.hpp"
-#include "socet/obs/sampler.hpp"
 #include "socet/obs/timer.hpp"
 #include "socet/obs/trace.hpp"
-
-#if defined(__linux__)
-#include <signal.h>
-#include <sys/time.h>
-#endif
-
-// Busy-loop leaf for the profiler smoke test: extern "C", noinline, and
-// globally visible so `dladdr` can attribute samples to it by name
-// (the obs library links with -rdynamic on Linux for exactly this).
-// Callers go through the volatile pointer below — a direct call lets
-// the optimizer emit local `.constprop` clones whose addresses are not
-// in the dynamic symbol table, so samples would land in the clone and
-// symbolize as `test_obs+0x...` instead of the function name.
-std::atomic<unsigned long> socet_obs_test_spin_beat{0};
-
-extern "C" __attribute__((noinline)) double socet_obs_test_busy_spin(
-    unsigned long iters) {
-  volatile double acc = 0;
-  for (unsigned long i = 0; i < iters; ++i) {
-    acc = acc + static_cast<double>(i & 1023u) * 1.0000001;
-    // TSan defers async signals to the next atomic op or interceptor;
-    // beating an atomic inside the loop makes SIGPROF fire while this
-    // frame is on the stack, so attribution still works under TSan.
-    if ((i & 255u) == 0) {
-      socet_obs_test_spin_beat.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
-  return acc;
-}
-
-double (*volatile socet_obs_test_busy_spin_ptr)(unsigned long) =
-    socet_obs_test_busy_spin;
 
 namespace socet {
 namespace {
@@ -417,62 +382,6 @@ TEST_F(ObsTest, RunReportEmbedsResourcesBlock) {
   EXPECT_EQ(run->get("hw"), nullptr);
   EXPECT_EQ(resources->get("stages"), nullptr);
 }
-
-// ------------------------------------------------------------------ sampler
-
-#if defined(__linux__)
-
-TEST_F(ObsTest, DisabledSamplerInstallsNoHandler) {
-  ASSERT_FALSE(obs::Sampler::running());
-  struct sigaction current {};
-  ASSERT_EQ(sigaction(SIGPROF, nullptr, &current), 0);
-  EXPECT_EQ(current.sa_handler, SIG_DFL);
-  itimerval timer{};
-  ASSERT_EQ(getitimer(ITIMER_PROF, &timer), 0);
-  EXPECT_EQ(timer.it_interval.tv_sec, 0);
-  EXPECT_EQ(timer.it_interval.tv_usec, 0);
-  EXPECT_EQ(timer.it_value.tv_sec, 0);
-  EXPECT_EQ(timer.it_value.tv_usec, 0);
-}
-
-TEST_F(ObsTest, SamplerAttributesBusyLoopSamples) {
-  ASSERT_TRUE(obs::sampler_supported());
-  obs::Sampler::reset();
-  ASSERT_TRUE(obs::Sampler::start());
-  EXPECT_TRUE(obs::Sampler::running());
-  EXPECT_FALSE(obs::Sampler::start());  // no double-start
-
-  volatile double sink = 0;
-  const obs::StopWatch watch;
-  while (obs::Sampler::sample_count() < 5 && watch.elapsed_ms() < 5000) {
-    sink = sink + socet_obs_test_busy_spin_ptr(200000);
-  }
-  obs::Sampler::stop();
-  EXPECT_FALSE(obs::Sampler::running());
-
-  EXPECT_GE(obs::Sampler::sample_count(), 1u);
-  const std::string folded = obs::Sampler::folded_stacks();
-  EXPECT_NE(folded.find("socet_obs_test_busy_spin"), std::string::npos)
-      << folded;
-  const std::string table = obs::Sampler::top_functions_table();
-  EXPECT_NE(table.find("samples"), std::string::npos);
-  EXPECT_NE(table.find("socet_obs_test_busy_spin"), std::string::npos)
-      << table;
-
-  // stop() restored the default disposition and disarmed the timer.
-  struct sigaction current {};
-  ASSERT_EQ(sigaction(SIGPROF, nullptr, &current), 0);
-  EXPECT_EQ(current.sa_handler, SIG_DFL);
-  itimerval timer{};
-  ASSERT_EQ(getitimer(ITIMER_PROF, &timer), 0);
-  EXPECT_EQ(timer.it_value.tv_sec, 0);
-  EXPECT_EQ(timer.it_value.tv_usec, 0);
-
-  obs::Sampler::reset();
-  EXPECT_EQ(obs::Sampler::sample_count(), 0u);
-}
-
-#endif  // __linux__
 
 }  // namespace
 }  // namespace socet

@@ -5,6 +5,7 @@
 #include "socet/atpg/atpg.hpp"
 #include "socet/atpg/sequential.hpp"
 #include "socet/gate/sim.hpp"
+#include "socet/obs/trace.hpp"
 #include "socet/rtl/netlist.hpp"
 #include "socet/synth/elaborate.hpp"
 
@@ -99,6 +100,37 @@ TEST(SequentialAtpg, FullCoverageOnShiftRegister) {
     EXPECT_LE(sequence.size(), 4u);
     for (const auto& vec : sequence) EXPECT_EQ(vec.width(), 1u);
   }
+}
+
+TEST(SequentialAtpg, TracedRunRecordsItsSimulationUnderOneSpan) {
+  // Sequential ATPG and every sequential fault simulation it runs are
+  // spans, so a bench's stage extras account for them.
+  auto n = make_shift2();
+  obs::reset_trace();
+  obs::set_trace_enabled(true);
+  const auto result =
+      sequential_atpg(n, {.max_frames = 4, .random_cycles = 0});
+  obs::set_trace_enabled(false);
+  const std::vector<obs::TraceEvent> events = obs::collect_trace_events();
+  obs::reset_trace();
+
+  std::uint64_t root = 0;
+  std::size_t roots = 0;
+  for (const obs::TraceEvent& event : events) {
+    if (event.name != "atpg/sequential") continue;
+    root = event.id;
+    ++roots;
+  }
+  ASSERT_EQ(roots, 1u);
+  std::size_t runs = 0;
+  for (const obs::TraceEvent& event : events) {
+    if (event.name != "faultsim/seq_run") continue;
+    ++runs;
+    EXPECT_EQ(event.parent, root);
+  }
+  // With no random phase, each kept sequence was simulated once.
+  EXPECT_EQ(runs, result.sequences.size());
+  EXPECT_GT(runs, 0u);
 }
 
 TEST(SequentialAtpg, SequencesVerifiedBySimulator) {

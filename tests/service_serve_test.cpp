@@ -417,6 +417,35 @@ TEST(Serve, PendingResponsesStillFlushBeforeTheErrorClose) {
   ::close(fd);
 }
 
+TEST(Serve, RepliesOverTheFrameLimitBecomeShortErrors) {
+  // Each request fits in one frame, but its error reply echoes it and
+  // would not.  Framed as is, it would throw on the event-loop thread
+  // and end the daemon; each must get a short error instead, and the
+  // connection must stay usable.
+  service::ServerOptions options;
+  options.threads = 1;
+  service::Server server(std::move(options));
+  server.start();
+
+  const int fd = service::net_connect("127.0.0.1", server.port());
+  for (const std::string& request :
+       {std::string(service::kMaxFrameBytes, 'x'),
+        "spans " + std::string(service::kMaxFrameBytes - 6, 'x')}) {
+    service::write_frame(fd, request);
+    const auto reply = service::read_frame(fd);
+    ASSERT_TRUE(reply.has_value());
+    EXPECT_EQ(reply->rfind("error reply of ", 0), 0u) << reply->substr(0, 80);
+    EXPECT_NE(reply->find(" bytes exceeds the 1048576-byte frame limit"),
+              std::string::npos)
+        << reply->substr(0, 80);
+  }
+  service::write_frame(fd, "stats");
+  const auto stats = service::read_frame(fd);
+  ASSERT_TRUE(stats.has_value());
+  EXPECT_EQ(stats->rfind("ok stats ", 0), 0u) << *stats;
+  ::close(fd);
+}
+
 /// Parks worker threads inside before_execute until release() and
 /// reports how many workers have entered, so admission/drain tests can
 /// sequence requests deterministically against a busy pool.
@@ -509,20 +538,29 @@ TEST(Serve, GracefulDrainFinishesAdmittedWorkAndRejectsTheRest) {
   // closed, so a connect attempt fails outright.
   EXPECT_THROW(service::net_connect("127.0.0.1", server.port()),
                util::Error);
+  // `stats` is the readiness signal: on the open connection it reports
+  // the drain while admitted work is still running.
+  service::write_frame(fd, "stats");
   // New work on the existing connection is rejected, structured.
   service::write_frame(fd, "program system=barcode");
-  // Release only once that rejection happened: released earlier, both
-  // jobs can finish first, and the server closes the flushed, idle
-  // connection with the frame unread (the client sees a reset).
+  // Release only once that rejection happened (so the `stats` ahead of
+  // it was answered too): released earlier, both jobs can finish first,
+  // and the server closes the flushed, idle connection with the frames
+  // unread (the client sees a reset).
   while (server.stats().busy_rejects < 1) std::this_thread::sleep_for(1ms);
 
   gate.release();
   const auto r1 = service::read_frame(fd);
   const auto r2 = service::read_frame(fd);
+  const auto stats_reply = service::read_frame(fd);
   const auto r3 = service::read_frame(fd);
-  ASSERT_TRUE(r1 && r2 && r3);
+  ASSERT_TRUE(r1 && r2 && stats_reply && r3);
   EXPECT_EQ(r1->rfind("ok plan ", 0), 0u) << *r1;     // finished in flight
   EXPECT_EQ(r2->rfind("ok explore ", 0), 0u) << *r2;  // finished queued
+  EXPECT_NE(stats_reply->find(" queue_depth=1 queue_hwm=1 inflight=1 "
+                              "draining=1 "),
+            std::string::npos)
+      << *stats_reply;
   EXPECT_EQ(*r3, "busy draining");
   // Flushed and idle, the server closes the connection...
   EXPECT_FALSE(service::read_frame(fd).has_value());
@@ -605,7 +643,7 @@ TEST(Serve, AccessLogCarriesPerRequestTelemetry) {
   options.threads = 1;
   options.access_log = log_path;
   // The access log is self-contained: it does not switch on the
-  // metrics registry (only the HTTP listener does).
+  // metrics registry (only `--metrics` and `--report` do).
   obs::set_metrics_enabled(false);
   service::Server server(std::move(options));
   server.start();
@@ -632,68 +670,6 @@ TEST(Serve, AccessLogCarriesPerRequestTelemetry) {
   std::remove(log_path.c_str());
 }
 
-/// One serial HTTP/1.0 exchange against the embedded metrics listener.
-std::string http_get(unsigned short port, const std::string& request_line) {
-  const int fd = service::net_connect("127.0.0.1", port);
-  const std::string request = request_line + "\r\nHost: localhost\r\n\r\n";
-  EXPECT_EQ(::write(fd, request.data(), request.size()),
-            static_cast<ssize_t>(request.size()));
-  std::string response;
-  char buffer[4096];
-  ssize_t n = 0;
-  while ((n = ::read(fd, buffer, sizeof(buffer))) > 0) {
-    response.append(buffer, static_cast<std::size_t>(n));
-  }
-  ::close(fd);
-  return response;
-}
-
-TEST(Serve, HttpEndpointsServeMetricsAndFlipReadinessDuringDrain) {
-  WorkerGate gate;
-  service::ServerOptions options;
-  options.threads = 1;
-  options.metrics_http = true;  // port 0: the OS picks one
-  options.before_execute = gate.hook();
-  service::Server server(std::move(options));
-  server.start();
-  const unsigned short mport = server.metrics_port();
-  ASSERT_GT(mport, 0);
-
-  EXPECT_NE(http_get(mport, "GET /healthz HTTP/1.0").find("200 OK\r\n"),
-            std::string::npos);
-  EXPECT_NE(http_get(mport, "GET /readyz HTTP/1.0").find("ready"),
-            std::string::npos);
-  const std::string metrics = http_get(mport, "GET /metrics HTTP/1.0");
-  EXPECT_NE(metrics.find("200 OK\r\n"), std::string::npos) << metrics;
-  EXPECT_NE(metrics.find("# TYPE"), std::string::npos);
-  EXPECT_NE(metrics.find("socet_build_info{"), std::string::npos) << metrics;
-  EXPECT_NE(http_get(mport, "GET /nope HTTP/1.0").find("404"),
-            std::string::npos);
-  EXPECT_NE(http_get(mport, "POST /metrics HTTP/1.0").find("405"),
-            std::string::npos);
-
-  // Park the only worker, then drain: /readyz must flip to 503 while
-  // the admitted job is still running, and stay reachable until wait()
-  // returns (the listener outlives the event loop).
-  const int fd = service::net_connect("127.0.0.1", server.port());
-  service::write_frame(fd, "plan system=barcode");
-  gate.wait_entered(1);
-  server.request_drain();
-  std::string ready;
-  while ((ready = http_get(mport, "GET /readyz HTTP/1.0")).find("503") ==
-         std::string::npos) {
-    std::this_thread::sleep_for(1ms);
-  }
-  EXPECT_NE(ready.find("draining"), std::string::npos) << ready;
-  EXPECT_NE(http_get(mport, "GET /healthz HTTP/1.0").find("200 OK\r\n"),
-            std::string::npos);
-  gate.release();
-  ASSERT_TRUE(service::read_frame(fd).has_value());
-  ::close(fd);
-  server.wait();
-  EXPECT_THROW(service::net_connect("127.0.0.1", mport), util::Error);
-}
-
 TEST(Serve, TelemetryLeavesRecordsByteIdentical) {
   const std::string expected = serial_records(kJobFile);
   const std::string log_path =
@@ -701,12 +677,16 @@ TEST(Serve, TelemetryLeavesRecordsByteIdentical) {
   std::remove(log_path.c_str());
   service::ServerOptions options;
   options.threads = 3;
-  options.metrics_http = true;
   options.access_log = log_path;
-  service::Server server(std::move(options));
-  server.start();
-  auto client = connect_to(server);
-  EXPECT_EQ(client.run_lines(kJobFile).records_text(), expected);
+  // `serve --metrics` turns the registry on for the whole process.
+  obs::set_metrics_enabled(true);
+  {
+    service::Server server(std::move(options));
+    server.start();
+    auto client = connect_to(server);
+    EXPECT_EQ(client.run_lines(kJobFile).records_text(), expected);
+  }
+  obs::set_metrics_enabled(false);
   std::remove(log_path.c_str());
 }
 
@@ -873,11 +853,10 @@ TEST(Serve, JournalVerbWithoutARingIsAStructuredError) {
             "error journal ring disabled (start serve with --flight-recorder N)");
 }
 
-TEST(Serve, UnwritableMetricsPortFileFailsStart) {
-  const std::string path = testing::TempDir() + "no_such_dir/mport.txt";
+TEST(Serve, UnwritablePortFileFailsStart) {
+  const std::string path = testing::TempDir() + "no_such_dir/port.txt";
   service::ServerOptions options;
-  options.metrics_http = true;
-  options.metrics_port_file = path;
+  options.port_file = path;
   service::Server server(std::move(options));
   try {
     server.start();
@@ -886,26 +865,6 @@ TEST(Serve, UnwritableMetricsPortFileFailsStart) {
     EXPECT_NE(std::string(error.what()).find(path), std::string::npos)
         << error.what();
   }
-}
-
-TEST(Serve, HttpMetricsCarryBuildInfo) {
-  service::ServerOptions options;
-  options.threads = 2;
-  options.metrics_http = true;
-  service::Server server(std::move(options));
-  server.start();
-  const unsigned short mport = server.metrics_port();
-  ASSERT_GT(mport, 0);
-  {
-    auto client = connect_to(server);
-    client.run_lines(kJobFile);
-  }
-
-  const std::string metrics = http_get(mport, "GET /metrics HTTP/1.0");
-  EXPECT_NE(metrics.find("socet_build_info{version=\""), std::string::npos)
-      << metrics;
-  EXPECT_NE(metrics.find("git=\""), std::string::npos);
-  EXPECT_NE(metrics.find("socet_start_time_seconds "), std::string::npos);
 }
 
 // --------------------------------------------------------------------- CLI
@@ -977,13 +936,11 @@ TEST(Cli, ClientRejectsBadArguments) {
 TEST(Cli, ServeRejectsAPortThatWouldWrap) {
   // 70000 must be refused, not wrapped to port 4464.  A daemon that
   // listens instead never returns, so `timeout` bounds it (exit 124).
-  for (const char* flag : {"--port", "--metrics-port"}) {
-    const std::string command = std::string("timeout 10 ") + SOCET_CLI_PATH +
-                                " serve " + flag + " 70000 2>/dev/null";
-    const int status = std::system(command.c_str());
-    ASSERT_TRUE(WIFEXITED(status)) << flag;
-    EXPECT_EQ(WEXITSTATUS(status), 1) << flag;
-  }
+  const std::string command = std::string("timeout 10 ") + SOCET_CLI_PATH +
+                              " serve --port 70000 2>/dev/null";
+  const int status = std::system(command.c_str());
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 1);
 }
 
 TEST(Cli, UnknownOptionsAreRejectedByName) {
@@ -1005,6 +962,12 @@ TEST(Cli, UnknownOptionsAreRejectedByName) {
       // The daemon journal is the flight recorder now.
       {"serve --journal-ring 5",
        "error: unknown option '--journal-ring' for 'serve'"},
+      // CPU time is read from spans (`--trace`, then `trace-analyze`),
+      // and the daemon answers `stats` instead of serving HTTP.
+      {"batch --jobs " + jobs + " --profile p.folded",
+       "error: unknown option '--profile' for 'batch'"},
+      {"serve --metrics-port 0",
+       "error: unknown option '--metrics-port' for 'serve'"},
   };
   for (const auto& [arguments, message] : cases) {
     const std::string command = std::string("timeout 10 ") + SOCET_CLI_PATH +

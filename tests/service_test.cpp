@@ -109,6 +109,16 @@ TEST(JobLine, ErrorsPointAtTheOffendingColumn) {
   EXPECT_EQ(parse_error("optimize area-budget=1 tat-budget=2"),
             "optimize takes exactly one objective (column 24)");
   EXPECT_EQ(parse_error("plan system="), "empty system name (column 6)");
+  // A repeated option used to overwrite the first copy silently:
+  // System 2, selection 3/3/3, w1 = 5.
+  EXPECT_EQ(parse_error("plan system=barcode system=system2"),
+            "repeated option 'system' (column 21)");
+  EXPECT_EQ(parse_error("plan system=barcode selection=1,1,1 selection=3,3,3"),
+            "repeated option 'selection' (column 37)");
+  EXPECT_EQ(parse_error("optimize system=barcode w1=1 w1=5"),
+            "repeated option 'w1' (column 30)");
+  EXPECT_EQ(parse_error("plan pipelined pipelined"),
+            "repeated option 'pipelined' (column 16)");
 }
 
 TEST(JobLine, NumbersThatWouldWrapOrHalfParseAreRejected) {
@@ -353,6 +363,37 @@ TEST(PlanningService, IsolatesBadJobsAndCountsErrors) {
       svc.run_lines({"# comment", "", "   ", "plan system=barcode"});
   EXPECT_EQ(with_noise.results.size(), 1u);
   EXPECT_EQ(with_noise.errors, 0u);
+}
+
+TEST(PlanningService, BoundsTheWorkOneJobLineCanRequest) {
+  // An explore enumerates the whole version lattice (3^11 points took
+  // about 25 s) and a synthetic SOC's size was any 32-bit count; both
+  // are refused before any enumeration, naming the limit.
+  service::PlanningService svc({1, 4096});
+  const auto report = svc.run_lines({
+      "explore system=synthetic:1:11",
+      "explore system=synthetic:1:64",
+      "plan system=synthetic:1:65",
+      "plan system=synthetic:1:4294967295",
+      "explore system=synthetic:1:4",
+      "plan system=synthetic:1:64",
+  });
+  ASSERT_EQ(report.results.size(), 6u);
+  EXPECT_EQ(report.results[0].record,
+            "job 1 error explore of system 'synthetic:1:11' spans more "
+            "than the 65536-point limit");
+  EXPECT_EQ(report.results[1].record,
+            "job 2 error explore of system 'synthetic:1:64' spans more "
+            "than the 65536-point limit");
+  EXPECT_EQ(report.results[2].record,
+            "job 3 error bad synthetic core count in system 'synthetic:1:65' "
+            "(want 1..64)");
+  EXPECT_EQ(report.results[3].record,
+            "job 4 error bad synthetic core count in system "
+            "'synthetic:1:4294967295' (want 1..64)");
+  EXPECT_TRUE(report.results[4].ok) << report.results[4].record;
+  EXPECT_TRUE(report.results[5].ok) << report.results[5].record;
+  EXPECT_EQ(report.errors, 4u);
 }
 
 TEST(PlanningService, SummaryTableCarriesTheCounters) {

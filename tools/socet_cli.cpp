@@ -36,7 +36,6 @@
 #include "socet/obs/journal.hpp"
 #include "socet/obs/metrics.hpp"
 #include "socet/obs/report.hpp"
-#include "socet/obs/sampler.hpp"
 #include "socet/obs/trace.hpp"
 #include "socet/obs/traceanalyze.hpp"
 #include "socet/opt/optimize.hpp"
@@ -340,28 +339,15 @@ int cmd_serve(const Args& args) {
   options.client_window =
       parse_option_count(args, "window", options.client_window);
   options.port_file = args.get("port-file", "");
-  // Telemetry plane (docs/SERVICE.md "Live daemon telemetry").
-  options.metrics_http =
-      args.has("metrics-port") || args.has("metrics-port-file");
-  options.metrics_port =
-      parse_option_count(args, "metrics-port", options.metrics_port);
-  options.metrics_host = args.get("metrics-host", options.metrics_host);
-  options.metrics_port_file = args.get("metrics-port-file", "");
   options.access_log = args.get("access-log", "");
   const std::string host = options.host;
   const unsigned threads = options.threads;
-  const bool metrics_http = options.metrics_http;
-  const std::string metrics_host = options.metrics_host;
   service::Server server(std::move(options));
   server.start();
   server.install_signal_handlers();
   std::fprintf(stderr, "socet serve: listening on %s:%u (%u worker%s)\n",
                host.c_str(), server.port(), threads,
                threads == 1 ? "" : "s");
-  if (metrics_http) {
-    std::fprintf(stderr, "socet serve: telemetry on http://%s:%u/metrics\n",
-                 metrics_host.c_str(), server.metrics_port());
-  }
   server.wait();  // until SIGTERM/SIGINT drains the daemon
   std::fprintf(stderr, "socet serve: drained: %s\n",
                server.stats().text().c_str());
@@ -586,12 +572,9 @@ int usage() {
       "            Chrome trace on aligned clocks)\n"
       "  serve     [--host H] [--port N] [--threads N] [--cache N]\n"
       "            [--cache-bytes N] [--max-queue N] [--window N]\n"
-      "            [--port-file FILE]\n"
-      "            [--metrics-port N] [--metrics-host H]\n"
-      "            [--metrics-port-file FILE] [--access-log FILE]\n"
+      "            [--port-file FILE] [--access-log FILE]\n"
       "            (persistent planning daemon, docs/SERVICE.md; drain\n"
       "            with SIGTERM; wire protocol in docs/FORMATS.md §6;\n"
-      "            --metrics-port serves GET /metrics /healthz /readyz,\n"
       "            --access-log appends one serve.access JSONL line per\n"
       "            request (docs/FORMATS.md §7), --flight-recorder N\n"
       "            serves the newest N decision events to `journal`/explain)\n"
@@ -615,8 +598,6 @@ int usage() {
       "  --trace FILE    write a Chrome trace-event JSON (chrome://tracing)\n"
       "  --report FILE   write a run-report JSON (metrics + per-stage span\n"
       "                  times + whole-run rusage)\n"
-      "  --profile FILE  sample the run with SIGPROF; folded stacks to\n"
-      "                  FILE (flamegraph-ready), top functions to stderr\n"
       "  --journal FILE  record the decision journal (routes, optimizer\n"
       "                  moves, mux insertions, cache hits) as JSONL\n"
       "  --flight-recorder [N]  keep the last N decision events (16..65536,\n"
@@ -648,8 +629,7 @@ const std::map<std::string, CommandSpec>& commands() {
                     "connect", "window"}}},
       {"serve",
        {cmd_serve, {"host", "port", "threads", "cache", "cache-bytes",
-                    "max-queue", "window", "port-file", "metrics-port",
-                    "metrics-host", "metrics-port-file", "access-log"}}},
+                    "max-queue", "window", "port-file", "access-log"}}},
       {"client", {cmd_client, {"connect", "jobs", "window"}}},
       {"trace-analyze",
        {cmd_trace_analyze, {"json", "folded", "top", "out", "diff"}}},
@@ -664,7 +644,7 @@ const std::map<std::string, CommandSpec>& commands() {
 
 /// The switches main() reads for every command.
 const std::set<std::string> kObservabilityOptions = {
-    "metrics", "trace", "report", "profile", "journal", "flight-recorder"};
+    "metrics", "trace", "report", "journal", "flight-recorder"};
 
 }  // namespace
 
@@ -691,7 +671,6 @@ int main(int argc, char** argv) {
   // and the span rollups, so --report implies both collectors.
   const std::string trace_path = args.get("trace", "");
   const std::string report_path = args.get("report", "");
-  const std::string profile_path = args.get("profile", "");
   // `batch/client --connect --trace FILE` owns its trace file: the
   // client writes ONE merged cross-process document there, so the local
   // tracer must not arm (and must not overwrite it on exit).
@@ -703,9 +682,6 @@ int main(int argc, char** argv) {
   }
   if ((!trace_path.empty() && !remote_trace) || !report_path.empty()) {
     obs::set_trace_enabled(true);
-  }
-  if (!profile_path.empty() && !obs::Sampler::start()) {
-    std::fprintf(stderr, "warning: --profile unavailable on this platform\n");
   }
   // For `explain`, --journal names the *input* document; every other
   // command records one.
@@ -736,7 +712,6 @@ int main(int argc, char** argv) {
 
   // Diagnostics go to stderr / side files only, after all worker pools
   // have joined, so stdout stays byte-identical to uninstrumented runs.
-  if (obs::Sampler::running()) obs::Sampler::stop();
   if (args.has("metrics")) {
     std::fprintf(stderr, "%s",
                  obs::Registry::instance().table_text().c_str());
@@ -761,10 +736,6 @@ int main(int argc, char** argv) {
   }
   if (!report_path.empty()) {
     write_file(report_path, obs::run_report_json(command->first), "report");
-  }
-  if (!profile_path.empty() && obs::sampler_supported()) {
-    write_file(profile_path, obs::Sampler::folded_stacks(), "profile");
-    std::fprintf(stderr, "%s", obs::Sampler::top_functions_table().c_str());
   }
   return status;
 }
