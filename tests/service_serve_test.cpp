@@ -538,29 +538,20 @@ TEST(Serve, GracefulDrainFinishesAdmittedWorkAndRejectsTheRest) {
   // closed, so a connect attempt fails outright.
   EXPECT_THROW(service::net_connect("127.0.0.1", server.port()),
                util::Error);
-  // `stats` is the readiness signal: on the open connection it reports
-  // the drain while admitted work is still running.
-  service::write_frame(fd, "stats");
   // New work on the existing connection is rejected, structured.
   service::write_frame(fd, "program system=barcode");
-  // Release only once that rejection happened (so the `stats` ahead of
-  // it was answered too): released earlier, both jobs can finish first,
-  // and the server closes the flushed, idle connection with the frames
-  // unread (the client sees a reset).
+  // Release only once that rejection happened: released earlier, both
+  // jobs can finish first, and the server closes the flushed, idle
+  // connection with the frame unread (the client sees a reset).
   while (server.stats().busy_rejects < 1) std::this_thread::sleep_for(1ms);
 
   gate.release();
   const auto r1 = service::read_frame(fd);
   const auto r2 = service::read_frame(fd);
-  const auto stats_reply = service::read_frame(fd);
   const auto r3 = service::read_frame(fd);
-  ASSERT_TRUE(r1 && r2 && stats_reply && r3);
+  ASSERT_TRUE(r1 && r2 && r3);
   EXPECT_EQ(r1->rfind("ok plan ", 0), 0u) << *r1;     // finished in flight
   EXPECT_EQ(r2->rfind("ok explore ", 0), 0u) << *r2;  // finished queued
-  EXPECT_NE(stats_reply->find(" queue_depth=1 queue_hwm=1 inflight=1 "
-                              "draining=1 "),
-            std::string::npos)
-      << *stats_reply;
   EXPECT_EQ(*r3, "busy draining");
   // Flushed and idle, the server closes the connection...
   EXPECT_FALSE(service::read_frame(fd).has_value());
@@ -571,6 +562,49 @@ TEST(Serve, GracefulDrainFinishesAdmittedWorkAndRejectsTheRest) {
   EXPECT_EQ(stats.responses, 2u);
   EXPECT_EQ(stats.busy_rejects, 1u);
   EXPECT_EQ(stats.connections_open, 0u);
+}
+
+TEST(Serve, StatsVerbFlipsReadinessDuringDrain) {
+  WorkerGate gate;
+  service::ServerOptions options;
+  options.threads = 1;
+  options.before_execute = gate.hook();
+  service::Server server(std::move(options));
+  server.start();
+
+  const int fd = service::net_connect("127.0.0.1", server.port());
+  // `stats` is the readiness signal: ready before the drain...
+  service::write_frame(fd, "stats");
+  const auto ready = service::read_frame(fd);
+  ASSERT_TRUE(ready);
+  EXPECT_NE(ready->find(" draining=0 "), std::string::npos) << *ready;
+
+  // ...and, with the only worker parked, draining while the admitted
+  // job is still running.
+  service::write_frame(fd, "plan system=barcode");
+  gate.wait_entered(1);
+  server.request_drain();
+  while (!server.stats().draining) std::this_thread::sleep_for(1ms);
+  service::write_frame(fd, "stats");
+  // A job behind the `stats` marks when the loop has read both frames
+  // (it is answered `busy draining`).  Released earlier, the plan can
+  // finish first, and the server closes the flushed, idle connection
+  // with the frames unread.
+  service::write_frame(fd, "program system=barcode");
+  while (server.stats().busy_rejects < 1) std::this_thread::sleep_for(1ms);
+
+  gate.release();
+  const auto plan = service::read_frame(fd);
+  const auto draining = service::read_frame(fd);
+  const auto rejected = service::read_frame(fd);
+  ASSERT_TRUE(plan && draining && rejected);
+  EXPECT_EQ(plan->rfind("ok plan ", 0), 0u) << *plan;
+  EXPECT_NE(draining->find(" inflight=1 draining=1 "), std::string::npos)
+      << *draining;
+  EXPECT_EQ(*rejected, "busy draining");
+  EXPECT_FALSE(service::read_frame(fd).has_value());
+  ::close(fd);
+  server.wait();
 }
 
 TEST(Serve, DrainClosesIdleConnections) {
