@@ -8,13 +8,15 @@
 // A Span is an RAII guard: when tracing is enabled it records one
 // TraceEvent (name, thread, id, parent, start, end) into a per-thread
 // buffer on destruction; when disabled its constructor is a single
-// relaxed atomic load plus a thread-local capture check.  Every recorded
-// span takes a process-unique id, and its parent is the span that was
-// open around it on the same thread, so the exported trace carries its
-// own nesting.  Buffers register themselves with a global sink on first
-// use and hand their events back when the thread exits, so worker-pool
-// threads that die before export still appear in the trace — each
-// thread gets its own lane (`tid`) in chrome://tracing / Perfetto.
+// relaxed atomic load.  Every recorded span takes a process-unique id,
+// and its parent is the span that was open around it on the same
+// thread, so the exported trace carries its own nesting.  An interval
+// no scope brackets (the daemon's queue wait) is recorded after the
+// fact with `record_span`, as a root on the calling thread's lane.
+// Buffers register themselves with a global sink on first use and hand
+// their events back when the thread exits, so worker-pool threads that
+// die before export still appear in the trace — each thread gets its
+// own lane (`tid`) in chrome://tracing / Perfetto.
 //
 // Export (`chrome_trace_json`) must only run when no instrumented
 // thread is concurrently recording — in practice: after worker pools
@@ -39,9 +41,8 @@ namespace socet::obs {
 bool trace_enabled();
 void set_trace_enabled(bool enabled);
 
-/// One closed span: the record every exporter and reader shares —
-/// `--trace` files, daemon span captures, the `spans` wire verb and the
-/// merged cross-process trace.
+/// One closed span: the record the `--trace` exporter, the run report
+/// and the bench lines all read.
 struct TraceEvent {
   std::string name;
   std::uint32_t tid = 0;
@@ -51,61 +52,25 @@ struct TraceEvent {
   std::uint64_t end_ns = 0;
 };
 
-/// Process-unique span/trace id: a per-process time-derived seed in the
-/// high bits (so two processes started at different nanoseconds draw
-/// from disjoint ranges) plus an atomic counter.  Never returns 0.
-std::uint64_t new_span_id();
-
-/// A span id as traces and the wire write it: `0x` and lowercase hex.
-std::string span_id_hex(std::uint64_t id);
-
-/// The inverse of span_id_hex: an optional `0x`, then 1 to 16 hex
-/// digits and nothing else.  False for anything looser.
+/// A span id as traces write it (`0x` and lowercase hex), read back:
+/// an optional `0x`, then 1 to 16 hex digits and nothing else.  False
+/// for anything looser.
 bool parse_span_id(std::string_view text, std::uint64_t* out);
 
 namespace detail {
-bool capture_active();
 /// Push a fresh id on this thread's stack of open spans; `*parent` gets
-/// the innermost open span (or an active capture's remote parent).
+/// the innermost open span (0 if none).
 std::uint64_t open_span(std::uint64_t* parent);
-/// Pop `id` and hand the closed span to the trace buffer (`traced`),
-/// to the active capture (`captured`), or to both.
+/// Pop `id` and append the closed span to this thread's buffer.
 void close_span(const char* name, std::uint64_t id, std::uint64_t parent,
-                std::uint64_t start_ns, bool traced, bool captured);
+                std::uint64_t start_ns);
 }  // namespace detail
-
-/// Adopt a remote trace context on the *current thread*: while alive,
-/// every SOCET_SPAN this thread opens is also handed to the capture,
-/// parented under the innermost open span (or under `remote_parent` at
-/// the capture's base depth).  Independent of the global trace switch —
-/// this is how daemon workers trace one request on behalf of a client
-/// without turning whole-process tracing on.  `take()` hands the
-/// records back; call it after the instrumented scope closed.  Captures
-/// do not nest: a second capture on the same thread is passive (records
-/// nothing, take() returns empty).
-class SpanCapture {
- public:
-  SpanCapture(std::uint64_t trace_id, std::uint64_t remote_parent);
-  ~SpanCapture();
-  SpanCapture(const SpanCapture&) = delete;
-  SpanCapture& operator=(const SpanCapture&) = delete;
-
-  std::uint64_t trace_id() const { return trace_id_; }
-  std::vector<TraceEvent> take();
-
- private:
-  std::uint64_t trace_id_ = 0;
-  void* state_ = nullptr;  ///< detail::CaptureState*, null if passive
-};
 
 class Span {
  public:
   explicit Span(const char* name) {
-    const bool capturing = detail::capture_active();
-    traced_ = trace_enabled();
-    if (traced_ || capturing) {
+    if (trace_enabled()) {
       name_ = name;
-      captured_ = capturing;
       id_ = detail::open_span(&parent_);
       start_ns_ = now_ns();
     }
@@ -118,7 +83,7 @@ class Span {
   }
   ~Span() {
     if (name_ != nullptr) {
-      detail::close_span(name_, id_, parent_, start_ns_, traced_, captured_);
+      detail::close_span(name_, id_, parent_, start_ns_);
     }
     if (journal_pushed_) detail::journal_pop_span();
   }
@@ -130,10 +95,14 @@ class Span {
   std::uint64_t id_ = 0;
   std::uint64_t parent_ = 0;
   std::uint64_t start_ns_ = 0;
-  bool traced_ = false;
-  bool captured_ = false;
   bool journal_pushed_ = false;
 };
+
+/// Record a span that already ended, `[start_ns, end_ns]` on the
+/// now_ns() clock, as a root (parent 0) on the calling thread's lane.
+/// A no-op while tracing is off.
+void record_span(const char* name, std::uint64_t start_ns,
+                 std::uint64_t end_ns);
 
 /// Label this thread's lane in the exported trace (e.g. "worker-2").
 void name_this_thread(const std::string& name);
@@ -142,17 +111,12 @@ void name_this_thread(const std::string& name);
 /// sorted by start time.  See the export caveat above.
 std::vector<TraceEvent> collect_trace_events();
 
-/// A nanosecond offset from a trace's epoch as a Chrome `ts`/`dur`
-/// value: fixed-point microseconds ("1500000.250").  Six significant
-/// digits would print a short span's end before its start once the
-/// trace runs past one second.
-std::string chrome_trace_us(std::uint64_t ns);
-
-/// One span as a Chrome complete (`X`) slice on lane (`pid`, `tid`):
-/// `ts`/`dur` in microseconds relative to `epoch_ns`, and hex
-/// `args.span`/`args.parent` ids.  Every exporter renders spans with it.
-std::string chrome_slice(const TraceEvent& span, std::uint32_t pid,
-                         std::uint32_t tid, std::uint64_t epoch_ns);
+/// One span as a Chrome complete (`X`) slice on its thread's lane:
+/// `ts`/`dur` as fixed-point microseconds relative to `epoch_ns`
+/// ("1500000.250"; six significant digits would print a short span's
+/// end before its start once the trace runs past one second), and hex
+/// `args.span`/`args.parent` ids.
+std::string chrome_slice(const TraceEvent& span, std::uint64_t epoch_ns);
 
 /// Full Chrome trace-event JSON document: thread-name metadata events,
 /// then one `chrome_slice` per recorded span on its thread's lane,

@@ -2,10 +2,9 @@
 // instrumentation write.
 //
 // Input: a span trace, i.e. a Chrome trace-event document of `X`
-// slices — a local `--trace` file (trace.cpp) or a merged client/daemon
-// trace (tracemerge.cpp), both linked by hex `args.span`/`args.parent`
-// ids.  Slices without ids (`socet_workload --trace`) nest by
-// containment within their (pid, tid) lane.  `load_trace` normalizes
+// slices — a `--trace` file (trace.cpp), linked by hex
+// `args.span`/`args.parent` ids.  Slices without ids (`socet_workload
+// --trace`) nest by containment within their (pid, tid) lane.  `load_trace` normalizes
 // them into one span forest; parse failures carry a location (line
 // number or event index) so a truncated artifact names the break
 // point.  `B`/`E` events and decision journals are rejected: "why this
@@ -15,12 +14,12 @@
 // them; the run report, every bench line and socet_bench's regression
 // attribution reuse the aggregation and the diff):
 //
-//  * critical path — per root span (one per job in a merged trace),
-//    walk back from the root's end through whichever child gated each
-//    instant, yielding a chain of segments that covers [start, end]
-//    exactly once.  Every microsecond of the job's wall time is
-//    attributed to exactly one span: self time where the span itself
-//    was the frontier, descent where a child was.
+//  * critical path — per root span (each `serve/job` of a daemon trace
+//    is one), walk back from the root's end through whichever child
+//    gated each instant, yielding a chain of segments that covers
+//    [start, end] exactly once.  Every microsecond of the job's wall
+//    time is attributed to exactly one span: self time where the span
+//    itself was the frontier, descent where a child was.
 //  * aggregation — fold any number of traces/jobs into per-span-name
 //    and per-stage latency distributions using the same 64-bucket
 //    power-of-two histogram + `bucket_quantile` rank walk the metrics
@@ -123,7 +122,7 @@ struct Aggregate {
   double wall_us = 0;  ///< sum over traces of (max end - min start)
   std::vector<NameStats> by_name;   ///< sorted by total_us desc
   std::vector<NameStats> by_stage;  ///< folded by leading segment
-  // Daemon runs: the queue-vs-compute split from the synthesized
+  // Daemon runs (`serve --trace`): the queue-vs-compute split from the
   // serve/queue / serve/job / serve/respond spans (zero when absent).
   double queue_us = 0;
   double compute_us = 0;

@@ -67,6 +67,25 @@ ThreadBuffer& local_buffer() {
   return buffer;
 }
 
+/// Process-unique span id from one atomic counter.  Never returns 0.
+std::uint64_t new_span_id() {
+  static std::atomic<std::uint64_t> counter{1};
+  return counter.fetch_add(1, std::memory_order_relaxed);
+}
+
+std::string span_id_hex(std::uint64_t id) {
+  char buf[24];
+  std::snprintf(buf, sizeof(buf), "0x%llx",
+                static_cast<unsigned long long>(id));
+  return buf;
+}
+
+std::string chrome_trace_us(std::uint64_t ns) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%.3f", static_cast<double>(ns) / 1e3);
+  return buf;
+}
+
 }  // namespace
 
 bool trace_enabled() {
@@ -75,21 +94,6 @@ bool trace_enabled() {
 
 void set_trace_enabled(bool enabled) {
   g_trace_enabled.store(enabled, std::memory_order_relaxed);
-}
-
-std::uint64_t new_span_id() {
-  static std::atomic<std::uint64_t> counter{1};
-  // High bits: nanoseconds at first use, so ids minted by the client
-  // process and the daemon process never collide in one merged trace.
-  static const std::uint64_t seed = (now_ns() << 16) & 0x7fffffff00000000ull;
-  return seed | counter.fetch_add(1, std::memory_order_relaxed);
-}
-
-std::string span_id_hex(std::uint64_t id) {
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "0x%llx",
-                static_cast<unsigned long long>(id));
-  return buf;
 }
 
 bool parse_span_id(std::string_view text, std::uint64_t* out) {
@@ -101,63 +105,30 @@ bool parse_span_id(std::string_view text, std::uint64_t* out) {
 
 namespace detail {
 
-/// Per-thread capture state owned by the active SpanCapture.
-struct CaptureState {
-  std::uint64_t remote_parent = 0;
-  std::size_t base_depth = 0;  ///< open spans when the capture began
-  std::vector<TraceEvent> records;
-};
-
-namespace {
-thread_local CaptureState* g_capture = nullptr;
-}  // namespace
-
-bool capture_active() { return g_capture != nullptr; }
-
 std::uint64_t open_span(std::uint64_t* parent) {
   std::vector<std::uint64_t>& open = local_buffer().open;
-  const CaptureState* capture = g_capture;
-  if (capture != nullptr && open.size() == capture->base_depth) {
-    *parent = capture->remote_parent;
-  } else {
-    *parent = open.empty() ? 0 : open.back();
-  }
+  *parent = open.empty() ? 0 : open.back();
   const std::uint64_t id = new_span_id();
   open.push_back(id);
   return id;
 }
 
 void close_span(const char* name, std::uint64_t id, std::uint64_t parent,
-                std::uint64_t start_ns, bool traced, bool captured) {
+                std::uint64_t start_ns) {
   const std::uint64_t end_ns = now_ns();
   ThreadBuffer& buffer = local_buffer();
   if (!buffer.open.empty() && buffer.open.back() == id) buffer.open.pop_back();
-  TraceEvent event{name, buffer.tid, id, parent, start_ns, end_ns};
-  if (captured && g_capture != nullptr) g_capture->records.push_back(event);
-  if (traced) buffer.events.push_back(std::move(event));
+  buffer.events.push_back({name, buffer.tid, id, parent, start_ns, end_ns});
 }
 
 }  // namespace detail
 
-SpanCapture::SpanCapture(std::uint64_t trace_id, std::uint64_t remote_parent)
-    : trace_id_(trace_id) {
-  if (detail::g_capture != nullptr) return;  // nested capture: passive
-  auto* state = new detail::CaptureState;
-  state->remote_parent = remote_parent;
-  state->base_depth = local_buffer().open.size();
-  state_ = state;
-  detail::g_capture = state;
-}
-
-SpanCapture::~SpanCapture() {
-  if (state_ == nullptr) return;
-  detail::g_capture = nullptr;
-  delete static_cast<detail::CaptureState*>(state_);
-}
-
-std::vector<TraceEvent> SpanCapture::take() {
-  if (state_ == nullptr) return {};
-  return std::move(static_cast<detail::CaptureState*>(state_)->records);
+void record_span(const char* name, std::uint64_t start_ns,
+                 std::uint64_t end_ns) {
+  if (!trace_enabled()) return;
+  ThreadBuffer& buffer = local_buffer();
+  buffer.events.push_back(
+      {name, buffer.tid, new_span_id(), 0, start_ns, end_ns});
 }
 
 void name_this_thread(const std::string& name) {
@@ -184,17 +155,10 @@ std::vector<TraceEvent> collect_trace_events() {
   return events;
 }
 
-std::string chrome_trace_us(std::uint64_t ns) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.3f", static_cast<double>(ns) / 1e3);
-  return buf;
-}
-
-std::string chrome_slice(const TraceEvent& span, std::uint32_t pid,
-                         std::uint32_t tid, std::uint64_t epoch_ns) {
-  return "{\"ph\":\"X\",\"pid\":" + std::to_string(pid) +
-         ",\"tid\":" + std::to_string(tid) + ",\"name\":\"" +
-         json_escape(span.name) + "\",\"cat\":\"socet\",\"ts\":" +
+std::string chrome_slice(const TraceEvent& span, std::uint64_t epoch_ns) {
+  return "{\"ph\":\"X\",\"pid\":1,\"tid\":" + std::to_string(span.tid) +
+         ",\"name\":\"" + json_escape(span.name) +
+         "\",\"cat\":\"socet\",\"ts\":" +
          chrome_trace_us(span.start_ns - epoch_ns) +
          ",\"dur\":" + chrome_trace_us(span.end_ns - span.start_ns) +
          ",\"args\":{\"span\":\"" + span_id_hex(span.id) +
@@ -226,7 +190,7 @@ std::string chrome_trace_json() {
          json_escape(name) + "\"}}");
   }
   for (const TraceEvent& event : events) {
-    emit(chrome_slice(event, 1, event.tid, epoch));
+    emit(chrome_slice(event, epoch));
   }
   out += "]}";
   return out;

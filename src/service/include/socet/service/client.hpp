@@ -12,11 +12,8 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <string>
 #include <vector>
-
-#include "socet/obs/tracemerge.hpp"
 
 namespace socet::service {
 
@@ -26,24 +23,6 @@ struct ClientOptions {
   /// Unanswered requests in flight; must stay below the server's
   /// per-connection window (default 64) or both sides block on writes.
   std::size_t window = 16;
-  /// Distributed tracing (`batch --connect --trace`): run_lines opens a
-  /// clock handshake, wraps every job in a client submit span,
-  /// propagates the trace context on each frame (kFrameTraceFlag), and
-  /// collects the daemon's spans afterwards.  Never changes records —
-  /// the stdout byte-identity guarantee holds with this on.
-  bool trace = false;
-};
-
-/// The two halves of one cross-process trace, plus the clock offset
-/// that aligns them (daemon = client + offset).
-struct ClientTrace {
-  std::uint64_t trace_id = 0;  ///< 0 = tracing was off
-  std::int64_t clock_offset_ns = 0;
-  std::vector<obs::TraceEvent> client_spans;  ///< client clock
-  std::vector<obs::TraceEvent> daemon_spans;  ///< daemon clock
-
-  /// The merged Chrome trace-event document (obs::merged_chrome_trace).
-  [[nodiscard]] std::string chrome_trace() const;
 };
 
 struct ClientReport {
@@ -52,8 +31,6 @@ struct ClientReport {
   std::size_t jobs = 0;    ///< lines sent
   std::size_t errors = 0;  ///< `error ...` responses
   std::size_t busy = 0;    ///< `busy ...` rejects
-  /// Filled when ClientOptions::trace was on (trace_id != 0).
-  ClientTrace trace;
 
   /// The records joined with newlines — `socet batch` output, byte for
   /// byte, when the server is not saturated.
@@ -77,11 +54,6 @@ class Client {
   std::string query(const std::string& verb);
 
  private:
-  /// A few `clock` probes → min-RTT midpoint offset estimate.
-  std::int64_t clock_handshake();
-  /// Fetch (and release) the daemon's spans for `trace_id`.
-  std::vector<obs::TraceEvent> collect_spans(std::uint64_t trace_id);
-
   ClientOptions options_;
   int fd_ = -1;
 };

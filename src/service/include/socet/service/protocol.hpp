@@ -4,9 +4,9 @@
 // a 4-byte big-endian payload length followed by that many bytes of
 // UTF-8 text, no trailing newline.  A request payload is either one
 // FORMATS.md §4 job line *verbatim* (the same line `socet batch`
-// reads from a file) or one of four control verbs (`stats`, `clock`,
-// `spans`, `journal`).  Every request gets exactly one response frame,
-// whose payload starts with a status token:
+// reads from a file) or one of two control verbs (`stats`,
+// `journal`).  Every request gets exactly one response frame, whose
+// payload starts with a status token:
 //
 //   ok <verb> <payload>      job finished (the record body `socet
 //                            batch` prints after "job <n> ")
@@ -44,35 +44,18 @@ inline constexpr std::size_t kFrameHeaderBytes = 4;
 /// [corr bytes][payload].  Plain payloads never exceed kMaxFrameBytes
 /// (1 MiB), so the bit is unambiguous; a peer that predates the flag
 /// sees an oversized frame and drops the connection, never a corrupted
-/// payload.
+/// payload.  Bits 21 to 30 carry nothing: any of them set leaves the
+/// masked length above kMaxFrameBytes, so the header reads as an
+/// oversized frame (FORMATS.md §6 reserves bit 30).
 inline constexpr std::uint32_t kFrameCorrFlag = 0x80000000u;
 inline constexpr std::size_t kMaxCorrBytes = 255;
 
-/// Second header bit: the frame carries a distributed-trace context.
-/// The flagged body appends, *after* the corr section when both flags
-/// are set, a fixed 16-byte block: 8-byte BE trace id + 8-byte BE
-/// parent span id (FORMATS.md §6).  Daemon workers adopt the context
-/// so their spans join the client's trace; responses never carry it.
-/// A flagged body shorter than its extensions is unrecoverable — same
-/// latch as an oversized frame.
-inline constexpr std::uint32_t kFrameTraceFlag = 0x40000000u;
-inline constexpr std::size_t kFrameTraceBytes = 16;
-
-/// The propagated context: which trace this request belongs to and
-/// which client-side span submitted it (0 = none).
-struct FrameTrace {
-  std::uint64_t trace_id = 0;
-  std::uint64_t parent_span = 0;
-};
-
 /// Render `payload` as one wire frame (header + bytes).  A non-empty
 /// `corr` rides in the flagged header extension so the server can open
-/// its decision journal under the client's correlation id; a non-null
-/// `trace` rides behind it so daemon spans join the client's trace.
-/// Throws util::Error if the payload exceeds kMaxFrameBytes or the
-/// corr id exceeds kMaxCorrBytes.
-std::string encode_frame(std::string_view payload, std::string_view corr = {},
-                         const FrameTrace* trace = nullptr);
+/// its decision journal under the client's correlation id.  Throws
+/// util::Error if the payload exceeds kMaxFrameBytes or the corr id
+/// exceeds kMaxCorrBytes.
+std::string encode_frame(std::string_view payload, std::string_view corr = {});
 
 /// Incremental frame decoder for a non-blocking stream: feed() raw
 /// bytes as they arrive, pop complete payloads with next() /
@@ -84,8 +67,6 @@ class FrameReader {
   struct Frame {
     std::string payload;
     std::string corr;  ///< empty when the frame carried no corr id
-    bool has_trace = false;
-    FrameTrace trace;  ///< valid only when has_trace is set
   };
 
   void feed(const char* data, std::size_t n);
@@ -111,8 +92,7 @@ class FrameReader {
 // -- blocking helpers (client side, tests) ---------------------------------
 
 /// Write one frame to a blocking socket.  Throws util::Error on error.
-void write_frame(int fd, std::string_view payload, std::string_view corr = {},
-                 const FrameTrace* trace = nullptr);
+void write_frame(int fd, std::string_view payload, std::string_view corr = {});
 
 /// Read one frame from a blocking socket.  Returns nullopt on clean EOF
 /// at a frame boundary; throws util::Error on a mid-frame EOF

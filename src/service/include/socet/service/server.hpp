@@ -25,11 +25,17 @@
 //
 // Responses are written in request order per connection (a FIFO of
 // slots per connection; workers may finish out of order), exactly one
-// frame per request.  The four control verbs (`stats`, `clock`,
-// `spans`, `journal`) are answered inline by the event loop and occupy
-// a slot like any request, so their position in the response stream is
-// deterministic too.  `journal` reads the process's flight recorder
+// frame per request.  The two control verbs (`stats`, `journal`) are
+// answered inline by the event loop and occupy a slot like any request,
+// so their position in the response stream is deterministic too.
+// `journal` reads the process's flight recorder
 // (obs::journal_start_flight, `socet serve --flight-recorder N`).
+//
+// With process tracing on (obs::set_trace_enabled, `serve --trace` or
+// `--report`), each job records three root spans: `serve/job` on its
+// worker's lane, and `serve/queue` (admission to worker pickup) and
+// `serve/respond` (worker finish to the loop taking the reply) on the
+// `serve-loop` lane.
 //
 // Graceful drain (SIGTERM/SIGINT or request_drain()): stop accepting,
 // finish every admitted job, answer `busy draining` to new work, flush,

@@ -49,31 +49,13 @@ std::size_t read_exact(int fd, char* out, std::size_t n) {
 
 }  // namespace
 
-namespace {
-
-void append_u64_be(std::uint64_t value, std::string* out) {
-  for (int shift = 56; shift >= 0; shift -= 8) {
-    out->push_back(static_cast<char>((value >> shift) & 0xff));
-  }
-}
-
-std::uint64_t decode_u64_be(const char* data) {
-  const auto* bytes = reinterpret_cast<const unsigned char*>(data);
-  std::uint64_t value = 0;
-  for (int i = 0; i < 8; ++i) value = (value << 8) | bytes[i];
-  return value;
-}
-
-}  // namespace
-
-std::string encode_frame(std::string_view payload, std::string_view corr,
-                         const FrameTrace* trace) {
+std::string encode_frame(std::string_view payload, std::string_view corr) {
   util::require(payload.size() <= kMaxFrameBytes,
                 "frame payload of " + std::to_string(payload.size()) +
                     " bytes exceeds the " + std::to_string(kMaxFrameBytes) +
                     "-byte limit");
   std::string frame(kFrameHeaderBytes, '\0');
-  if (corr.empty() && trace == nullptr) {
+  if (corr.empty()) {
     encode_length(static_cast<std::uint32_t>(payload.size()), frame.data());
     frame.append(payload);
     return frame;
@@ -82,25 +64,11 @@ std::string encode_frame(std::string_view payload, std::string_view corr,
                 "correlation id of " + std::to_string(corr.size()) +
                     " bytes exceeds the " + std::to_string(kMaxCorrBytes) +
                     "-byte limit");
-  std::uint32_t word = 0;
-  std::uint32_t total = static_cast<std::uint32_t>(payload.size());
-  if (!corr.empty()) {
-    word |= kFrameCorrFlag;
-    total += static_cast<std::uint32_t>(1 + corr.size());
-  }
-  if (trace != nullptr) {
-    word |= kFrameTraceFlag;
-    total += kFrameTraceBytes;
-  }
-  encode_length(word | total, frame.data());
-  if (!corr.empty()) {
-    frame += static_cast<char>(corr.size());
-    frame.append(corr);
-  }
-  if (trace != nullptr) {
-    append_u64_be(trace->trace_id, &frame);
-    append_u64_be(trace->parent_span, &frame);
-  }
+  encode_length(kFrameCorrFlag | static_cast<std::uint32_t>(
+                                     1 + corr.size() + payload.size()),
+                frame.data());
+  frame += static_cast<char>(corr.size());
+  frame.append(corr);
   frame.append(payload);
   return frame;
 }
@@ -127,12 +95,10 @@ std::optional<FrameReader::Frame> FrameReader::next_frame() {
   if (buffer_.size() - pos_ < kFrameHeaderBytes) return std::nullopt;
   const std::uint32_t word = decode_length(buffer_.data() + pos_);
   const bool has_corr = (word & kFrameCorrFlag) != 0;
-  const bool has_trace = (word & kFrameTraceFlag) != 0;
-  const std::uint32_t length = word & ~(kFrameCorrFlag | kFrameTraceFlag);
+  const std::uint32_t length = word & ~kFrameCorrFlag;
   // announced() keeps the raw wire word: diagnostics for an oversized
   // plain frame and for a bogus flagged header read the same way.
-  if (length > kMaxFrameBytes || (has_corr && length == 0) ||
-      (has_trace && length < kFrameTraceBytes)) {
+  if (length > kMaxFrameBytes || (has_corr && length == 0)) {
     overflowed_ = true;
     announced_ = word;
     return std::nullopt;
@@ -153,26 +119,13 @@ std::optional<FrameReader::Frame> FrameReader::next_frame() {
     body += 1 + corr_len;
     remaining -= 1 + corr_len;
   }
-  if (has_trace) {
-    if (remaining < kFrameTraceBytes) {  // corr section ate the block
-      overflowed_ = true;
-      announced_ = word;
-      return std::nullopt;
-    }
-    frame.has_trace = true;
-    frame.trace.trace_id = decode_u64_be(buffer_.data() + body);
-    frame.trace.parent_span = decode_u64_be(buffer_.data() + body + 8);
-    body += kFrameTraceBytes;
-    remaining -= kFrameTraceBytes;
-  }
   frame.payload = buffer_.substr(body, remaining);
   pos_ += kFrameHeaderBytes + length;
   return frame;
 }
 
-void write_frame(int fd, std::string_view payload, std::string_view corr,
-                 const FrameTrace* trace) {
-  const std::string frame = encode_frame(payload, corr, trace);
+void write_frame(int fd, std::string_view payload, std::string_view corr) {
+  const std::string frame = encode_frame(payload, corr);
   std::size_t sent = 0;
   while (sent < frame.size()) {
     const ssize_t w = ::write(fd, frame.data() + sent, frame.size() - sent);
@@ -192,8 +145,7 @@ std::optional<std::string> read_frame(int fd) {
                 "truncated frame: connection closed inside the header");
   const std::uint32_t word = decode_length(header);
   const bool has_corr = (word & kFrameCorrFlag) != 0;
-  const bool has_trace = (word & kFrameTraceFlag) != 0;
-  const std::uint32_t length = word & ~(kFrameCorrFlag | kFrameTraceFlag);
+  const std::uint32_t length = word & ~kFrameCorrFlag;
   util::require(length <= kMaxFrameBytes && !(has_corr && length == 0),
                 "oversized frame: peer announced " + std::to_string(word) +
                     " bytes (limit " + std::to_string(kMaxFrameBytes) + ")");
@@ -207,13 +159,6 @@ std::optional<std::string> read_frame(int fd) {
     util::require(corr_len + 1 <= payload.size(),
                   "malformed frame: corr length exceeds the body");
     payload.erase(0, 1 + corr_len);
-  }
-  if (has_trace) {
-    // Same story for the trace block: positional matching makes it
-    // redundant on the receive side of a blocking reader.
-    util::require(payload.size() >= kFrameTraceBytes,
-                  "malformed frame: trace block exceeds the body");
-    payload.erase(0, kFrameTraceBytes);
   }
   return payload;
 }

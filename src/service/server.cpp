@@ -7,7 +7,6 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <chrono>
@@ -15,9 +14,7 @@
 #include <cstring>
 #include <deque>
 #include <fstream>
-#include <map>
 #include <mutex>
-#include <optional>
 #include <thread>
 #include <unordered_map>
 #include <utility>
@@ -26,7 +23,6 @@
 #include "socet/obs/journal.hpp"
 #include "socet/obs/report.hpp"
 #include "socet/obs/trace.hpp"
-#include "socet/obs/tracemerge.hpp"
 #include "socet/service/protocol.hpp"
 #include "socet/service/queue.hpp"
 #include "socet/service/service.hpp"
@@ -40,6 +36,9 @@ using Clock = std::chrono::steady_clock;
 
 /// Per-connection unsent-response byte budget; reads pause above it.
 constexpr std::size_t kMaxBufferedBytes = 256 * 1024;
+
+/// Longest first token the access log keeps whole (FORMATS.md §7).
+constexpr std::size_t kMaxLoggedVerb = 32;
 
 void set_nonblocking(int fd) {
   const int flags = ::fcntl(fd, F_GETFL, 0);
@@ -63,28 +62,19 @@ void on_drain_signal(int) {
   }
 }
 
-std::string first_token(const std::string& line) {
+/// The request's first token, as dispatch matches it and the access log
+/// records it.  One longer than kMaxLoggedVerb bytes (no verb is) keeps
+/// its first kMaxLoggedVerb bytes plus `...(<n> bytes)`, so a request
+/// adds at most a short line to the log.
+std::string request_verb(const std::string& line) {
   const auto first = line.find_first_not_of(" \t\r");
   if (first == std::string::npos) return "";
   const auto end = line.find_first_of(" \t\r", first);
-  return line.substr(first,
-                     end == std::string::npos ? std::string::npos
-                                              : end - first);
-}
-
-std::vector<std::string> split_tokens(const std::string& line) {
-  std::vector<std::string> tokens;
-  std::size_t pos = 0;
-  while (pos < line.size()) {
-    const auto start = line.find_first_not_of(" \t\r", pos);
-    if (start == std::string::npos) break;
-    const auto end = line.find_first_of(" \t\r", start);
-    tokens.push_back(line.substr(
-        start, end == std::string::npos ? std::string::npos : end - start));
-    if (end == std::string::npos) break;
-    pos = end;
-  }
-  return tokens;
+  const std::size_t length =
+      (end == std::string::npos ? line.size() : end) - first;
+  if (length <= kMaxLoggedVerb) return line.substr(first, length);
+  return line.substr(first, kMaxLoggedVerb) + "...(" +
+         std::to_string(length) + " bytes)";
 }
 
 }  // namespace
@@ -146,11 +136,8 @@ struct Server::Impl {
     std::uint64_t ordinal = 0;
     std::string line;
     std::string corr;  ///< wire correlation id (may be empty)
-    std::string verb;  ///< first token of `line` (access log)
+    std::string verb;  ///< request_verb(line), for the access log
     std::uint64_t depth_at_admit = 0;
-    // Propagated trace context (kFrameTraceFlag); 0 = untraced request.
-    std::uint64_t trace_id = 0;
-    std::uint64_t parent_span = 0;
     std::uint64_t admit_ns = 0;  ///< obs::now_ns() at admission
   };
 
@@ -162,13 +149,14 @@ struct Server::Impl {
     // loop (the log has exactly one writer thread).
     std::string corr;
     std::string verb;
-    double wall_us = 0;
     bool ok = false;
     bool cache_hit = false;
     std::uint64_t depth_at_admit = 0;
-    std::uint64_t trace_id = 0;
-    std::uint64_t parent_span = 0;
-    std::uint64_t finish_ns = 0;  ///< obs::now_ns() when the worker finished
+    // obs::now_ns() at admission, worker pickup and worker finish: the
+    // access log's wall_us and the serve/queue and serve/respond spans.
+    std::uint64_t admit_ns = 0;
+    std::uint64_t pickup_ns = 0;
+    std::uint64_t finish_ns = 0;
   };
 
   explicit Impl(ServerOptions opts)
@@ -188,15 +176,6 @@ struct Server::Impl {
 
   std::ofstream access_log;  ///< written only by the event-loop thread
   Clock::time_point start_time = Clock::now();
-
-  // Cross-process tracing: spans captured for propagated trace ids,
-  // held until the client fetches them with the `spans` verb.  Bounded
-  // FIFO so a client that never collects cannot grow the daemon.
-  static constexpr std::size_t kMaxTraces = 64;
-  static constexpr std::size_t kMaxSpansPerTrace = 4096;
-  std::mutex trace_mutex;
-  std::map<std::uint64_t, std::vector<obs::TraceEvent>> trace_store;
-  std::deque<std::uint64_t> trace_order;
 
   WorkQueue<Task> queue;
   std::mutex completions_mutex;
@@ -230,17 +209,9 @@ struct Server::Impl {
       queue_depth.fetch_sub(1, std::memory_order_relaxed);
       inflight.fetch_add(1, std::memory_order_relaxed);
       if (options.before_execute) options.before_execute(task->line);
-      const std::uint64_t start_ns = obs::now_ns();
-      const auto start = Clock::now();
       Completion completion;
-      // A propagated trace context turns on per-request span capture:
-      // every Span this worker opens while running the job is recorded
-      // under the client's trace id, independent of the daemon's own
-      // --trace switch.
-      std::optional<obs::SpanCapture> capture;
-      if (task->trace_id != 0) {
-        capture.emplace(task->trace_id, task->parent_span);
-      }
+      completion.admit_ns = task->admit_ns;
+      completion.pickup_ns = obs::now_ns();
       {
         SOCET_SPAN("serve/job");
         // The wire correlation id (if the client sent one) scopes this
@@ -256,30 +227,14 @@ struct Server::Impl {
         completion.cache_hit = result.cache_hit;
         completion.body = std::move(result.record);
       }
-      if (capture) {
-        auto spans = capture->take();
-        capture.reset();
-        // Synthesize the queue-wait span (admission → pickup) on the
-        // event-loop lane (tid 0); the merge tool stripes it visually.
-        spans.push_back(obs::TraceEvent{"serve/queue", 0, obs::new_span_id(),
-                                        task->parent_span, task->admit_ns,
-                                        start_ns});
-        store_trace_spans(task->trace_id, std::move(spans));
-      }
-      const double request_us =
-          std::chrono::duration<double, std::micro>(Clock::now() - start)
-              .count();
+      completion.finish_ns = obs::now_ns();
       responses.fetch_add(1, std::memory_order_relaxed);
       inflight.fetch_sub(1, std::memory_order_relaxed);
       completion.conn = std::move(task->conn);
       completion.slot_id = task->slot_id;
       completion.corr = std::move(task->corr);
       completion.verb = std::move(task->verb);
-      completion.wall_us = request_us;
       completion.depth_at_admit = task->depth_at_admit;
-      completion.trace_id = task->trace_id;
-      completion.parent_span = task->parent_span;
-      completion.finish_ns = obs::now_ns();
       {
         std::lock_guard<std::mutex> lock(completions_mutex);
         completions.push_back(std::move(completion));
@@ -292,27 +247,6 @@ struct Server::Impl {
     const char byte = 'C';
     [[maybe_unused]] const ssize_t rc = ::write(wake_w, &byte, 1);
     // A full pipe is fine: the loop drains it and rescans everything.
-  }
-
-  // ---------------------------------------------------------------- tracing
-
-  void store_trace_spans(std::uint64_t trace_id,
-                         std::vector<obs::TraceEvent> spans) {
-    std::lock_guard<std::mutex> lock(trace_mutex);
-    auto it = trace_store.find(trace_id);
-    if (it == trace_store.end()) {
-      while (trace_order.size() >= kMaxTraces) {
-        trace_store.erase(trace_order.front());
-        trace_order.pop_front();
-      }
-      trace_order.push_back(trace_id);
-      it = trace_store.emplace(trace_id, std::vector<obs::TraceEvent>{}).first;
-    }
-    auto& stored = it->second;
-    for (auto& span : spans) {
-      if (stored.size() >= kMaxSpansPerTrace) break;
-      stored.push_back(std::move(span));
-    }
   }
 
   // -------------------------------------------------------------- the loop
@@ -420,15 +354,17 @@ struct Server::Impl {
       const auto& conn = completion.conn;
       log_access(conn->id, completion.corr, completion.verb,
                  completion.ok ? "ok" : "error", completion.depth_at_admit,
-                 completion.wall_us, completion.cache_hit ? "hit" : "miss");
-      if (completion.trace_id != 0) {
-        // The respond span covers worker-finish → event-loop pickup:
-        // the tail latency a client sees past the job itself.
-        store_trace_spans(
-            completion.trace_id,
-            {obs::TraceEvent{"serve/respond", 0, obs::new_span_id(),
-                             completion.parent_span, completion.finish_ns,
-                             obs::now_ns()}});
+                 static_cast<double>(completion.finish_ns -
+                                     completion.pickup_ns) / 1e3,
+                 completion.cache_hit ? "hit" : "miss");
+      if (obs::trace_enabled()) {
+        // The job's wait for a worker and its reply's wait for this
+        // loop, as root spans on the loop's lane; `trace-analyze` sums
+        // them with serve/job into the daemon split.
+        obs::record_span("serve/queue", completion.admit_ns,
+                         completion.pickup_ns);
+        obs::record_span("serve/respond", completion.finish_ns,
+                         obs::now_ns());
       }
       if (conn->dead) continue;  // client vanished mid-job: drop result
       for (auto& slot : conn->slots) {
@@ -488,8 +424,7 @@ struct Server::Impl {
     while (can_read_frames(*conn)) {
       auto frame = conn->reader.next_frame();
       if (!frame) break;
-      dispatch(conn, frame->payload, frame->corr,
-               frame->has_trace ? &frame->trace : nullptr);
+      dispatch(conn, frame->payload, frame->corr);
     }
     if (conn->reader.overflowed() && !conn->fatal) {
       bad_frames.fetch_add(1, std::memory_order_relaxed);
@@ -545,24 +480,12 @@ struct Server::Impl {
   }
 
   void dispatch(const std::shared_ptr<Conn>& conn, const std::string& line,
-                const std::string& corr, const FrameTrace* trace) {
-    const std::string verb = first_token(line);
+                const std::string& corr) {
+    const std::string verb = request_verb(line);
     const std::uint64_t depth = queue_depth.load(std::memory_order_relaxed);
     if (verb == "stats") {
       add_done_slot(conn, "ok stats " + snapshot().text());
       log_access(conn->id, corr, verb, "ok", depth, 0, nullptr);
-      return;
-    }
-    if (verb == "clock") {
-      // The clock-offset handshake: answer with this process's
-      // monotonic now.  Answered pre-drain so trace collection still
-      // works against a draining daemon.
-      add_done_slot(conn, "ok clock " + std::to_string(obs::now_ns()));
-      log_access(conn->id, corr, verb, "ok", depth, 0, nullptr);
-      return;
-    }
-    if (verb == "spans") {
-      dispatch_spans(conn, line, corr, depth);
       return;
     }
     if (verb == "journal") {
@@ -603,41 +526,8 @@ struct Server::Impl {
     task.corr = corr;
     task.verb = verb;
     task.depth_at_admit = depth + 1;
-    if (trace != nullptr) {
-      task.trace_id = trace->trace_id;
-      task.parent_span = trace->parent_span;
-    }
     task.admit_ns = obs::now_ns();
     queue.push(std::move(task));
-  }
-
-  /// `spans <trace-id-hex>`: hand back (and release) every span the
-  /// daemon captured for the client's trace, as socet-spans-v1 JSONL.
-  void dispatch_spans(const std::shared_ptr<Conn>& conn,
-                      const std::string& line, const std::string& corr,
-                      std::uint64_t depth) {
-    const auto tokens = split_tokens(line);
-    std::uint64_t trace_id = 0;
-    if (tokens.size() != 2 || !obs::parse_span_id(tokens[1], &trace_id) ||
-        trace_id == 0) {
-      add_done_slot(conn, "error bad spans id '" + line + "'");
-      log_access(conn->id, corr, "spans", "error", depth, 0, nullptr);
-      return;
-    }
-    std::vector<obs::TraceEvent> spans;
-    {
-      std::lock_guard<std::mutex> lock(trace_mutex);
-      auto it = trace_store.find(trace_id);
-      if (it != trace_store.end()) {
-        spans = std::move(it->second);
-        trace_store.erase(it);
-        trace_order.erase(
-            std::find(trace_order.begin(), trace_order.end(), trace_id));
-      }
-    }
-    add_done_slot(conn, "ok spans " + std::to_string(spans.size()) + "\n" +
-                            obs::remote_spans_jsonl(spans));
-    log_access(conn->id, corr, "spans", "ok", depth, 0, nullptr);
   }
 
   /// `journal`: the flight-recorder ring as socet-journal-v1 text, the

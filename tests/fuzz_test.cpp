@@ -4,8 +4,7 @@
 // treatment: the §6 frame reader, the §4 job-line parser that every
 // non-verb request reaches, and the journal loader behind
 // `explain --connect`.  So do the span readers: the JSON parser under
-// them, the `spans` reply parser, and `trace-analyze`'s loader — each
-// rejection must say where.
+// them and `trace-analyze`'s loader — each rejection must say where.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -19,7 +18,6 @@
 #include "socet/obs/jsonin.hpp"
 #include "socet/obs/trace.hpp"
 #include "socet/obs/traceanalyze.hpp"
-#include "socet/obs/tracemerge.hpp"
 #include "socet/service/job.hpp"
 #include "socet/service/protocol.hpp"
 #include "socet/systems/systems.hpp"
@@ -94,12 +92,7 @@ struct Decoded {
 };
 
 std::string render_frame(const service::FrameReader::Frame& frame) {
-  std::string out = frame.corr + "|" + frame.payload;
-  if (frame.has_trace) {
-    out += "|" + std::to_string(frame.trace.trace_id) + "/" +
-           std::to_string(frame.trace.parent_span);
-  }
-  return out;
+  return frame.corr + "|" + frame.payload;
 }
 
 /// Decode `wire` fed `step` bytes at a time.
@@ -120,29 +113,21 @@ Decoded decode(const std::string& wire, std::size_t step) {
 }
 
 TEST(Fuzz, MutatedFrameStreamsYieldFramesOrLatch) {
-  // Every header layout the decoder knows: plain, corr-flagged,
-  // trace-flagged, and both.
-  const service::FrameTrace trace{0x0123456789abcdefull, 0xfedcba9876543210ull};
+  // Every header layout the decoder knows: plain and corr-flagged.
   std::string wire;
   std::vector<std::size_t> ends;  ///< wire offset just past each frame
   std::vector<std::string> expected;
-  const auto add = [&](const std::string& payload, const std::string& corr,
-                       const service::FrameTrace* context) {
-    wire += service::encode_frame(payload, corr, context);
+  const auto add = [&](const std::string& payload, const std::string& corr) {
+    wire += service::encode_frame(payload, corr);
     ends.push_back(wire.size());
-    service::FrameReader::Frame frame;
-    frame.payload = payload;
-    frame.corr = corr;
-    frame.has_trace = context != nullptr;
-    if (context != nullptr) frame.trace = *context;
-    expected.push_back(render_frame(frame));
+    expected.push_back(render_frame({payload, corr}));
   };
-  add("plan system=barcode selection=1,2,1", "", nullptr);
-  add("optimize system=system2 tat-budget=600000", "job-2", nullptr);
-  add("explore system=barcode", "", &trace);
-  add("spans 123456789abcdef", "job-4", &trace);
-  add("", "job-5", nullptr);
-  add("stats", "", nullptr);
+  add("plan system=barcode selection=1,2,1", "");
+  add("optimize system=system2 tat-budget=600000", "job-2");
+  add("explore system=barcode", "");
+  add("stats", "job-4");
+  add("", "job-5");
+  add("stats", "");
 
   // A clean stream cut anywhere yields exactly the frames it holds in
   // full and keeps the rest buffered.
@@ -156,6 +141,15 @@ TEST(Fuzz, MutatedFrameStreamsYieldFramesOrLatch) {
                            expected.begin()))
         << cut;
     EXPECT_EQ(got.buffered, cut - (complete == 0 ? 0 : ends[complete - 1]));
+  }
+
+  // A header with reserved bit 30 set latches after the frames in front
+  // of it, read whole or byte by byte.
+  const std::string reserved = wire + std::string("\x40\x00\x00\x05stats", 9);
+  for (const std::size_t step : {std::size_t{1}, reserved.size()}) {
+    const Decoded got = decode(reserved, step);
+    EXPECT_TRUE(got.overflowed) << step;
+    EXPECT_EQ(got.frames, expected) << step;
   }
 
   // Mutated (and sometimes truncated) streams: byte-at-a-time delivery
@@ -189,7 +183,8 @@ TEST(Fuzz, MutatedFrameStreamsYieldFramesOrLatch) {
 TEST(Fuzz, MutatedJobLinesParseOrThrow) {
   // Retired daemon verbs are ordinary unknown verbs to the job parser:
   // one located error each.
-  for (const char* retired : {"tail", "profile", "health", "metrics"}) {
+  for (const char* retired :
+       {"tail", "profile", "health", "metrics", "clock", "spans"}) {
     try {
       service::parse_job_line(std::string(retired) + " x=1");
       ADD_FAILURE() << retired << " parsed as a job";
@@ -362,35 +357,6 @@ TEST(Fuzz, MutatedJsonParsesOrNamesAByte) {
     const std::size_t at = error.rfind(" at byte ");
     ASSERT_NE(at, std::string::npos) << error;
     EXPECT_LE(std::stoull(error.substr(at + 9)), text.size()) << error;
-  }
-  EXPECT_GT(parsed, 0);
-  EXPECT_GT(refused, 0);
-}
-
-TEST(Fuzz, MutatedSpanLinesParseOrNameTheLine) {
-  std::vector<obs::TraceEvent> spans(3);
-  for (std::size_t i = 0; i < spans.size(); ++i) {
-    spans[i] = {"serve/job \"" + std::to_string(i) + "\"",
-                static_cast<std::uint32_t>(i), 0x1000 + i, i == 0 ? 0u : 0x1000u,
-                (1ull << 60) + 10 * i, (1ull << 60) + 100};
-  }
-  const std::string valid = obs::remote_spans_jsonl(spans);
-  util::Rng rng(0xF02A);
-  int parsed = 0;
-  int refused = 0;
-  for (int trial = 0; trial < 3000; ++trial) {
-    const std::string text = mutate(valid, rng);
-    std::vector<obs::TraceEvent> out;
-    std::string error;
-    if (obs::parse_remote_spans_jsonl(text, &out, &error)) {
-      ++parsed;
-      for (const obs::TraceEvent& span : out) {
-        EXPECT_LE(span.start_ns, span.end_ns) << text;
-      }
-    } else {
-      ++refused;
-      EXPECT_EQ(error.rfind("span line ", 0), 0u) << error;
-    }
   }
   EXPECT_GT(parsed, 0);
   EXPECT_GT(refused, 0);

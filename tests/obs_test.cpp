@@ -1,11 +1,13 @@
 // Observability subsystem: histogram bucket/quantile edge cases,
 // counters under concurrent increments, trace export shape (`X` slices
-// with parent ids, named worker lanes), the run-report JSON with its
-// per-stage span times and whole-run resources block.
+// with parent ids, named worker lanes), span ids and after-the-fact
+// spans, the run-report JSON with its per-stage span times and
+// whole-run resources block.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdio>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -243,7 +245,40 @@ TEST_F(ObsTest, SnapshotAndRenderersListEveryMetric) {
 
 TEST_F(ObsTest, DisabledTracingRecordsNoSpans) {
   { SOCET_SPAN("obs_test/ignored"); }
+  obs::record_span("obs_test/ignored", 1, 2);
   EXPECT_TRUE(obs::collect_trace_events().empty());
+}
+
+TEST(SpanIds, UniqueAndNonZero) {
+  // Scoped and after-the-fact spans on several threads draw from one
+  // id counter: no id repeats and none is 0.  A recorded span keeps
+  // its given times and is a root even inside an open scope.
+  obs::reset_trace();
+  obs::set_trace_enabled(true);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([] {
+      for (std::uint64_t i = 0; i < 250; ++i) {
+        SOCET_SPAN("obs_test/scoped");
+        obs::record_span("obs_test/recorded", 1000 + i, 2000 + i);
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  obs::set_trace_enabled(false);
+
+  const auto events = obs::collect_trace_events();
+  ASSERT_EQ(events.size(), 2000u);
+  std::set<std::uint64_t> ids;
+  for (const auto& event : events) {
+    EXPECT_NE(event.id, 0u);
+    EXPECT_TRUE(ids.insert(event.id).second) << "duplicate span id";
+    if (event.name == "obs_test/recorded") {
+      EXPECT_EQ(event.parent, 0u);
+      EXPECT_EQ(event.end_ns - event.start_ns, 1000u);
+    }
+  }
+  obs::reset_trace();
 }
 
 TEST_F(ObsTest, TraceExportHasParentedSlicesAndWorkerLanes) {

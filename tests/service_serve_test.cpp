@@ -1,30 +1,34 @@
 // The socet serve daemon: framing, the byte-bounded cache, multi-client
 // byte-identity against the in-process batch service, protocol-error
 // isolation, admission control under a saturated queue, graceful drain,
-// and CLI round-trips through the real `socet` binary.
+// the access log, the traced daemon's spans, and CLI round-trips
+// through the real `socet` binary.
 #include <gtest/gtest.h>
 #include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include <chrono>
-#include <cinttypes>
 #include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <map>
 #include <mutex>
 #include <set>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <utility>
 #include <vector>
 
 #include "socet/obs/explain.hpp"
 #include "socet/obs/journal.hpp"
+#include "socet/obs/jsonin.hpp"
 #include "socet/obs/metrics.hpp"
 #include "socet/obs/trace.hpp"
+#include "socet/obs/traceanalyze.hpp"
 #include "socet/service/cache.hpp"
 #include "socet/service/client.hpp"
 #include "socet/service/protocol.hpp"
@@ -112,49 +116,39 @@ TEST(FrameReader, MalformedCorrLengthLatchesLikeAnOversizedFrame) {
   EXPECT_EQ(reader.announced(), 0x80000002u);
 }
 
-TEST(FrameReader, TraceFlagCarriesTheTraceContext) {
-  const service::FrameTrace context{0xdeadbeefcafef00dull, 0x1122334455667788ull};
-  const std::string wire =
-      service::encode_frame("plan system=barcode", "job-1", &context) +
-      service::encode_frame("explore system=barcode", {}, &context) +
-      service::encode_frame("stats");
-  // One byte at a time: the 16-byte trace block spans every boundary,
-  // with and without a corr section in front of it.
-  service::FrameReader reader;
-  std::vector<service::FrameReader::Frame> frames;
-  for (char byte : wire) {
-    reader.feed(&byte, 1);
-    while (auto frame = reader.next_frame()) frames.push_back(*frame);
+TEST(FrameReader, ReservedHeaderBitReadsAsAnOversizedFrame) {
+  // Bit 30 of the length word is reserved.  Set, it leaves the masked
+  // length above kMaxFrameBytes, so the header is oversized, with or
+  // without the corr flag: the reader latches on the raw word.
+  const char plain[] = {'\x40', '\x00', '\x00', '\x05',
+                        's',    't',    'a',    't',    's'};
+  const char flagged[] = {'\xc0', '\x00', '\x00', '\x02', '\x01', 'j'};
+  for (const auto& [bytes, size, word] :
+       {std::tuple{plain, sizeof(plain), 0x40000005u},
+        std::tuple{flagged, sizeof(flagged), 0xc0000002u}}) {
+    service::FrameReader reader;
+    reader.feed(bytes, size);
+    EXPECT_FALSE(reader.next_frame().has_value());
+    EXPECT_TRUE(reader.overflowed());
+    EXPECT_EQ(reader.announced(), word);
   }
-  ASSERT_EQ(frames.size(), 3u);
-  EXPECT_EQ(frames[0].payload, "plan system=barcode");
-  EXPECT_EQ(frames[0].corr, "job-1");
-  ASSERT_TRUE(frames[0].has_trace);
-  EXPECT_EQ(frames[0].trace.trace_id, context.trace_id);
-  EXPECT_EQ(frames[0].trace.parent_span, context.parent_span);
-  EXPECT_EQ(frames[1].payload, "explore system=barcode");
-  EXPECT_EQ(frames[1].corr, "");
-  ASSERT_TRUE(frames[1].has_trace);
-  EXPECT_EQ(frames[1].trace.trace_id, context.trace_id);
-  EXPECT_FALSE(frames[2].has_trace);
 
-  // next() is trace-oblivious: same payloads, context discarded.
-  service::FrameReader plain;
-  plain.feed(wire.data(), wire.size());
-  EXPECT_EQ(plain.next().value(), "plan system=barcode");
-  EXPECT_EQ(plain.next().value(), "explore system=barcode");
-  EXPECT_EQ(plain.next().value(), "stats");
-}
-
-TEST(FrameReader, TraceBlockShorterThanSixteenBytesLatches) {
-  // A trace-flagged header announcing a 2-byte body cannot hold the
-  // fixed 16-byte context: unrecoverable, like an oversized frame.
-  service::FrameReader reader;
-  const char bad[] = {'\x40', '\x00', '\x00', '\x02', 'x', 'y'};
-  reader.feed(bad, sizeof(bad));
-  EXPECT_FALSE(reader.next_frame().has_value());
-  EXPECT_TRUE(reader.overflowed());
-  EXPECT_EQ(reader.announced(), 0x40000002u);
+  // The blocking reader refuses the same header.
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  ASSERT_EQ(::write(fds[0], plain, sizeof(plain)),
+            static_cast<ssize_t>(sizeof(plain)));
+  ::close(fds[0]);
+  try {
+    service::read_frame(fds[1]);
+    ADD_FAILURE() << "read_frame accepted a bit-30 header";
+  } catch (const util::Error& error) {
+    EXPECT_EQ(std::string(error.what())
+                  .rfind("oversized frame: peer announced 1073741829 bytes", 0),
+              0u)
+        << error.what();
+  }
+  ::close(fds[1]);
 }
 
 TEST(Protocol, EncodeRejectsOversizedCorrIds) {
@@ -308,7 +302,8 @@ TEST(Serve, StatsRoundTrip) {
   // Retired verbs are not verbs: each falls through to the job parser
   // and gets exactly one error record, and the connection stays usable
   // (the next reply on it is the stats answer).
-  for (const char* removed : {"health", "metrics", "tail", "profile"}) {
+  for (const char* removed :
+       {"health", "metrics", "tail", "profile", "clock", "spans"}) {
     const std::string reply = client.query(removed);
     EXPECT_EQ(reply.rfind("error unknown verb '" + std::string(removed) + "'",
                           0),
@@ -419,9 +414,10 @@ TEST(Serve, PendingResponsesStillFlushBeforeTheErrorClose) {
 
 TEST(Serve, RepliesOverTheFrameLimitBecomeShortErrors) {
   // Each request fits in one frame, but its error reply echoes it and
-  // would not.  Framed as is, it would throw on the event-loop thread
-  // and end the daemon; each must get a short error instead, and the
-  // connection must stay usable.
+  // would not: an unknown verb, and a job option, of nearly 1 MiB.
+  // Framed as is, a reply would throw on the event-loop thread and end
+  // the daemon; each must get a short error instead, and the connection
+  // must stay usable.
   service::ServerOptions options;
   options.threads = 1;
   service::Server server(std::move(options));
@@ -430,7 +426,7 @@ TEST(Serve, RepliesOverTheFrameLimitBecomeShortErrors) {
   const int fd = service::net_connect("127.0.0.1", server.port());
   for (const std::string& request :
        {std::string(service::kMaxFrameBytes, 'x'),
-        "spans " + std::string(service::kMaxFrameBytes - 6, 'x')}) {
+        "plan " + std::string(service::kMaxFrameBytes - 5, 'x')}) {
     service::write_frame(fd, request);
     const auto reply = service::read_frame(fd);
     ASSERT_TRUE(reply.has_value());
@@ -704,6 +700,39 @@ TEST(Serve, AccessLogCarriesPerRequestTelemetry) {
   std::remove(log_path.c_str());
 }
 
+TEST(Serve, AccessLogBoundsAnOversizedVerb) {
+  // A 1 MiB first token is logged as its first 32 bytes and its
+  // length, so one request adds one short line, not a megabyte.
+  const std::string log_path = testing::TempDir() + "serve_verb_access.jsonl";
+  std::remove(log_path.c_str());
+  service::ServerOptions options;
+  options.threads = 1;
+  options.access_log = log_path;
+  service::Server server(std::move(options));
+  server.start();
+  const int fd = service::net_connect("127.0.0.1", server.port());
+  service::write_frame(fd, std::string(service::kMaxFrameBytes, 'x'));
+  const auto reply = service::read_frame(fd);
+  ASSERT_TRUE(reply.has_value());
+  EXPECT_EQ(reply->rfind("error ", 0), 0u) << reply->substr(0, 80);
+  ::close(fd);
+  server.request_drain();
+  server.wait();
+
+  std::ifstream log(log_path);
+  std::string line;
+  ASSERT_TRUE(std::getline(log, line));
+  EXPECT_LT(line.size(), 1024u);
+  obs::JsonValue entry;
+  std::string error;
+  ASSERT_TRUE(obs::json_parse(line, &entry, &error)) << error;
+  const obs::JsonValue* verb = entry.get("verb");
+  ASSERT_NE(verb, nullptr);
+  EXPECT_EQ(verb->string_value, std::string(32, 'x') + "...(1048576 bytes)");
+  EXPECT_FALSE(std::getline(log, line)) << "more than one line: " << line;
+  std::remove(log_path.c_str());
+}
+
 TEST(Serve, TelemetryLeavesRecordsByteIdentical) {
   const std::string expected = serial_records(kJobFile);
   const std::string log_path =
@@ -724,102 +753,58 @@ TEST(Serve, TelemetryLeavesRecordsByteIdentical) {
   std::remove(log_path.c_str());
 }
 
-// ------------------------------------------- cross-process introspection
+// ----------------------------------------------------------------- tracing
 
-std::string hex_of(std::uint64_t value) {
-  char buffer[24];
-  std::snprintf(buffer, sizeof(buffer), "%" PRIx64, value);
-  return buffer;
-}
-
-TEST(Serve, ClockVerbAnswersThisProcessesMonotonicClock) {
-  service::ServerOptions options;
-  options.threads = 1;
-  service::Server server(std::move(options));
-  server.start();
-  auto client = connect_to(server);
-  // The server runs in this process, so its `clock` reading must nest
-  // inside the request's round trip on the same steady clock — the
-  // exact property the min-RTT midpoint estimate relies on.
-  const std::uint64_t before = obs::now_ns();
-  const std::string reply = client.query("clock");
-  const std::uint64_t after = obs::now_ns();
-  ASSERT_EQ(reply.rfind("ok clock ", 0), 0u) << reply;
-  const std::uint64_t reported =
-      std::strtoull(reply.c_str() + 9, nullptr, 10);
-  EXPECT_GE(reported, before);
-  EXPECT_LE(reported, after);
-}
-
-TEST(Serve, TracedRunKeepsRecordsIdenticalAndParentsDaemonSpans) {
+TEST(Serve, TracedRunRecordsQueueJobAndRespondPerRequest) {
   const std::string expected = serial_records(kJobFile);
-  service::ServerOptions options;
-  options.threads = 2;
-  service::Server server(std::move(options));
-  server.start();
-
-  service::ClientOptions client_options;
-  client_options.port = server.port();
-  client_options.trace = true;
-  service::Client client(client_options);
-  const auto report = client.run_lines(kJobFile);
-  // The tentpole guarantee: tracing never changes the records.
+  obs::reset_trace();
+  obs::set_trace_enabled(true);
+  service::ClientReport report;
+  {
+    service::ServerOptions options;
+    options.threads = 2;
+    service::Server server(std::move(options));
+    server.start();
+    report = connect_to(server).run_lines(kJobFile);
+    server.request_drain();
+    server.wait();
+  }
+  obs::set_trace_enabled(false);
+  // Tracing never changes the records.
   EXPECT_EQ(report.records_text(), expected);
 
-  ASSERT_NE(report.trace.trace_id, 0u);
-  ASSERT_EQ(report.trace.client_spans.size(), report.jobs);
-  std::set<std::uint64_t> client_ids;
-  std::set<std::uint64_t> all_ids;
-  for (const auto& span : report.trace.client_spans) {
-    EXPECT_NE(span.id, 0u);
-    EXPECT_GE(span.end_ns, span.start_ns);
-    client_ids.insert(span.id);
-    all_ids.insert(span.id);
+  // One serve/queue and one serve/respond per serve/job, and a forest
+  // that holds together: unique non-zero ids, no span ending before it
+  // starts, no parent outside the trace.
+  const auto events = obs::collect_trace_events();
+  std::map<std::string, std::size_t> count;
+  std::set<std::uint64_t> ids;
+  for (const auto& event : events) {
+    ++count[event.name];
+    EXPECT_NE(event.id, 0u) << event.name;
+    EXPECT_TRUE(ids.insert(event.id).second) << event.name;
+    EXPECT_GE(event.end_ns, event.start_ns) << event.name;
   }
-  // Every job contributes at least serve/job + serve/queue +
-  // serve/respond on the daemon side.
-  ASSERT_GE(report.trace.daemon_spans.size(), 3 * report.jobs);
-  for (const auto& span : report.trace.daemon_spans) all_ids.insert(span.id);
-  std::size_t under_submit = 0;
-  std::set<std::string> names;
-  for (const auto& span : report.trace.daemon_spans) {
-    names.insert(span.name);
-    // The parent chain never dangles: every daemon span hangs off a
-    // client submit span or another daemon span of the same trace.
-    EXPECT_NE(span.parent, 0u) << span.name;
-    EXPECT_EQ(all_ids.count(span.parent), 1u) << span.name;
-    if (client_ids.count(span.parent) == 1) ++under_submit;
+  for (const auto& event : events) {
+    if (event.parent != 0) {
+      EXPECT_EQ(ids.count(event.parent), 1u) << event.name;
+    }
   }
-  EXPECT_EQ(names.count("serve/job"), 1u);
-  EXPECT_EQ(names.count("serve/queue"), 1u);
-  EXPECT_EQ(names.count("serve/respond"), 1u);
-  // Each job's queue/job/respond spans parent its submit span directly.
-  EXPECT_GE(under_submit, 3 * report.jobs);
+  EXPECT_EQ(count["serve/job"], report.jobs);
+  EXPECT_EQ(count["serve/queue"], report.jobs);
+  EXPECT_EQ(count["serve/respond"], report.jobs);
 
-  // The merged document renders both halves with flow arrows.
-  const std::string merged = report.trace.chrome_trace();
-  EXPECT_NE(merged.find("\"socet client\""), std::string::npos);
-  EXPECT_NE(merged.find("\"socet serve\""), std::string::npos);
-  EXPECT_NE(merged.find("\"serve/job\""), std::string::npos);
-  EXPECT_NE(merged.find("\"ph\":\"s\""), std::string::npos);
-
-  // Collection releases the stored spans: a second fetch is empty.
-  const std::string again =
-      client.query("spans " + hex_of(report.trace.trace_id));
-  EXPECT_EQ(again.rfind("ok spans 0", 0), 0u) << again;
-}
-
-TEST(Serve, SpansVerbRejectsMalformedIds) {
-  service::ServerOptions options;
-  options.threads = 1;
-  service::Server server(std::move(options));
-  server.start();
-  auto client = connect_to(server);
-  EXPECT_EQ(client.query("spans").rfind("error bad spans id", 0), 0u);
-  EXPECT_EQ(client.query("spans zz").rfind("error bad spans id", 0), 0u);
-  EXPECT_EQ(client.query("spans 0").rfind("error bad spans id", 0), 0u);
-  // A well-formed id that was never traced is just an empty set.
-  EXPECT_EQ(client.query("spans deadbeef").rfind("ok spans 0", 0), 0u);
+  // The exported document reloads with both waits in its daemon split.
+  obs::analyze::TraceData trace;
+  std::string error;
+  ASSERT_TRUE(
+      obs::analyze::load_trace(obs::chrome_trace_json(), &trace, &error))
+      << error;
+  const obs::analyze::Aggregate split = obs::analyze::aggregate({trace});
+  EXPECT_GT(split.queue_us, 0);
+  EXPECT_GT(split.compute_us, 0);
+  EXPECT_GT(split.respond_us, 0);
+  obs::reset_trace();
 }
 
 /// Arms the process flight recorder for one test — what `socet serve
@@ -1002,6 +987,11 @@ TEST(Cli, UnknownOptionsAreRejectedByName) {
        "error: unknown option '--profile' for 'batch'"},
       {"serve --metrics-port 0",
        "error: unknown option '--metrics-port' for 'serve'"},
+      // An option given twice is refused, not read as its last value.
+      {"plan --system barcode --system system2",
+       "error: repeated option '--system' for 'plan'"},
+      {"optimize --area-budget 100 --area-budget 5",
+       "error: repeated option '--area-budget' for 'optimize'"},
   };
   for (const auto& [arguments, message] : cases) {
     const std::string command = std::string("timeout 10 ") + SOCET_CLI_PATH +
@@ -1022,7 +1012,7 @@ TEST(Cli, UnknownOptionsAreRejectedByName) {
   std::remove(jobs.c_str());
 }
 
-TEST(Cli, BatchConnectTraceKeepsStdoutIdenticalAndWritesOneMergedTrace) {
+TEST(Cli, RemoteRunsKeepStdoutIdenticalAndTraceTheirOwnProcess) {
   service::ServerOptions options;
   options.threads = 2;
   service::Server server(std::move(options));
@@ -1035,27 +1025,28 @@ TEST(Cli, BatchConnectTraceKeepsStdoutIdenticalAndWritesOneMergedTrace) {
     for (const std::string& line : kJobFile) file << line << "\n";
   }
   const std::string trace_path = testing::TempDir() + "serve_trace.json";
-  std::remove(trace_path.c_str());
+  for (const std::string command : {"batch", "client"}) {
+    std::remove(trace_path.c_str());
+    const std::string run =
+        command + " --connect " + connect + " --jobs " + jobs_path;
+    const CliRun plain = run_cli(run);
+    const CliRun traced = run_cli(run + " --trace " + trace_path);
+    // --trace never changes what the command prints.
+    EXPECT_EQ(traced.exit_code, plain.exit_code) << command;
+    EXPECT_EQ(traced.output, plain.output) << command;
 
-  const CliRun plain =
-      run_cli("batch --connect " + connect + " --jobs " + jobs_path);
-  const CliRun traced = run_cli("batch --connect " + connect + " --jobs " +
-                                jobs_path + " --trace " + trace_path);
-  // The acceptance pin: --trace never changes what batch prints.
-  EXPECT_EQ(traced.exit_code, plain.exit_code);
-  EXPECT_EQ(traced.output, plain.output);
-
-  std::ifstream file(trace_path);
-  ASSERT_TRUE(file.is_open()) << "no merged trace at " << trace_path;
-  std::ostringstream raw;
-  raw << file.rdbuf();
-  const std::string merged = raw.str();
-  // ONE document holding both halves of the trace, flows included.
-  EXPECT_NE(merged.find("\"traceEvents\""), std::string::npos);
-  EXPECT_NE(merged.find("\"socet client\""), std::string::npos);
-  EXPECT_NE(merged.find("\"socet serve\""), std::string::npos);
-  EXPECT_NE(merged.find("\"serve/job\""), std::string::npos);
-  EXPECT_NE(merged.find("\"ph\":\"s\""), std::string::npos);
+    // The file holds this process's spans, as on every other command.
+    std::ifstream file(trace_path);
+    ASSERT_TRUE(file.is_open()) << "no trace at " << trace_path;
+    std::ostringstream raw;
+    raw << file.rdbuf();
+    obs::analyze::TraceData trace;
+    std::string error;
+    ASSERT_TRUE(obs::analyze::load_trace(raw.str(), &trace, &error)) << error;
+    ASSERT_FALSE(trace.roots.empty()) << command;
+    EXPECT_EQ(trace.spans[static_cast<std::size_t>(trace.roots.front())].name,
+              "cli/" + command);
+  }
   std::remove(jobs_path.c_str());
   std::remove(trace_path.c_str());
 }

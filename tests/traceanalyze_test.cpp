@@ -28,7 +28,7 @@ using obs::analyze::DiffResult;
 using obs::analyze::NameStats;
 using obs::analyze::TraceData;
 
-/// One merged-format X slice with explicit hex span/parent ids.
+/// One X slice with explicit hex span/parent ids, as `--trace` writes.
 std::string slice(const std::string& name, double ts, double dur,
                   std::uint64_t id, std::uint64_t parent, int pid = 1,
                   int tid = 1) {
@@ -231,11 +231,13 @@ TEST(AggregateSelfTime, OverlappingChildrenAreUnionMerged) {
 }
 
 TEST(AggregateDaemonSplit, QueueComputeRespondFromServeSpans) {
+  // A traced daemon's shape: serve/job a root on its worker's lane,
+  // serve/queue and serve/respond roots on the loop's lane.
   const Aggregate agg = obs::analyze::aggregate({load_ok(chrome_doc({
-      slice("submit #1", 0, 100, 1, 0),
-      slice("serve/queue", 5, 20, 2, 1),
-      slice("serve/job", 25, 60, 3, 1, 2, 7),
-      slice("serve/respond", 85, 10, 4, 1, 2, 900),
+      slice("serve/queue", 5, 20, 1, 0, 1, 1),
+      slice("serve/job", 25, 60, 2, 0, 1, 2),
+      slice("soc/plan_chip_test", 30, 40, 3, 2, 1, 2),
+      slice("serve/respond", 85, 10, 4, 0, 1, 1),
   }))});
   EXPECT_DOUBLE_EQ(agg.queue_us, 20.0);
   EXPECT_DOUBLE_EQ(agg.compute_us, 60.0);
@@ -413,7 +415,7 @@ TEST(LoadTrace, ExportedSpansPastOneSecondKeepTheirNesting) {
   };
   std::vector<std::string> slices;
   for (const obs::TraceEvent& span : recorded) {
-    slices.push_back(obs::chrome_slice(span, 1, span.tid, kEpoch));
+    slices.push_back(obs::chrome_slice(span, kEpoch));
   }
   const std::string json = chrome_doc(slices);
 

@@ -31,6 +31,7 @@
 #include <cstring>
 #include <fstream>
 #include <map>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -90,8 +91,14 @@ int usage() {
 }
 
 bool parse_options(int argc, char** argv, Options* out) {
+  std::set<std::string> seen;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
+    // Given twice, an option is refused rather than read as its last value.
+    if (!seen.insert(arg).second) {
+      std::fprintf(stderr, "error: repeated option '%s'\n", arg.c_str());
+      return false;
+    }
     const auto value = [&]() -> const char* {
       return i + 1 < argc ? argv[++i] : nullptr;
     };

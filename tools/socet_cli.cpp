@@ -58,6 +58,7 @@ struct Args {
   std::string command;
   std::map<std::string, std::string> options;
   std::vector<std::string> positionals;  ///< bare tokens ("explain mux CPU")
+  std::string repeated;  ///< first option given twice ("" if none)
 
   bool has(const std::string& key) const { return options.count(key) != 0; }
   std::string get(const std::string& key, const std::string& fallback) const {
@@ -79,10 +80,13 @@ Args parse_args(int argc, char** argv) {
       continue;
     }
     token = token.substr(2);
+    std::string value;
     if (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0) {
-      args.options[token] = argv[++i];
-    } else {
-      args.options[token] = "";
+      value = argv[++i];
+    }
+    if (!args.options.emplace(token, std::move(value)).second &&
+        args.repeated.empty()) {
+      args.repeated = token;
     }
   }
   return args;
@@ -274,36 +278,14 @@ service::ClientOptions client_options(const Args& args) {
 
 /// Replay a job file against a daemon and print records to stdout —
 /// the remote path shared by `client --jobs` and `batch --connect`.
-/// With --trace FILE the run is distributed-traced end to end: clock
-/// handshake, per-job submit spans, daemon span collection, ONE merged
-/// Chrome trace to FILE.  stdout is byte-identical either way.
 int run_remote_jobs(const Args& args, const char* who) {
   const auto lines = read_job_lines(args.get("jobs", ""), who);
-  const std::string trace_path = args.get("trace", "");
-  auto options = client_options(args);
-  options.trace = !trace_path.empty();
-  service::Client client(options);
+  service::Client client(client_options(args));
   const auto report = client.run_lines(lines);
   std::printf("%s", report.records_text().c_str());
   std::fprintf(stderr, "%s: %zu jobs via %s, %zu errors, %zu busy\n", who,
                report.jobs, args.get("connect", "").c_str(), report.errors,
                report.busy);
-  if (options.trace) {
-    std::ofstream out(trace_path);
-    out << report.trace.chrome_trace();
-    if (!out.good()) {
-      std::fprintf(stderr, "error: cannot write trace '%s'\n",
-                   trace_path.c_str());
-      return 1;
-    }
-    std::fprintf(stderr,
-                 "%s: merged trace: %zu client + %zu daemon spans, "
-                 "clock offset %lld ns -> %s\n",
-                 who, report.trace.client_spans.size(),
-                 report.trace.daemon_spans.size(),
-                 static_cast<long long>(report.trace.clock_offset_ns),
-                 trace_path.c_str());
-  }
   return (report.errors == 0 && report.busy == 0) ? 0 : 1;
 }
 
@@ -567,9 +549,7 @@ int usage() {
       "  batch     --jobs FILE|- [--threads N] [--cache N]\n"
       "            [--cache-bytes N] [--verbose] [--connect HOST:PORT]\n"
       "            (planning service; one job per line, see docs/FORMATS.md;\n"
-      "            --connect replays the file against a running daemon;\n"
-      "            --connect --trace FILE writes ONE merged client+daemon\n"
-      "            Chrome trace on aligned clocks)\n"
+      "            --connect replays the file against a running daemon)\n"
       "  serve     [--host H] [--port N] [--threads N] [--cache N]\n"
       "            [--cache-bytes N] [--max-queue N] [--window N]\n"
       "            [--port-file FILE] [--access-log FILE]\n"
@@ -582,7 +562,7 @@ int usage() {
       "            [--window N]\n"
       "  trace-analyze FILE... [--json] [--folded] [--top N] [--out FILE]\n"
       "            (critical path + per-stage latency distributions over\n"
-      "            span traces: `--trace` files and merged traces)\n"
+      "            `--trace` files; a serve trace adds the daemon split)\n"
       "  trace-analyze --diff A.json B.json [--json] [--out FILE]\n"
       "            (rank stages by contribution to the B-A delta)\n"
       "  program   [--system ...] [--selection 1,2,3]\n"
@@ -658,6 +638,11 @@ int main(int argc, char** argv) {
     return usage();
   }
   const Args args = parse_args(argc, argv);
+  if (!args.repeated.empty()) {
+    std::fprintf(stderr, "error: repeated option '--%s' for '%s'\n",
+                 args.repeated.c_str(), argv[1]);
+    return 1;
+  }
   for (const auto& [option, value] : args.options) {
     if (command->second.options.count(option) == 0 &&
         kObservabilityOptions.count(option) == 0) {
@@ -671,16 +656,10 @@ int main(int argc, char** argv) {
   // and the span rollups, so --report implies both collectors.
   const std::string trace_path = args.get("trace", "");
   const std::string report_path = args.get("report", "");
-  // `batch/client --connect --trace FILE` owns its trace file: the
-  // client writes ONE merged cross-process document there, so the local
-  // tracer must not arm (and must not overwrite it on exit).
-  const bool remote_trace =
-      args.has("connect") &&
-      (command->first == "batch" || command->first == "client");
   if (args.has("metrics") || !report_path.empty()) {
     obs::set_metrics_enabled(true);
   }
-  if ((!trace_path.empty() && !remote_trace) || !report_path.empty()) {
+  if (!trace_path.empty() || !report_path.empty()) {
     obs::set_trace_enabled(true);
   }
   // For `explain`, --journal names the *input* document; every other
@@ -727,7 +706,7 @@ int main(int argc, char** argv) {
       status = status == 0 ? 1 : status;
     }
   };
-  if (!trace_path.empty() && !remote_trace) {
+  if (!trace_path.empty()) {
     write_file(trace_path, obs::chrome_trace_json(), "trace");
   }
   if (!journal_path.empty()) {
