@@ -59,6 +59,7 @@ AtpgResult generate_tests(const gate::GateNetlist& netlist,
   const unsigned limits[2] = {
       std::min(options.backtrack_limit, 24u), options.backtrack_limit};
   const char* const pass_spans[2] = {"atpg/podem_fast", "atpg/podem_patient"};
+  Podem podem(netlist);
   for (unsigned pass = 0; pass < 2; ++pass) {
     SOCET_SPAN(pass_spans[pass]);
     PodemOptions podem_options;
@@ -68,7 +69,7 @@ AtpgResult generate_tests(const gate::GateNetlist& netlist,
           !(pass == 1 && result.statuses[fi] == FaultStatus::kAborted)) {
         continue;
       }
-      PodemResult pr = podem(netlist, result.faults[fi], podem_options);
+      PodemResult pr = podem.run(result.faults[fi], podem_options);
       SOCET_COUNT("atpg/podem_calls");
       SOCET_COUNT_N("atpg/backtracks", pr.backtracks);
       switch (pr.outcome) {

@@ -1,233 +1,162 @@
 #include "socet/atpg/podem.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "socet/gate/eval.hpp"
+#include "socet/gate/flat.hpp"
+#include "socet/obs/metrics.hpp"
 
 namespace socet::atpg {
 
 // V3's logic operators, in V3's own namespace so that gate::eval_gate
-// finds them by argument-dependent lookup.  V3{} is k0.
-static V3 operator~(V3 a) {
-  if (a == V3::kX) return V3::kX;
-  return a == V3::k0 ? V3::k1 : V3::k0;
-}
+// finds them by argument-dependent lookup.  V3{} is k0.  Truth tables
+// indexed by the operands (k0, k1, kX) keep implication's inner loop
+// free of data-dependent branches.
+namespace {
+constexpr V3 k0 = V3::k0, k1 = V3::k1, kX = V3::kX;
+constexpr V3 kNot[3] = {k1, k0, kX};
+constexpr V3 kAnd[3][3] = {{k0, k0, k0}, {k0, k1, kX}, {k0, kX, kX}};
+constexpr V3 kOr[3][3] = {{k0, k1, kX}, {k1, k1, k1}, {kX, k1, kX}};
+constexpr V3 kXor[3][3] = {{k0, k1, kX}, {k1, k0, kX}, {kX, kX, kX}};
+}  // namespace
+
+static V3 operator~(V3 a) { return kNot[static_cast<int>(a)]; }
 
 static V3 operator&(V3 a, V3 b) {
-  if (a == V3::k0 || b == V3::k0) return V3::k0;
-  if (a == V3::k1 && b == V3::k1) return V3::k1;
-  return V3::kX;
+  return kAnd[static_cast<int>(a)][static_cast<int>(b)];
 }
 
 static V3 operator|(V3 a, V3 b) {
-  if (a == V3::k1 || b == V3::k1) return V3::k1;
-  if (a == V3::k0 && b == V3::k0) return V3::k0;
-  return V3::kX;
+  return kOr[static_cast<int>(a)][static_cast<int>(b)];
 }
 
 static V3 operator^(V3 a, V3 b) {
-  if (a == V3::kX || b == V3::kX) return V3::kX;
-  return a == b ? V3::k0 : V3::k1;
+  return kXor[static_cast<int>(a)][static_cast<int>(b)];
 }
 
 namespace {
 
 using faultsim::Fault;
-using gate::Gate;
-using gate::GateId;
+using gate::FlatNetlist;
 using gate::GateKind;
 
-class Podem {
+constexpr std::int32_t kNoFault = -2;  ///< site_pin_: no site on the slot
+constexpr std::int32_t kStem = -1;     ///< site_pin_: output-stem fault
+constexpr unsigned kFarAway = 1u << 30;
+
+/// Start a new epoch of `marks`: entries equal to the returned value are
+/// marked, every other entry is not.  On wrap-around the marks are
+/// cleared so that no stale entry matches the new epoch.
+std::uint32_t next_epoch(std::uint32_t& epoch,
+                         std::vector<std::uint32_t>& marks) {
+  if (++epoch == 0) {
+    std::fill(marks.begin(), marks.end(), 0);
+    epoch = 1;
+  }
+  return epoch;
+}
+
+}  // namespace
+
+class Podem::Engine {
  public:
-  Podem(const gate::GateNetlist& netlist, std::vector<Fault> faults,
-        const PodemOptions& options)
-      : netlist_(netlist), faults_(std::move(faults)), options_(options) {
-    util::require(!faults_.empty(), "podem: need at least one fault site");
-    // Per-gate fault lookup (at most one site per gate).
-    site_pin_.assign(netlist.gate_count(), kNoFault);
-    site_value_.assign(netlist.gate_count(), 0);
-    for (const Fault& f : faults_) {
-      faultsim::check_fault_site(netlist.gate(f.gate), f);
-      util::require(site_pin_[f.gate.index()] == kNoFault,
-                    "podem: two fault sites on one gate");
-      site_pin_[f.gate.index()] = f.pin;
-      site_value_[f.gate.index()] = f.stuck_at ? 1 : 0;
-    }
-    // Decision variables: PIs then PPIs.
-    for (GateId id : netlist.inputs()) lines_.push_back(id);
-    for (GateId id : netlist.dffs()) lines_.push_back(id);
-    line_pos_.assign(netlist.gate_count(), -1);
-    for (std::size_t i = 0; i < lines_.size(); ++i) {
-      line_pos_[lines_[i].index()] = static_cast<std::int32_t>(i);
-    }
-    assign_.assign(lines_.size(), V3::kX);
-    good_.assign(netlist.gate_count(), V3::kX);
-    faulty_.assign(netlist.gate_count(), V3::kX);
+  explicit Engine(const gate::GateNetlist& netlist);
 
-    observe_ = netlist.outputs();
-    for (GateId dff : netlist.dffs()) {
-      observe_.push_back(netlist.gate(dff).fanin[0]);
-    }
-    std::sort(observe_.begin(), observe_.end());
-    observe_.erase(std::unique(observe_.begin(), observe_.end()),
-                   observe_.end());
-
-    // Static guidance: distance-to-observation for D-frontier selection
-    // and logic depth for backtrace input choice (a SCOAP-lite).
-    obs_dist_.assign(netlist.gate_count(), kFarAway);
-    for (GateId id : observe_) obs_dist_[id.index()] = 0;
-    const auto& order = netlist.topo_order();
-    for (auto it = order.rbegin(); it != order.rend(); ++it) {
-      const unsigned here = obs_dist_[it->index()];
-      if (here == kFarAway) continue;
-      for (GateId f : netlist.gate(*it).fanin) {
-        obs_dist_[f.index()] = std::min(obs_dist_[f.index()], here + 1);
-      }
-    }
-    depth_.assign(netlist.gate_count(), 0);
-    for (GateId id : order) {
-      unsigned d = 0;
-      for (GateId f : netlist.gate(id).fanin) {
-        d = std::max(d, depth_[f.index()] + 1);
-      }
-      const auto kind = netlist.gate(id).kind;
-      depth_[id.index()] =
-          (kind == GateKind::kInput || kind == GateKind::kDff) ? 0 : d;
-    }
-  }
-
-  static constexpr unsigned kFarAway = 1u << 30;
-
-  PodemResult run() {
-    PodemResult result;
-    struct Decision {
-      std::size_t pos;
-      bool flipped;
-    };
-    std::vector<Decision> stack;
-
-    imply();
-    while (true) {
-      if (!conflict() && detected()) {
-        result.outcome = PodemResult::Outcome::kFound;
-        fill_pattern(result);
-        result.backtracks = backtracks_;
-        return result;
-      }
-
-      std::int32_t obj_pos = -1;
-      bool obj_value = false;
-      const bool progress =
-          !conflict() && x_path_exists() && next_objective(obj_pos, obj_value);
-
-      if (progress) {
-        stack.push_back(Decision{static_cast<std::size_t>(obj_pos), false});
-        assign_[obj_pos] = obj_value ? V3::k1 : V3::k0;
-        imply();
-        continue;
-      }
-
-      // Backtrack.
-      ++backtracks_;
-      if (backtracks_ > options_.backtrack_limit) {
-        result.outcome = PodemResult::Outcome::kAborted;
-        result.backtracks = backtracks_;
-        return result;
-      }
-      bool resumed = false;
-      while (!stack.empty()) {
-        Decision& top = stack.back();
-        if (!top.flipped) {
-          top.flipped = true;
-          assign_[top.pos] = ~assign_[top.pos];
-          imply();
-          resumed = true;
-          break;
-        }
-        assign_[top.pos] = V3::kX;
-        stack.pop_back();
-      }
-      if (!resumed) {
-        imply();
-        result.outcome = PodemResult::Outcome::kUntestable;
-        result.backtracks = backtracks_;
-        return result;
-      }
-    }
-  }
+  PodemResult run(std::span<const Fault> faults, const PodemOptions& options);
 
  private:
-  /// Full-circuit composite implication from the current assignments.
+  struct Site {
+    std::uint32_t slot;    ///< the fault's gate
+    /// The good-circuit line whose value excites the site: the gate
+    /// itself for a stem fault, the driving gate for a pin fault.
+    std::uint32_t excite;
+    V3 required;  ///< the value of `excite` that excites the site
+    bool pin;     ///< an input-pin fault
+  };
+
+  void load_sites(std::span<const Fault> faults);
+  void mark_cone();
+  PodemResult search(const PodemOptions& options);
+
+  // ---------------------------------------------------------- implication
+
+  void assign(std::uint32_t pos, V3 value) {
+    assign_[pos] = value;
+    dirty_.push_back(pos);
+  }
+
+  void schedule(std::uint32_t slot) {
+    const std::uint32_t word = slot >> 6;
+    pending_[word] |= std::uint64_t{1} << (slot & 63);
+    first_pending_ = std::min(first_pending_, word);
+    last_pending_ = std::max(last_pending_, word);
+  }
+
+  void schedule_fanouts(std::uint32_t slot) {
+    for (std::uint32_t i = flat_.fanout_begin[slot];
+         i < flat_.fanout_begin[slot + 1]; ++i) {
+      schedule(flat_.fanouts[i]);
+    }
+  }
+
+  /// Bring every value up to date with the assignments: seed from each
+  /// decision variable whose assignment moved since the last implication,
+  /// then drain the pending slots lowest first, which is level order.
   void imply() {
-    for (std::size_t i = 0; i < lines_.size(); ++i) {
-      good_[lines_[i].index()] = assign_[i];
-      faulty_[lines_[i].index()] = assign_[i];
+    for (const std::uint32_t pos : dirty_) {
+      const V3 good = assign_[pos];
+      const V3 faulty = site_pin_[pos] == kStem ? site_stuck_[pos] : good;
+      if (good == good_[pos] && faulty == faulty_[pos]) continue;
+      good_[pos] = good;
+      faulty_[pos] = faulty;
+      schedule_fanouts(pos);
     }
-    // Stem faults on input lines force the faulty side immediately.
-    for (GateId id : netlist_.topo_order()) {
-      const Gate& g = netlist_.gate(id);
-      if (g.kind == GateKind::kInput || g.kind == GateKind::kDff) {
-        apply_fault_at(id);
-        continue;
-      }
-      good_[id.index()] = gate::eval_gate<V3>(
-          g.kind, g.fanin.size(),
-          [&](std::size_t p) { return good_[g.fanin[p].index()]; });
-      // A pin fault holds its pin at the stuck value on the faulty side.
-      const std::int32_t pin = site_pin_[id.index()];
-      const V3 stuck = site_value_[id.index()] ? V3::k1 : V3::k0;
-      faulty_[id.index()] = gate::eval_gate<V3>(
-          g.kind, g.fanin.size(), [&](std::size_t p) {
-            return static_cast<std::int32_t>(p) == pin
-                       ? stuck
-                       : faulty_[g.fanin[p].index()];
-          });
-      apply_fault_at(id);
-    }
-  }
-
-  void apply_fault_at(GateId id) {
-    if (site_pin_[id.index()] == -1) {  // stem fault
-      faulty_[id.index()] = site_value_[id.index()] ? V3::k1 : V3::k0;
-    }
-  }
-
-  /// The good-side value a site's line must take to excite that site.
-  static V3 required_site_value(const Fault& f) {
-    return f.stuck_at ? V3::k0 : V3::k1;
-  }
-
-  /// The good-circuit line whose value excites a site: the gate itself
-  /// for stem faults, the driving gate for pin faults.
-  GateId excitation_line(const Fault& f) const {
-    if (f.pin < 0) return f.gate;
-    return netlist_.gate(f.gate).fanin[f.pin];
-  }
-
-  /// Some site is excited (the fault effect originates somewhere).
-  bool excited() const {
-    for (const Fault& f : faults_) {
-      if (good_[excitation_line(f).index()] == required_site_value(f)) {
-        return true;
+    dirty_.clear();
+    for (std::uint32_t w = first_pending_; w <= last_pending_; ++w) {
+      while (pending_[w] != 0) {
+        const auto bit =
+            static_cast<std::uint32_t>(std::countr_zero(pending_[w]));
+        pending_[w] &= pending_[w] - 1;
+        evaluate(w * 64 + bit);
       }
     }
-    return false;
+    first_pending_ = static_cast<std::uint32_t>(pending_.size());
+    last_pending_ = 0;
   }
 
-  /// Every site's excitation line settled to the stuck value: no test
-  /// exists down this branch.
-  bool conflict() const {
-    for (const Fault& f : faults_) {
-      if (good_[excitation_line(f).index()] != ~required_site_value(f)) {
-        return false;
+  /// Re-evaluate logic slot `slot`; wake its fanouts if either value moved.
+  void evaluate(std::uint32_t slot) {
+    const FlatNetlist::Node& g = flat_.node(slot);
+    const std::uint32_t* fanin = flat_.fanins.data() + g.fanin_begin;
+    const std::size_t n = g.fanin_end - g.fanin_begin;
+    const V3 good = gate::eval_gate<V3>(
+        g.kind, n, [&](std::size_t p) { return good_[fanin[p]]; });
+    V3 faulty = good;  // outside the cone faulty equals good
+    if (in_cone_[slot] == cone_epoch_) {
+      const std::int32_t pin = site_pin_[slot];
+      if (pin == kStem) {
+        faulty = site_stuck_[slot];
+      } else {
+        // A pin fault holds its pin at the stuck value on the faulty side.
+        faulty = gate::eval_gate<V3>(g.kind, n, [&](std::size_t p) {
+          return static_cast<std::int32_t>(p) == pin ? site_stuck_[slot]
+                                                     : faulty_[fanin[p]];
+        });
       }
     }
-    return true;
+    ++implied_;
+    if (good == good_[slot] && faulty == faulty_[slot]) return;
+    good_[slot] = good;
+    faulty_[slot] = faulty;
+    schedule_fanouts(slot);
   }
 
-  bool is_d(GateId id) const {
-    const V3 g = good_[id.index()];
-    const V3 f = faulty_[id.index()];
+  // --------------------------------------------------------------- queries
+
+  bool is_d(std::uint32_t slot) const {
+    const V3 g = good_[slot];
+    const V3 f = faulty_[slot];
     return g != V3::kX && f != V3::kX && g != f;
   }
 
@@ -235,133 +164,144 @@ class Podem {
   /// (Inside the fault cone the two sides diverge: a line can be known
   /// good but X faulty — e.g. AND(fault-site, unassigned) — and the
   /// objective machinery must still drive the unassigned support.)
-  bool is_x(GateId id) const {
-    return good_[id.index()] == V3::kX || faulty_[id.index()] == V3::kX;
+  bool is_x(std::uint32_t slot) const {
+    return good_[slot] == V3::kX || faulty_[slot] == V3::kX;
+  }
+
+  /// The lines a slot reads: a logic gate's fanins, or a DFF's D driver
+  /// (reached only through a D-pin fault site).
+  std::span<const std::uint32_t> fanins_of(std::uint32_t slot) const {
+    if (slot >= first_logic_) {
+      const FlatNetlist::Node& g = flat_.node(slot);
+      return {flat_.fanins.data() + g.fanin_begin,
+              flat_.fanins.data() + g.fanin_end};
+    }
+    if (slot >= n_pi_) return {&flat_.dff_d[slot - n_pi_], 1};
+    return {};
+  }
+
+  /// Some site is excited (the fault effect originates somewhere).
+  bool excited() const {
+    return std::any_of(sites_.begin(), sites_.end(), [this](const Site& s) {
+      return good_[s.excite] == s.required;
+    });
+  }
+
+  /// Every site's excitation line settled to the stuck value: no test
+  /// exists down this branch.
+  bool conflict() const {
+    return std::all_of(sites_.begin(), sites_.end(), [this](const Site& s) {
+      return good_[s.excite] == ~s.required;
+    });
   }
 
   bool detected() const {
-    return std::any_of(observe_.begin(), observe_.end(),
-                       [this](GateId id) { return is_d(id); });
+    return std::any_of(cone_observe_.begin(), cone_observe_.end(),
+                       [this](std::uint32_t slot) { return is_d(slot); });
   }
 
-  /// An excited input-pin fault puts the D on the pin itself rather than on
-  /// any circuit line, so the fault gate must join the D-frontier directly.
-  void pending_pin_sites(std::vector<GateId>& out) const {
-    for (const Fault& f : faults_) {
-      if (f.pin < 0) continue;
-      if (good_[excitation_line(f).index()] != required_site_value(f)) {
-        continue;
-      }
-      if (good_[f.gate.index()] == V3::kX ||
-          faulty_[f.gate.index()] == V3::kX) {
-        out.push_back(f.gate);
+  /// An excited input-pin fault puts the D on the pin itself rather than
+  /// on any circuit line, so its gate joins the D-frontier directly while
+  /// that gate's output is undecided.
+  bool pin_site_pending(const Site& s) const {
+    return s.pin && good_[s.excite] == s.required && is_x(s.slot);
+  }
+
+  bool has_d_fanin(std::uint32_t slot) const {
+    for (const std::uint32_t f : fanins_of(slot)) {
+      if (is_d(f)) return true;
+    }
+    return false;
+  }
+
+  /// The D-frontier gate to advance: the lowest distance to observation.
+  /// Ties go to pending pin sites first, in site order, then to the gate
+  /// earliest in GateNetlist::topo_order().
+  bool pick_frontier(std::uint32_t& out) const {
+    bool found = false;
+    bool pending_site = false;
+    for (const Site& s : sites_) {
+      if (!pin_site_pending(s)) continue;
+      if (!found || obs_dist_[s.slot] < obs_dist_[out]) {
+        out = s.slot;
+        found = true;
+        pending_site = true;
       }
     }
-  }
-
-  /// D-frontier: gates whose output is X on either side but with a D on
-  /// some input (plus fault gates with excited pin faults).
-  std::vector<GateId> d_frontier() const {
-    std::vector<GateId> frontier;
-    pending_pin_sites(frontier);
-    for (GateId id : netlist_.topo_order()) {
-      const Gate& g = netlist_.gate(id);
-      if (g.kind == GateKind::kInput || g.kind == GateKind::kDff) continue;
-      if (good_[id.index()] != V3::kX && faulty_[id.index()] != V3::kX) {
-        continue;
-      }
-      for (GateId f : g.fanin) {
-        if (is_d(f)) {
-          frontier.push_back(id);
-          break;
-        }
-      }
+    // Every gate with a D on a fanin lies in the cone.
+    for (const std::uint32_t slot : cone_) {
+      if (slot < first_logic_ || !is_x(slot) || !has_d_fanin(slot)) continue;
+      const bool better =
+          !found || obs_dist_[slot] < obs_dist_[out] ||
+          (obs_dist_[slot] == obs_dist_[out] && !pending_site &&
+           topo_pos_[slot] < topo_pos_[out]);
+      if (!better) continue;
+      out = slot;
+      found = true;
+      pending_site = false;
     }
-    return frontier;
+    return found;
   }
 
-  /// Does any D still have a potential sensitized path to an observe point
-  /// through X gates?
-  bool x_path_exists() const {
+  /// Does any D still have a potential sensitized path to an observe
+  /// point through X gates?
+  bool x_path_exists() {
     if (!excited()) return true;  // excitation itself is still pending
     if (detected()) return true;
-    std::vector<char> seen(netlist_.gate_count(), 0);
-    std::vector<GateId> queue;
-    {
-      std::vector<GateId> pending;
-      pending_pin_sites(pending);
-      for (GateId id : pending) {
-        if (!seen[id.index()]) {
-          queue.push_back(id);
-          seen[id.index()] = 1;
-        }
+    const std::uint32_t epoch = next_epoch(seen_epoch_, seen_);
+    queue_.clear();
+    for (const Site& s : sites_) {
+      if (pin_site_pending(s) && seen_[s.slot] != epoch) {
+        seen_[s.slot] = epoch;
+        queue_.push_back(s.slot);
       }
     }
-    for (GateId id : netlist_.topo_order()) {
-      if (is_d(id)) {
-        queue.push_back(id);
-        seen[id.index()] = 1;
+    for (const std::uint32_t slot : cone_) {
+      if (is_d(slot)) {
+        seen_[slot] = epoch;
+        queue_.push_back(slot);
       }
     }
-    const auto& fanouts = netlist_.fanouts();
-    std::vector<char> observable(netlist_.gate_count(), 0);
-    for (GateId id : observe_) observable[id.index()] = 1;
-    for (std::size_t head = 0; head < queue.size(); ++head) {
-      const GateId id = queue[head];
-      if (observable[id.index()]) return true;
-      for (GateId next : fanouts[id.index()]) {
-        if (seen[next.index()]) continue;
-        const Gate& g = netlist_.gate(next);
-        if (g.kind == GateKind::kDff) continue;
-        // A gate can still pass the effect only if its output is X on some
-        // side (otherwise it is already decided).
-        if (good_[next.index()] != V3::kX &&
-            faulty_[next.index()] != V3::kX) {
-          continue;
-        }
-        seen[next.index()] = 1;
-        queue.push_back(next);
+    for (std::size_t head = 0; head < queue_.size(); ++head) {
+      const std::uint32_t slot = queue_[head];
+      if (observable_[slot]) return true;
+      for (std::uint32_t i = flat_.fanout_begin[slot];
+           i < flat_.fanout_begin[slot + 1]; ++i) {
+        const std::uint32_t next = flat_.fanouts[i];
+        // A gate can still pass the effect only if its output is X on
+        // some side (otherwise it is already decided).
+        if (seen_[next] == epoch || !is_x(next)) continue;
+        seen_[next] = epoch;
+        queue_.push_back(next);
       }
     }
     return false;
   }
 
-  /// Pick the next objective (line, value).  Returns false when stuck.
-  bool next_objective(std::int32_t& out_pos, bool& out_value) {
-    GateId line;
+  /// Pick the next objective as a decision (position, value).  Returns
+  /// false when stuck.
+  bool next_objective(std::uint32_t& out_pos, bool& out_value) const {
+    std::uint32_t line = 0;
     bool value = false;
     if (!excited()) {
-      bool found = false;
-      for (const Fault& f : faults_) {
-        const GateId candidate = excitation_line(f);
-        if (good_[candidate.index()] == V3::kX) {
-          line = candidate;
-          value = required_site_value(f) == V3::k1;
-          found = true;
-          break;
-        }
-      }
-      if (!found) return false;
+      const auto target =
+          std::find_if(sites_.begin(), sites_.end(), [this](const Site& s) {
+            return good_[s.excite] == V3::kX;
+          });
+      if (target == sites_.end()) return false;
+      line = target->excite;
+      value = target->required == V3::k1;
     } else {
-      auto frontier = d_frontier();
-      if (frontier.empty()) return false;
-      GateId chosen = frontier.front();
-      for (GateId cand : frontier) {
-        if (obs_dist_[cand.index()] < obs_dist_[chosen.index()]) {
-          chosen = cand;
-        }
-      }
-      const Gate& g = netlist_.gate(chosen);
-      std::int32_t x_pin = -1;
-      for (std::size_t p = 0; p < g.fanin.size(); ++p) {
-        if (is_x(g.fanin[p])) {
-          x_pin = static_cast<std::int32_t>(p);
-          break;
-        }
-      }
-      if (x_pin < 0) return false;
-      line = g.fanin[x_pin];
-      switch (g.kind) {
+      std::uint32_t chosen = 0;
+      if (!pick_frontier(chosen)) return false;
+      const auto fanin = fanins_of(chosen);
+      const auto x_pin = std::find_if(
+          fanin.begin(), fanin.end(), [this](std::uint32_t f) { return is_x(f); });
+      if (x_pin == fanin.end()) return false;
+      line = *x_pin;
+      // A pending D-pin site on a DFF (a source slot) takes the default.
+      switch (chosen >= first_logic_ ? flat_.node(chosen).kind
+                                     : GateKind::kDff) {
         case GateKind::kAnd:
         case GateKind::kNand:
           value = true;  // non-controlling
@@ -378,23 +318,23 @@ class Podem {
     return backtrace(line, value, out_pos, out_value);
   }
 
-  /// Walk the objective back to an unassigned input line.
-  bool backtrace(GateId line, bool value, std::int32_t& out_pos,
+  /// Walk the objective back to an unassigned decision variable,
+  /// descending the shallowest X fanin.
+  bool backtrace(std::uint32_t line, bool value, std::uint32_t& out_pos,
                  bool& out_value) const {
-    for (unsigned guard = 0; guard < netlist_.gate_count() + 1; ++guard) {
-      const std::int32_t pos = line_pos_[line.index()];
-      if (pos >= 0) {
-        if (assign_[pos] != V3::kX) return false;  // already decided
-        out_pos = pos;
+    for (std::uint32_t guard = 0; guard <= flat_.slot_count(); ++guard) {
+      if (line < first_logic_) {
+        if (assign_[line] != V3::kX) return false;  // already decided
+        out_pos = line;
         out_value = value;
         return true;
       }
-      const Gate& g = netlist_.gate(line);
+      const FlatNetlist::Node& g = flat_.node(line);
+      const std::uint32_t* fanin = flat_.fanins.data() + g.fanin_begin;
       std::int32_t x_pin = -1;
-      for (std::size_t p = 0; p < g.fanin.size(); ++p) {
-        if (!is_x(g.fanin[p])) continue;
-        if (x_pin < 0 ||
-            depth_[g.fanin[p].index()] < depth_[g.fanin[x_pin].index()]) {
+      for (std::uint32_t p = 0; p < g.fanin_end - g.fanin_begin; ++p) {
+        if (!is_x(fanin[p])) continue;
+        if (x_pin < 0 || depth_[fanin[p]] < depth_[fanin[x_pin]]) {
           x_pin = static_cast<std::int32_t>(p);
         }
       }
@@ -409,21 +349,20 @@ class Podem {
         default:
           break;  // AND/OR/BUF/XOR keep parity
       }
-      line = g.fanin[x_pin];
+      line = fanin[x_pin];
     }
     return false;
   }
 
   void fill_pattern(PodemResult& result) const {
-    const std::size_t n_pi = netlist_.inputs().size();
-    const std::size_t n_ppi = netlist_.dffs().size();
-    result.pattern.pi = util::BitVector(n_pi);
+    const std::size_t n_ppi = first_logic_ - n_pi_;
+    result.pattern.pi = util::BitVector(n_pi_);
     result.pattern.ppi = util::BitVector(n_ppi);
-    result.pi_dont_care.assign(n_pi, false);
+    result.pi_dont_care.assign(n_pi_, false);
     result.ppi_dont_care.assign(n_ppi, false);
-    for (std::size_t i = 0; i < lines_.size(); ++i) {
-      const bool is_pi = i < n_pi;
-      const std::size_t k = is_pi ? i : i - n_pi;
+    for (std::uint32_t i = 0; i < first_logic_; ++i) {
+      const bool is_pi = i < n_pi_;
+      const std::size_t k = is_pi ? i : i - n_pi_;
       if (assign_[i] == V3::kX) {
         (is_pi ? result.pi_dont_care : result.ppi_dont_care)[k] = true;
       } else if (assign_[i] == V3::k1) {
@@ -432,36 +371,236 @@ class Podem {
     }
   }
 
-  static constexpr std::int32_t kNoFault = -2;
-
+  // Built once per netlist.  Slots follow gate::FlatNetlist; the decision
+  // variables are the source slots, PIs then PPIs, so a variable's
+  // position is its slot.
   const gate::GateNetlist& netlist_;
-  const std::vector<Fault> faults_;
-  const PodemOptions options_;
-  std::vector<std::int32_t> site_pin_;   ///< kNoFault / -1 stem / pin index
-  std::vector<std::uint8_t> site_value_;
-
-  std::vector<GateId> lines_;
-  std::vector<std::int32_t> line_pos_;
-  std::vector<V3> assign_;
-  std::vector<V3> good_;
-  std::vector<V3> faulty_;
-  std::vector<GateId> observe_;
+  const FlatNetlist flat_;
+  const std::uint32_t first_logic_;
+  const std::uint32_t n_pi_;
+  std::vector<std::uint8_t> observable_;  ///< PO or DFF D driver
+  /// Static guidance: distance to observation for D-frontier selection,
+  /// logic depth for the backtrace's fanin choice (a SCOAP-lite), and the
+  /// topo_order() position that breaks D-frontier ties.
   std::vector<unsigned> obs_dist_;
   std::vector<unsigned> depth_;
-  unsigned backtracks_ = 0;
+  std::vector<std::uint32_t> topo_pos_;
+  std::vector<V3> base_;  ///< every value with every source X, fault-free
+
+  // Scratch reused by every run().
+  std::vector<std::int32_t> site_pin_;  ///< kNoFault, kStem or a pin index
+  std::vector<V3> site_stuck_;
+  std::vector<Site> sites_;
+  std::vector<V3> assign_;
+  std::vector<std::uint32_t> dirty_;  ///< positions assigned since imply()
+  std::vector<V3> good_;
+  std::vector<V3> faulty_;
+  std::vector<std::uint64_t> pending_;  ///< slots awaiting evaluation
+  std::uint32_t first_pending_ = 0;     ///< word range holding them
+  std::uint32_t last_pending_ = 0;
+  /// The current run's fanout cone: in_cone_[s] == cone_epoch_.
+  std::vector<std::uint32_t> in_cone_;
+  std::uint32_t cone_epoch_ = 0;
+  std::vector<std::uint32_t> cone_;
+  std::vector<std::uint32_t> cone_observe_;
+  std::vector<std::uint32_t> seen_;  ///< X-path search marks
+  std::uint32_t seen_epoch_ = 0;
+  std::vector<std::uint32_t> queue_;
+  std::uint64_t implied_ = 0;
 };
 
-}  // namespace
+Podem::Engine::Engine(const gate::GateNetlist& netlist)
+    : netlist_(netlist),
+      flat_(netlist),
+      first_logic_(flat_.first_logic),
+      n_pi_(static_cast<std::uint32_t>(netlist.inputs().size())) {
+  const std::uint32_t slots = flat_.slot_count();
+  observable_.assign(slots, 0);
+  for (const std::uint32_t slot : flat_.outputs) observable_[slot] = 1;
+  for (const std::uint32_t slot : flat_.dff_d) observable_[slot] = 1;
 
-PodemResult podem(const gate::GateNetlist& netlist, const faultsim::Fault& fault,
-                  const PodemOptions& options) {
-  return Podem(netlist, {fault}, options).run();
+  obs_dist_.assign(slots, kFarAway);
+  for (std::uint32_t slot = 0; slot < slots; ++slot) {
+    if (observable_[slot]) obs_dist_[slot] = 0;
+  }
+  for (std::uint32_t slot = slots; slot-- > first_logic_;) {
+    const unsigned here = obs_dist_[slot];
+    if (here == kFarAway) continue;
+    for (const std::uint32_t f : fanins_of(slot)) {
+      obs_dist_[f] = std::min(obs_dist_[f], here + 1);
+    }
+  }
+  depth_.assign(slots, 0);
+  for (std::uint32_t slot = first_logic_; slot < slots; ++slot) {
+    unsigned d = 0;
+    for (const std::uint32_t f : fanins_of(slot)) {
+      d = std::max(d, depth_[f] + 1);
+    }
+    depth_[slot] = d;
+  }
+  topo_pos_.assign(slots, 0);
+  const auto& order = netlist.topo_order();
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    topo_pos_[flat_.slot_of[order[i].index()]] =
+        static_cast<std::uint32_t>(i);
+  }
+  base_.assign(slots, V3::kX);
+  for (std::uint32_t slot = first_logic_; slot < slots; ++slot) {
+    const FlatNetlist::Node& g = flat_.node(slot);
+    const std::uint32_t* fanin = flat_.fanins.data() + g.fanin_begin;
+    base_[slot] = gate::eval_gate<V3>(
+        g.kind, g.fanin_end - g.fanin_begin,
+        [&](std::size_t p) { return base_[fanin[p]]; });
+  }
+
+  site_pin_.assign(slots, kNoFault);
+  site_stuck_.assign(slots, V3::k0);
+  assign_.assign(first_logic_, V3::kX);
+  good_ = base_;
+  faulty_ = base_;
+  pending_.assign(slots / 64 + 1, 0);
+  first_pending_ = static_cast<std::uint32_t>(pending_.size());
+  in_cone_.assign(slots, 0);
+  seen_.assign(slots, 0);
 }
 
-PodemResult podem_multi(const gate::GateNetlist& netlist,
-                        const std::vector<faultsim::Fault>& sites,
-                        const PodemOptions& options) {
-  return Podem(netlist, sites, options).run();
+/// Install the sites of one run, replacing the previous run's.  A site
+/// that fails its checks throws before it is installed, and the sites
+/// installed before it are cleared by the next run.
+void Podem::Engine::load_sites(std::span<const Fault> faults) {
+  util::require(!faults.empty(), "podem: need at least one fault site");
+  for (const Site& s : sites_) site_pin_[s.slot] = kNoFault;
+  sites_.clear();
+  for (const Fault& f : faults) {
+    const gate::Gate& g = netlist_.gate(f.gate);
+    faultsim::check_fault_site(g, f);
+    const std::uint32_t slot = flat_.slot_of[f.gate.index()];
+    util::require(site_pin_[slot] == kNoFault,
+                  "podem: two fault sites on one gate");
+    const std::uint32_t excite =
+        f.pin < 0 ? slot : flat_.slot_of[g.fanin[f.pin].index()];
+    sites_.push_back(
+        Site{slot, excite, f.stuck_at ? V3::k0 : V3::k1, f.pin >= 0});
+    site_pin_[slot] = f.pin;
+    site_stuck_[slot] = f.stuck_at ? V3::k1 : V3::k0;
+  }
+}
+
+/// Mark the sites' fanout cone, the only place the faulty circuit can
+/// differ from the good one, and collect the observe points inside it.
+void Podem::Engine::mark_cone() {
+  const std::uint32_t epoch = next_epoch(cone_epoch_, in_cone_);
+  cone_.clear();
+  cone_observe_.clear();
+  for (const Site& s : sites_) {
+    if (in_cone_[s.slot] == epoch) continue;
+    in_cone_[s.slot] = epoch;
+    cone_.push_back(s.slot);
+  }
+  for (std::size_t head = 0; head < cone_.size(); ++head) {
+    const std::uint32_t slot = cone_[head];
+    if (observable_[slot]) cone_observe_.push_back(slot);
+    for (std::uint32_t i = flat_.fanout_begin[slot];
+         i < flat_.fanout_begin[slot + 1]; ++i) {
+      const std::uint32_t next = flat_.fanouts[i];
+      if (in_cone_[next] == epoch) continue;
+      in_cone_[next] = epoch;
+      cone_.push_back(next);
+    }
+  }
+}
+
+PodemResult Podem::Engine::run(std::span<const Fault> faults,
+                               const PodemOptions& options) {
+  load_sites(faults);
+  mark_cone();
+  std::copy(base_.begin(), base_.end(), good_.begin());
+  std::copy(base_.begin(), base_.end(), faulty_.begin());
+  std::fill(assign_.begin(), assign_.end(), V3::kX);
+  dirty_.clear();
+  implied_ = 0;
+  // The sites are the only lines that differ from the fault-free,
+  // all-X baseline.
+  for (const Site& s : sites_) {
+    if (s.slot < first_logic_) {
+      dirty_.push_back(s.slot);
+    } else {
+      schedule(s.slot);
+    }
+  }
+  PodemResult result = search(options);
+  SOCET_COUNT_N("atpg/implied_gates", implied_);
+  return result;
+}
+
+PodemResult Podem::Engine::search(const PodemOptions& options) {
+  PodemResult result;
+  struct Decision {
+    std::uint32_t pos;
+    bool flipped;
+  };
+  std::vector<Decision> stack;
+
+  imply();
+  while (true) {
+    if (!conflict() && detected()) {
+      result.outcome = PodemResult::Outcome::kFound;
+      fill_pattern(result);
+      return result;
+    }
+
+    std::uint32_t obj_pos = 0;
+    bool obj_value = false;
+    const bool progress =
+        !conflict() && x_path_exists() && next_objective(obj_pos, obj_value);
+
+    if (progress) {
+      stack.push_back(Decision{obj_pos, false});
+      assign(obj_pos, obj_value ? V3::k1 : V3::k0);
+      imply();
+      continue;
+    }
+
+    // Backtrack.  Popped decisions return to X without an implication of
+    // their own: the next imply() seeds from every moved assignment.
+    ++result.backtracks;
+    if (result.backtracks > options.backtrack_limit) {
+      result.outcome = PodemResult::Outcome::kAborted;
+      return result;
+    }
+    bool resumed = false;
+    while (!stack.empty()) {
+      Decision& top = stack.back();
+      if (!top.flipped) {
+        top.flipped = true;
+        assign(top.pos, ~assign_[top.pos]);
+        imply();
+        resumed = true;
+        break;
+      }
+      assign(top.pos, V3::kX);
+      stack.pop_back();
+    }
+    if (!resumed) {
+      result.outcome = PodemResult::Outcome::kUntestable;
+      return result;
+    }
+  }
+}
+
+Podem::Podem(const gate::GateNetlist& netlist)
+    : engine_(std::make_unique<Engine>(netlist)) {}
+
+Podem::~Podem() = default;
+
+PodemResult Podem::run(const faultsim::Fault& fault,
+                       const PodemOptions& options) {
+  return engine_->run({&fault, 1}, options);
+}
+
+PodemResult Podem::run(std::span<const faultsim::Fault> sites,
+                       const PodemOptions& options) {
+  return engine_->run(sites, options);
 }
 
 }  // namespace socet::atpg

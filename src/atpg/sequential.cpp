@@ -130,6 +130,7 @@ SeqAtpgResult sequential_atpg(const gate::GateNetlist& netlist,
 
   for (unsigned k : horizons) {
     const UnrolledCircuit unrolled = unroll(netlist, k);
+    Podem podem(unrolled.netlist);
     PodemOptions podem_options;
     podem_options.backtrack_limit = options.backtrack_limit;
 
@@ -144,7 +145,7 @@ SeqAtpgResult sequential_atpg(const gate::GateNetlist& netlist,
       if (result.statuses[fi] != FaultStatus::kUndetected) continue;
       const auto sites = map_fault(unrolled, result.faults[fi]);
       if (sites.empty()) continue;  // fault site vanished (reset constant)
-      PodemResult pr = podem_multi(unrolled.netlist, sites, podem_options);
+      PodemResult pr = podem.run(sites, podem_options);
       if (pr.outcome != PodemResult::Outcome::kFound) continue;
 
       // Decode the per-frame input assignment into a cycle sequence.

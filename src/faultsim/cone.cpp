@@ -1,7 +1,5 @@
 #include "socet/faultsim/cone.hpp"
 
-#include <algorithm>
-
 namespace socet::faultsim {
 
 using gate::GateId;
@@ -24,26 +22,35 @@ const std::vector<GateId>& ConeCache::of(GateId id) {
 }
 
 void ConeCache::build(GateId id) {
-  // Forward BFS through fanouts; DFFs terminate propagation within one
-  // scan pattern (their D value is the observation point).
+  // Forward BFS through fanouts marks the cone; DFFs terminate
+  // propagation within one scan pattern (their D value is the observation
+  // point).
   ++bfs_stamp_;
-  std::vector<GateId> cone{id};
+  queue_.assign(1, id);
   seen_stamp_[id.index()] = bfs_stamp_;
   const auto& fanouts = netlist_.fanouts();
-  for (std::size_t head = 0; head < cone.size(); ++head) {
-    if (netlist_.gate(cone[head]).kind == GateKind::kDff && head != 0) {
+  for (std::size_t head = 0; head < queue_.size(); ++head) {
+    if (netlist_.gate(queue_[head]).kind == GateKind::kDff && head != 0) {
       continue;
     }
-    for (GateId next : fanouts[cone[head].index()]) {
+    for (GateId next : fanouts[queue_[head].index()]) {
       if (seen_stamp_[next.index()] == bfs_stamp_) continue;
       if (netlist_.gate(next).kind == GateKind::kDff) continue;
       seen_stamp_[next.index()] = bfs_stamp_;
-      cone.push_back(next);
+      queue_.push_back(next);
     }
   }
-  std::sort(cone.begin(), cone.end(), [this](GateId a, GateId b) {
-    return topo_pos_[a.index()] < topo_pos_[b.index()];
-  });
+  // Every marked gate sits at or after the root in topological order, so
+  // one forward scan from the root collects the cone already sorted.
+  const auto& order = netlist_.topo_order();
+  std::vector<GateId> cone;
+  cone.reserve(queue_.size());
+  for (std::size_t pos = topo_pos_[id.index()]; cone.size() < queue_.size();
+       ++pos) {
+    if (seen_stamp_[order[pos].index()] == bfs_stamp_) {
+      cone.push_back(order[pos]);
+    }
+  }
   cones_[id.index()] = std::move(cone);
 }
 

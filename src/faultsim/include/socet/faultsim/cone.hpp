@@ -2,8 +2,10 @@
 //
 // Every fault replay walks the topologically-sorted fanout cone of its
 // site.  Cones depend only on the netlist, so one cache serves every lane
-// width of a ScanFaultSim.  A cone is built on its first lookup with a
-// stamped BFS scratch that is allocated once, not per cone.
+// width of a ScanFaultSim.  A cone is built on its first lookup: a BFS
+// over scratch allocated once marks it with a stamp, and one scan of the
+// topological order from the root collects it in order, into a vector of
+// exactly the cone's size.
 #pragma once
 
 #include <cstdint>
@@ -38,6 +40,7 @@ class ConeCache {
   /// so no gate_count-sized vector is allocated or cleared per cone.
   std::vector<std::uint64_t> seen_stamp_;
   std::uint64_t bfs_stamp_ = 0;
+  std::vector<gate::GateId> queue_;  ///< BFS scratch, reused by every build
 };
 
 }  // namespace socet::faultsim

@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <tuple>
 
 #include "socet/faultsim/lane.hpp"
 #include "socet/faultsim/scan_sim.hpp"
 #include "socet/gate/eval.hpp"
+#include "socet/gate/flat.hpp"
 #include "socet/obs/metrics.hpp"
 #include "socet/obs/trace.hpp"
 #include "socet/util/error.hpp"
@@ -15,9 +15,7 @@ namespace socet::faultsim {
 
 namespace {
 
-using gate::Gate;
-using gate::GateId;
-using gate::GateKind;
+using gate::FlatNetlist;
 using gate::GateNetlist;
 
 /// Lane width for `live_faults` faulty machines plus the good machine:
@@ -25,69 +23,6 @@ using gate::GateNetlist;
 unsigned lane_words_for(std::size_t live_faults) {
   return ScanFaultSim::auto_lane_words(live_faults + 1);
 }
-
-/// The netlist flattened for the per-cycle sweep.  Every gate gets a
-/// slot: primary inputs first (in inputs() order), then DFFs (in dffs()
-/// order), then logic gates level by level.  Within a level the gates are
-/// grouped by kind so the evaluator's switch predicts well; any order
-/// inside a level is topological.  Fanins are slot numbers in one shared
-/// array, so the sweep reads no per-gate heap vectors.
-struct FlatNetlist {
-  struct Node {
-    GateKind kind;
-    std::uint32_t fanin_begin;  ///< range in `fanins`
-    std::uint32_t fanin_end;
-  };
-
-  explicit FlatNetlist(const GateNetlist& netlist) {
-    const auto& inputs = netlist.inputs();
-    const auto& dffs = netlist.dffs();
-    slot_of.assign(netlist.gate_count(), 0);
-    std::uint32_t slot = 0;
-    for (GateId id : inputs) slot_of[id.index()] = slot++;
-    for (GateId id : dffs) slot_of[id.index()] = slot++;
-    first_logic = slot;
-
-    std::vector<std::uint32_t> level(netlist.gate_count(), 0);
-    std::vector<GateId> order;
-    std::size_t fanin_count = 0;
-    for (GateId id : netlist.topo_order()) {
-      const Gate& g = netlist.gate(id);
-      if (g.kind == GateKind::kInput || g.kind == GateKind::kDff) continue;
-      for (GateId f : g.fanin) {
-        level[id.index()] = std::max(level[id.index()], level[f.index()] + 1);
-      }
-      fanin_count += g.fanin.size();
-      order.push_back(id);
-    }
-    std::stable_sort(order.begin(), order.end(), [&](GateId a, GateId b) {
-      return std::tuple(level[a.index()], netlist.gate(a).kind) <
-             std::tuple(level[b.index()], netlist.gate(b).kind);
-    });
-    for (GateId id : order) slot_of[id.index()] = slot++;
-
-    logic.reserve(order.size());
-    fanins.reserve(fanin_count);
-    for (GateId id : order) {
-      const Gate& g = netlist.gate(id);
-      Node node{g.kind, static_cast<std::uint32_t>(fanins.size()), 0};
-      for (GateId f : g.fanin) fanins.push_back(slot_of[f.index()]);
-      node.fanin_end = static_cast<std::uint32_t>(fanins.size());
-      logic.push_back(node);
-    }
-    for (GateId po : netlist.outputs()) outputs.push_back(slot_of[po.index()]);
-    for (GateId dff : dffs) {
-      dff_d.push_back(slot_of[netlist.gate(dff).fanin[0].index()]);
-    }
-  }
-
-  std::vector<std::uint32_t> slot_of;  ///< gate index -> slot
-  std::uint32_t first_logic = 0;       ///< slot of logic[0]
-  std::vector<Node> logic;
-  std::vector<std::uint32_t> fanins;
-  std::vector<std::uint32_t> outputs;  ///< PO slots
-  std::vector<std::uint32_t> dff_d;    ///< D-driver slot of each DFF
-};
 
 /// Value of logic node `g` in every machine of a pass.  Fanin
 /// `forced_pin` (-1 for none) reads `forced` instead of its net: the

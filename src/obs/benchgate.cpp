@@ -272,17 +272,26 @@ bool parse_baseline(std::string_view text, Baseline* out, std::string* error) {
   return true;
 }
 
-std::string baseline_json(const std::vector<RunRecord>& records) {
-  std::string out = "{\"schema\":\"socet-bench-baseline-v1\",\"benches\":{";
-  bool first = true;
+Baseline merge_baseline(Baseline prior,
+                        const std::vector<RunRecord>& records) {
   for (const RunRecord& record : records) {
     if (record.skipped || !record.ok) continue;
-    if (!first) out += ',';
-    first = false;
-    out += "\n \"" + json_escape(record.name) +
-           "\":{\"wall_ms\":" + json_number(record.wall_ms.median) + "}";
+    prior.wall_ms[record.name] = record.wall_ms.median;
   }
-  out += "\n}}\n";
+  return prior;
+}
+
+std::string baseline_json(const Baseline& baseline) {
+  std::string out =
+      "{\n \"schema\": \"socet-bench-baseline-v1\",\n \"benches\": {";
+  bool first = true;
+  for (const auto& [name, wall_ms] : baseline.wall_ms) {
+    out += first ? "\n" : ",\n";
+    first = false;
+    out += "  \"" + json_escape(name) + "\": {\n   \"wall_ms\": " +
+           json_number(wall_ms) + "\n  }";
+  }
+  out += "\n }\n}\n";
   return out;
 }
 

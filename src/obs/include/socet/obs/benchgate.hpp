@@ -99,8 +99,14 @@ struct Baseline {
 bool parse_baseline(std::string_view text, Baseline* out,
                     std::string* error = nullptr);
 
-/// Render a baseline from measured medians (skipped benches excluded).
-std::string baseline_json(const std::vector<RunRecord>& records);
+/// `prior` with each ok, non-skipped record's median in place of (or
+/// added as) its bench's entry.  Every other entry stays, the entry of a
+/// skipped or failed bench included, so an update from a `--filter`ed
+/// run cannot drop the benches it did not run.
+Baseline merge_baseline(Baseline prior, const std::vector<RunRecord>& records);
+
+/// Render a baseline document, one entry per bench in name order.
+std::string baseline_json(const Baseline& baseline);
 
 /// Gate verdict for one bench.
 struct CheckOutcome {

@@ -14,7 +14,9 @@ namespace socet::obs {
 
 // --- tiny JSON helpers (shared by metrics/trace/report/bench) ---------
 
-/// JSON string escaping (quotes, backslashes, control characters).
+/// JSON string escaping (quotes, backslashes, control characters).  The
+/// result is valid UTF-8: well-formed UTF-8 passes through, and each byte
+/// that starts no well-formed sequence becomes the escape \ufffd.
 std::string json_escape(std::string_view text);
 /// Shortest round-trip-safe rendering of a double ("12", "12.5", "0.001").
 std::string json_number(double value);

@@ -151,8 +151,8 @@ class Parser {
             else if (h >= 'A' && h <= 'F') code |= static_cast<unsigned>(h - 'A' + 10);
             else return fail("bad \\u escape");
           }
-          // Our emitter only writes \u00XX for control bytes; encode the
-          // general case as UTF-8 anyway.
+          // Our emitter writes \u00XX for control bytes and \ufffd for
+          // bytes that are not UTF-8; encode any code point as UTF-8.
           if (code < 0x80) {
             out->push_back(static_cast<char>(code));
           } else if (code < 0x800) {

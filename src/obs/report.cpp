@@ -10,10 +10,60 @@
 
 namespace socet::obs {
 
+namespace {
+
+/// Length of the well-formed multi-byte UTF-8 sequence that starts
+/// `text` (whose first byte is >= 0x80), or 0 when that byte starts none.
+/// Well-formed is RFC 3629's: no overlong form, no surrogate, nothing
+/// above U+10FFFF.
+std::size_t utf8_sequence_length(std::string_view text) {
+  const auto byte = [&](std::size_t i) {
+    return static_cast<unsigned char>(text[i]);
+  };
+  const unsigned char lead = byte(0);
+  std::size_t length = 0;
+  unsigned char low = 0x80;   // range of the second byte
+  unsigned char high = 0xBF;
+  if (lead >= 0xC2 && lead <= 0xDF) {
+    length = 2;
+  } else if (lead >= 0xE0 && lead <= 0xEF) {
+    length = 3;
+    if (lead == 0xE0) low = 0xA0;   // overlong below U+0800
+    if (lead == 0xED) high = 0x9F;  // surrogates U+D800..U+DFFF
+  } else if (lead >= 0xF0 && lead <= 0xF4) {
+    length = 4;
+    if (lead == 0xF0) low = 0x90;   // overlong below U+10000
+    if (lead == 0xF4) high = 0x8F;  // above U+10FFFF
+  } else {
+    return 0;  // a continuation byte, an overlong C0/C1, or F5..FF
+  }
+  if (text.size() < length || byte(1) < low || byte(1) > high) return 0;
+  for (std::size_t i = 2; i < length; ++i) {
+    if (byte(i) < 0x80 || byte(i) > 0xBF) return 0;
+  }
+  return length;
+}
+
+}  // namespace
+
 std::string json_escape(std::string_view text) {
   std::string out;
   out.reserve(text.size());
-  for (const char c : text) {
+  for (std::size_t i = 0; i < text.size();) {
+    const char c = text[i];
+    if (static_cast<unsigned char>(c) >= 0x80) {
+      // Well-formed UTF-8 passes through; a byte that starts no such
+      // sequence becomes U+FFFD, so the output is always valid UTF-8.
+      const std::size_t length = utf8_sequence_length(text.substr(i));
+      if (length == 0) {
+        out += "\\ufffd";
+        ++i;
+      } else {
+        out.append(text.substr(i, length));
+        i += length;
+      }
+      continue;
+    }
     switch (c) {
       case '"':
         out += "\\\"";
@@ -40,6 +90,7 @@ std::string json_escape(std::string_view text) {
           out += c;
         }
     }
+    ++i;
   }
   return out;
 }

@@ -6,6 +6,7 @@
 
 #include "socet/atpg/atpg.hpp"
 #include "socet/atpg/podem.hpp"
+#include "socet/obs/metrics.hpp"
 #include "socet/obs/trace.hpp"
 #include "socet/rtl/netlist.hpp"
 #include "socet/synth/elaborate.hpp"
@@ -29,7 +30,8 @@ TEST(Podem, GeneratesTestForAndOutputFault) {
   auto z = n.add_gate(GateKind::kAnd, {a, b}, "z");
   n.mark_output(z);
 
-  auto r = podem(n, Fault{z, -1, false});
+  Podem podem(n);
+  auto r = podem.run(Fault{z, -1, false});
   ASSERT_EQ(r.outcome, PodemResult::Outcome::kFound);
   // s-a-0 at an AND output needs both inputs at 1.
   EXPECT_TRUE(r.pattern.pi.get(0));
@@ -47,7 +49,8 @@ TEST(Podem, GeneratesTestThroughReconvergence) {
   auto z = n.add_gate(GateKind::kOr, {g1, g2}, "z");
   n.mark_output(z);
 
-  auto r = podem(n, Fault{g1, -1, false});
+  Podem podem(n);
+  auto r = podem.run(Fault{g1, -1, false});
   ASSERT_EQ(r.outcome, PodemResult::Outcome::kFound);
   // Needs a=b=1 (activate) and c=0 (propagate past g2).
   EXPECT_TRUE(r.pattern.pi.get(0));
@@ -64,7 +67,8 @@ TEST(Podem, ProvesRedundantFaultUntestable) {
   auto z = n.add_gate(GateKind::kOr, {a, g1}, "z");
   n.mark_output(z);
 
-  auto r = podem(n, Fault{g1, -1, false});
+  Podem podem(n);
+  auto r = podem.run(Fault{g1, -1, false});
   EXPECT_EQ(r.outcome, PodemResult::Outcome::kUntestable);
 }
 
@@ -75,7 +79,8 @@ TEST(Podem, InputPinFault) {
   auto z = n.add_gate(GateKind::kXor, {a, b}, "z");
   n.mark_output(z);
 
-  auto r = podem(n, Fault{z, 0, true});  // pin a of XOR stuck at 1
+  Podem podem(n);
+  auto r = podem.run(Fault{z, 0, true});  // pin a of XOR stuck at 1
   ASSERT_EQ(r.outcome, PodemResult::Outcome::kFound);
   EXPECT_FALSE(r.pattern.pi.get(0));  // a must be 0 to excite
 }
@@ -88,8 +93,9 @@ TEST(Podem, PinFaultOnInputRaises) {
   auto z = n.add_gate(GateKind::kBuf, {a}, "z");
   n.mark_output(z);
 
+  Podem podem(n);
   try {
-    podem(n, Fault{a, 0, true});
+    podem.run(Fault{a, 0, true});
     FAIL() << "expected util::Error";
   } catch (const util::Error& e) {
     EXPECT_NE(std::string(e.what()).find("pin fault on gate 'a'"),
@@ -107,7 +113,8 @@ TEST(Podem, UsesScanStateAsPseudoInputs) {
   n.set_dff_input(d, z);
   n.mark_output(z);
 
-  auto r = podem(n, Fault{z, -1, false});
+  Podem podem(n);
+  auto r = podem.run(Fault{z, -1, false});
   ASSERT_EQ(r.outcome, PodemResult::Outcome::kFound);
   EXPECT_TRUE(r.pattern.pi.get(0));
   EXPECT_TRUE(r.pattern.ppi.get(0));
@@ -122,7 +129,8 @@ TEST(Podem, ObservesAtFlipFlopDPin) {
   auto d = n.add_dff_floating("q");
   n.set_dff_input(d, g);
 
-  auto r = podem(n, Fault{g, -1, true});
+  Podem podem(n);
+  auto r = podem.run(Fault{g, -1, true});
   ASSERT_EQ(r.outcome, PodemResult::Outcome::kFound);
   EXPECT_FALSE(r.pattern.pi.get(0));
   EXPECT_FALSE(r.pattern.pi.get(1));
@@ -138,11 +146,39 @@ TEST(Podem, XorChainParityCircuit) {
   }
   n.mark_output(acc);
 
+  Podem podem(n);
   for (const Fault f : {Fault{acc, -1, false}, Fault{ins[3], -1, true}}) {
-    auto r = podem(n, f);
+    auto r = podem.run(f);
     EXPECT_EQ(r.outcome, PodemResult::Outcome::kFound)
         << describe_fault(n, f);
   }
+}
+
+TEST(Podem, ImplicationEvaluatesOnlyTheGatesItsEventsReach) {
+  // z = AND(a, b) beside an unrelated 40-gate chain.  The test for z
+  // s-a-0 takes three implications (the fault, then a = 1, then b = 1),
+  // and each re-evaluates z alone; a full sweep would evaluate all 41
+  // gates every time.
+  GateNetlist n("apart");
+  auto a = n.add_input("a");
+  auto b = n.add_input("b");
+  auto z = n.add_gate(GateKind::kAnd, {a, b}, "z");
+  n.mark_output(z);
+  GateId chain = n.add_input("c");
+  for (int i = 0; i < 40; ++i) {
+    chain = n.add_gate(GateKind::kNot, {chain}, "n" + std::to_string(i));
+  }
+  n.mark_output(chain);
+
+  Podem podem(n);
+  obs::set_metrics_enabled(true);
+  const std::uint64_t before = obs::counter("atpg/implied_gates").value();
+  const auto r = podem.run(Fault{z, -1, false});
+  const std::uint64_t implied =
+      obs::counter("atpg/implied_gates").value() - before;
+  obs::set_metrics_enabled(false);
+  ASSERT_EQ(r.outcome, PodemResult::Outcome::kFound);
+  EXPECT_EQ(implied, 3u);
 }
 
 // ------------------------------------------------------------- ATPG driver

@@ -1,10 +1,19 @@
 // Bench harness plumbing: the JSON reader, BENCH_ line parsing
 // (including the null-wall_ms and skipped cases), repeat statistics,
 // trajectory files, the noise-adjusted regression gate — the gate
-// must fail on an injected 2x slowdown and pass at baseline — and the
-// stage diff that attributes a regression between two points.
+// must fail on an injected 2x slowdown and pass at baseline — the
+// stage diff that attributes a regression between two points, and a
+// baseline update that merges a filtered run instead of dropping the
+// benches it did not run.
 #include <gtest/gtest.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
+#include <cstdio>
+#include <cstdlib>
+#include <fstream>
+#include <map>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -286,10 +295,17 @@ TEST(StageDiffTest, RankingTwoPointsNamesTheStageThatGrew) {
 
 // ---------------------------------------------------------------- baseline
 
+Baseline baseline_of(std::initializer_list<std::pair<std::string, double>> entries) {
+  Baseline baseline;
+  for (const auto& [name, ms] : entries) baseline.wall_ms[name] = ms;
+  return baseline;
+}
+
 TEST(BaselineTest, RoundTripsThroughRenderAndParse) {
   const std::vector<RunRecord> records = {make_record("a", 10),
                                           make_record("b", 20)};
-  const std::string text = bench::baseline_json(records);
+  const std::string text =
+      bench::baseline_json(bench::merge_baseline({}, records));
   Baseline baseline;
   std::string error;
   ASSERT_TRUE(bench::parse_baseline(text, &baseline, &error)) << error;
@@ -304,10 +320,45 @@ TEST(BaselineTest, SkippedAndFailedRunsAreExcluded) {
   failed.ok = false;
   Baseline baseline;
   ASSERT_TRUE(bench::parse_baseline(
-      bench::baseline_json({skipped, failed, make_record("goody", 5)}),
+      bench::baseline_json(bench::merge_baseline(
+          {}, {skipped, failed, make_record("goody", 5)})),
       &baseline));
   EXPECT_EQ(baseline.wall_ms.size(), 1u);
   EXPECT_EQ(baseline.wall_ms.count("goody"), 1u);
+}
+
+TEST(BaselineTest, MergeReplacesOnlyTheBenchesThatRanOk) {
+  // A filtered run re-pins its own benches and keeps every other entry,
+  // a skipped or failed bench's included.
+  const Baseline prior = baseline_of(
+      {{"kept", 10.0}, {"rerun", 20.0}, {"skippy", 30.0}, {"brokey", 40.0}});
+  RunRecord skipped = make_record("skippy", 99);
+  skipped.skipped = true;
+  RunRecord failed = make_record("brokey", 99);
+  failed.ok = false;
+  const Baseline merged = bench::merge_baseline(
+      prior, {make_record("rerun", 25), skipped, failed,
+              make_record("fresh", 5)});
+  const std::map<std::string, double> want = {{"kept", 10.0},
+                                              {"rerun", 25.0},
+                                              {"skippy", 30.0},
+                                              {"brokey", 40.0},
+                                              {"fresh", 5.0}};
+  EXPECT_EQ(merged.wall_ms, want);
+}
+
+TEST(BaselineTest, CommittedBaselineRendersByteIdentically) {
+  // The rendering is the committed file's layout, so re-pinning a few
+  // benches changes only their lines.
+  std::ifstream in(std::string(SOCET_SOURCE_DIR) + "/bench/baseline.json");
+  ASSERT_TRUE(in.good());
+  std::stringstream text;
+  text << in.rdbuf();
+  Baseline baseline;
+  std::string error;
+  ASSERT_TRUE(bench::parse_baseline(text.str(), &baseline, &error)) << error;
+  EXPECT_GE(baseline.wall_ms.size(), 17u);
+  EXPECT_EQ(bench::baseline_json(baseline), text.str());
 }
 
 TEST(BaselineTest, RejectsWrongSchemaOrShape) {
@@ -321,13 +372,63 @@ TEST(BaselineTest, RejectsWrongSchemaOrShape) {
       &baseline));
 }
 
-// -------------------------------------------------------------------- gate
+// -------------------------------------------- socet_bench --update-baseline
 
-Baseline baseline_of(std::initializer_list<std::pair<std::string, double>> entries) {
-  Baseline baseline;
-  for (const auto& [name, ms] : entries) baseline.wall_ms[name] = ms;
-  return baseline;
+/// Exit status of the harness run with `args`, output discarded.
+int run_socet_bench(const std::string& args) {
+  const std::string command = std::string(SOCET_BENCH_PATH) + " --bin-dir " +
+                              SOCET_BENCH_BIN_DIR + " " + args +
+                              " > /dev/null 2>&1";
+  const int status = std::system(command.c_str());
+  return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
 }
+
+std::string read_text(const std::string& path) {
+  std::ifstream in(path);
+  std::stringstream text;
+  text << in.rdbuf();
+  return text.str();
+}
+
+void write_text(const std::string& path, const std::string& text) {
+  std::ofstream(path) << text;
+}
+
+TEST(UpdateBaseline, FilteredRunKeepsEveryOtherEntry) {
+  const std::string dir = testing::TempDir() + "update_baseline_filtered";
+  const std::string path = dir + ".json";
+  write_text(path, bench::baseline_json(baseline_of(
+                       {{"fig6_cpu_versions", 123456.0},
+                        {"fig8_core_versions", 0.75},
+                        {"table1_design_points", 10568.5}})));
+  ASSERT_EQ(run_socet_bench("--filter fig6_cpu_versions --repeat 1 "
+                            "--out-dir " + dir + " --update-baseline " + path),
+            0);
+  Baseline after;
+  std::string error;
+  ASSERT_TRUE(bench::parse_baseline(read_text(path), &after, &error))
+      << error;
+  EXPECT_EQ(after.wall_ms.size(), 3u);
+  EXPECT_EQ(after.wall_ms["fig8_core_versions"], 0.75);
+  EXPECT_EQ(after.wall_ms["table1_design_points"], 10568.5);
+  EXPECT_LT(after.wall_ms["fig6_cpu_versions"], 123456.0);
+  std::remove(path.c_str());
+  std::remove((dir + "/BENCH_fig6_cpu_versions.json").c_str());
+  ::rmdir(dir.c_str());
+}
+
+TEST(UpdateBaseline, UnreadableBaselineIsAnErrorAndLeftAsItIs) {
+  const std::string dir = testing::TempDir() + "update_baseline_broken";
+  const std::string path = dir + ".json";
+  write_text(path, "{\"schema\":");
+  EXPECT_EQ(run_socet_bench("--filter fig6_cpu_versions --repeat 1 "
+                            "--out-dir " + dir + " --update-baseline " + path),
+            2);
+  EXPECT_EQ(read_text(path), "{\"schema\":");
+  std::remove(path.c_str());
+}
+
+// -------------------------------------------------------------------- gate
 
 TEST(GateTest, PassesAtBaselineAndFailsOnDoubledWallTime) {
   const Baseline baseline = baseline_of({{"steady", 100.0}});

@@ -338,6 +338,27 @@ TEST_F(ObsTest, JsonEscapeHandlesSpecials) {
   EXPECT_EQ(obs::json_escape(std::string("a\nb")), "a\\nb");
 }
 
+TEST_F(ObsTest, JsonEscapeKeepsUtf8AndReplacesBytesThatAreNot) {
+  // Well-formed 2-, 3- and 4-byte sequences pass through unchanged.
+  EXPECT_EQ(obs::json_escape("caf\xc3\xa9"), "caf\xc3\xa9");
+  EXPECT_EQ(obs::json_escape("\xe2\x82\xac"), "\xe2\x82\xac");
+  EXPECT_EQ(obs::json_escape("\xf0\x9f\x98\x80!"), "\xf0\x9f\x98\x80!");
+  // Each byte that starts no well-formed sequence becomes U+FFFD.
+  EXPECT_EQ(obs::json_escape("\xff"), "\\ufffd");
+  EXPECT_EQ(obs::json_escape("a\xc3"), "a\\ufffd");             // truncated
+  EXPECT_EQ(obs::json_escape("\xc0\xaf"), "\\ufffd\\ufffd");  // overlong
+  EXPECT_EQ(obs::json_escape("\xed\xa0\x80"),                   // surrogate
+            "\\ufffd\\ufffd\\ufffd");
+  EXPECT_EQ(obs::json_escape("\xf4\x90\x80\x80"),  // above U+10FFFF
+            "\\ufffd\\ufffd\\ufffd\\ufffd");
+  EXPECT_EQ(obs::json_escape("\xe2\x82x"), "\\ufffd\\ufffdx");
+  // The reader turns the escape back into U+FFFD's UTF-8 bytes.
+  obs::JsonValue value;
+  ASSERT_TRUE(obs::json_parse(
+      "\"" + obs::json_escape("pl\xff" "an") + "\"", &value));
+  EXPECT_EQ(value.string_value, "pl\xef\xbf\xbd" "an");
+}
+
 TEST_F(ObsTest, RunReportAggregatesSpansByStage) {
   obs::set_metrics_enabled(true);
   obs::set_trace_enabled(true);

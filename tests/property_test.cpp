@@ -26,6 +26,8 @@
 #include "socet/transparency/versions.hpp"
 #include "socet/util/rng.hpp"
 
+#include "random_gates.hpp"
+
 namespace socet {
 namespace {
 
@@ -201,45 +203,15 @@ TEST_P(SeededProperty, RcgEdgesComeFromTransferPathsOrScanMuxes) {
 
 // --------------------------------------------- PODEM vs fault simulation
 
-/// Random combinational gate circuit.
-gate::GateNetlist make_random_gates(std::uint64_t seed, unsigned inputs,
-                                    unsigned gates) {
-  util::Rng rng(seed);
-  gate::GateNetlist n("rand");
-  std::vector<gate::GateId> pool;
-  for (unsigned i = 0; i < inputs; ++i) pool.push_back(n.add_input("i"));
-  static constexpr gate::GateKind kinds[] = {
-      gate::GateKind::kAnd, gate::GateKind::kOr, gate::GateKind::kNand,
-      gate::GateKind::kNor, gate::GateKind::kXor, gate::GateKind::kNot};
-  for (unsigned g = 0; g < gates; ++g) {
-    const auto kind = kinds[rng.next_below(6)];
-    const auto a = pool[rng.next_below(pool.size())];
-    if (kind == gate::GateKind::kNot) {
-      pool.push_back(n.add_gate(kind, {a}));
-    } else {
-      auto b = pool[rng.next_below(pool.size())];
-      if (a == b) {
-        pool.push_back(n.add_gate(gate::GateKind::kNot, {a}));
-      } else {
-        pool.push_back(n.add_gate(kind, {a, b}));
-      }
-    }
-  }
-  // Observe the last few gates.
-  for (unsigned o = 0; o < 4 && o < pool.size(); ++o) {
-    n.mark_output(pool[pool.size() - 1 - o]);
-  }
-  return n;
-}
-
 TEST_P(SeededProperty, PodemPatternsVerifiedByFaultSim) {
   auto n = make_random_gates(GetParam(), 8, 60);
   auto faults = faultsim::enumerate_faults(n);
   faultsim::ScanFaultSim sim(n);
   unsigned found = 0;
   unsigned untestable = 0;
+  atpg::Podem podem(n);
   for (std::size_t fi = 0; fi < faults.size() && fi < 120; ++fi) {
-    auto result = atpg::podem(n, faults[fi], {.backtrack_limit = 2000});
+    auto result = podem.run(faults[fi], {.backtrack_limit = 2000});
     if (result.outcome == atpg::PodemResult::Outcome::kFound) {
       ++found;
       std::vector<faultsim::FaultStatus> statuses(

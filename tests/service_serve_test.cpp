@@ -8,6 +8,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
@@ -730,6 +731,42 @@ TEST(Serve, AccessLogBoundsAnOversizedVerb) {
   ASSERT_NE(verb, nullptr);
   EXPECT_EQ(verb->string_value, std::string(32, 'x') + "...(1048576 bytes)");
   EXPECT_FALSE(std::getline(log, line)) << "more than one line: " << line;
+  std::remove(log_path.c_str());
+}
+
+TEST(Serve, AccessLogStaysUtf8WhenAVerbIsNot) {
+  // A first token that is not UTF-8 must not make the log undecodable:
+  // its bad byte is logged as the escape \ufffd.
+  const std::string log_path = testing::TempDir() + "serve_utf8_access.jsonl";
+  std::remove(log_path.c_str());
+  service::ServerOptions options;
+  options.threads = 1;
+  options.access_log = log_path;
+  service::Server server(std::move(options));
+  server.start();
+  const int fd = service::net_connect("127.0.0.1", server.port());
+  service::write_frame(fd, "pl\xff" "an system=barcode");
+  const auto reply = service::read_frame(fd);
+  ASSERT_TRUE(reply.has_value());
+  EXPECT_EQ(reply->rfind("error ", 0), 0u) << *reply;
+  ::close(fd);
+  server.request_drain();
+  server.wait();
+
+  std::ifstream log(log_path);
+  std::string line;
+  ASSERT_TRUE(std::getline(log, line));
+  // Pure ASCII, hence valid UTF-8.
+  EXPECT_TRUE(std::all_of(line.begin(), line.end(), [](char c) {
+    return static_cast<unsigned char>(c) < 0x80;
+  })) << line;
+  EXPECT_NE(line.find("\"verb\":\"pl\\ufffdan\""), std::string::npos) << line;
+  obs::JsonValue entry;
+  std::string error;
+  ASSERT_TRUE(obs::json_parse(line, &entry, &error)) << error;
+  const obs::JsonValue* verb = entry.get("verb");
+  ASSERT_NE(verb, nullptr);
+  EXPECT_EQ(verb->string_value, "pl\xef\xbf\xbd" "an");
   std::remove(log_path.c_str());
 }
 

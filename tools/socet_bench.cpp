@@ -22,7 +22,9 @@
 // the gate instead of polluting the trajectory.  For each regression it
 // prints the per-stage self-time diff between the bench's previous
 // trajectory point and this run (both carry `stage_<stage>_ms` extras).
-// Schemas and the refresh workflow: docs/BENCHMARKS.md.
+// `--update-baseline FILE` writes each ok bench's median into FILE and
+// keeps every other entry, so a `--filter`ed run re-pins only its own
+// benches.  Schemas and the refresh workflow: docs/BENCHMARKS.md.
 #include <algorithm>
 #include <charconv>
 #include <cmath>
@@ -85,7 +87,8 @@ int usage() {
       "                         noise-adjusted regression or bench failure\n"
       "  --tolerance-pct P      regression tolerance for --check\n"
       "                         (default 25)\n"
-      "  --update-baseline FILE write medians as the new baseline\n"
+      "  --update-baseline FILE write this run's medians into FILE (other\n"
+      "                         benches keep their entries)\n"
       "  --list                 list discovered benches and exit\n");
   return 2;
 }
@@ -340,6 +343,21 @@ int main(int argc, char** argv) {
     return 0;
   }
 
+  // The update merges into the current baseline, so read it before
+  // spending minutes on benches: a baseline that exists but does not
+  // parse is an error, and is left as it is.
+  obs::bench::Baseline prior_baseline;
+  if (!options.update_baseline_path.empty() &&
+      ::access(options.update_baseline_path.c_str(), F_OK) == 0) {
+    std::string error;
+    if (!obs::bench::parse_baseline(read_file(options.update_baseline_path),
+                                    &prior_baseline, &error)) {
+      std::fprintf(stderr, "error: %s: %s; not updating it\n",
+                   options.update_baseline_path.c_str(), error.c_str());
+      return 2;
+    }
+  }
+
   // Trajectory files land in out_dir; create it (one level) if absent
   // so `--out-dir artifacts` works on a fresh checkout.
   if (!options.out_dir.empty() && options.out_dir != ".") {
@@ -410,7 +428,8 @@ int main(int argc, char** argv) {
 
   if (!options.update_baseline_path.empty()) {
     if (!write_file(options.update_baseline_path,
-                    obs::bench::baseline_json(records))) {
+                    obs::bench::baseline_json(obs::bench::merge_baseline(
+                        std::move(prior_baseline), records)))) {
       std::fprintf(stderr, "error: cannot write baseline '%s'\n",
                    options.update_baseline_path.c_str());
       return 1;
