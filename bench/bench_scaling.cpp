@@ -173,8 +173,8 @@ FaultSimResult bench_faultsim(unsigned iterations) {
   r.faults = faults.size();
   std::vector<faultsim::FaultStatus> statuses;
   // One simulator reused across iterations: that is how the ATPG regrade
-  // loops drive it (the fanout-cone cache amortizes over runs).
-  // Construction sits inside the timed region so cone building is paid.
+  // loops drive it (the levelized netlist is built once per simulator).
+  // Construction sits inside the timed region so levelizing is paid.
   r.ms = time_ms([&] {
     faultsim::ScanFaultSim sim(netlist);
     for (unsigned i = 0; i < iterations; ++i) {

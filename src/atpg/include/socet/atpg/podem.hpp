@@ -11,11 +11,13 @@
 // configurable limit.  Exhausting the decision tree proves the fault
 // untestable (redundant).
 //
-// One Podem serves every fault of one netlist: the levelized netlist, the
-// observe set, the search guidance and the scratch are built once.
-// Implication is event-driven: after a decision, a flip or an undo, only
-// the gates downstream of lines whose assignment changed are re-evaluated,
-// in level order, stopping wherever both values stay the same, and the
+// One Podem serves every fault of one netlist: the levelized netlist
+// (gate::FlatNetlist), the observe set, the search guidance and the
+// scratch are built once.  Implication is event-driven: after a decision,
+// a flip or an undo, only the gates downstream of lines whose assignment
+// changed are re-evaluated, in level order through the gate layer's one
+// event queue (gate::SlotQueue, which the scan fault simulator drains
+// too), stopping wherever both values stay the same, and the
 // faulty circuit is evaluated only inside the fault sites' fanout cone
 // (outside it, faulty equals good).  The D-frontier and the X-path check
 // look only at that cone.

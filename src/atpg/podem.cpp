@@ -1,7 +1,6 @@
 #include "socet/atpg/podem.hpp"
 
 #include <algorithm>
-#include <bit>
 
 #include "socet/gate/eval.hpp"
 #include "socet/gate/flat.hpp"
@@ -86,20 +85,6 @@ class Podem::Engine {
     dirty_.push_back(pos);
   }
 
-  void schedule(std::uint32_t slot) {
-    const std::uint32_t word = slot >> 6;
-    pending_[word] |= std::uint64_t{1} << (slot & 63);
-    first_pending_ = std::min(first_pending_, word);
-    last_pending_ = std::max(last_pending_, word);
-  }
-
-  void schedule_fanouts(std::uint32_t slot) {
-    for (std::uint32_t i = flat_.fanout_begin[slot];
-         i < flat_.fanout_begin[slot + 1]; ++i) {
-      schedule(flat_.fanouts[i]);
-    }
-  }
-
   /// Bring every value up to date with the assignments: seed from each
   /// decision variable whose assignment moved since the last implication,
   /// then drain the pending slots lowest first, which is level order.
@@ -110,19 +95,13 @@ class Podem::Engine {
       if (good == good_[pos] && faulty == faulty_[pos]) continue;
       good_[pos] = good;
       faulty_[pos] = faulty;
-      schedule_fanouts(pos);
+      events_.push_fanouts(pos);
     }
     dirty_.clear();
-    for (std::uint32_t w = first_pending_; w <= last_pending_; ++w) {
-      while (pending_[w] != 0) {
-        const auto bit =
-            static_cast<std::uint32_t>(std::countr_zero(pending_[w]));
-        pending_[w] &= pending_[w] - 1;
-        evaluate(w * 64 + bit);
-      }
-    }
-    first_pending_ = static_cast<std::uint32_t>(pending_.size());
-    last_pending_ = 0;
+    events_.drain([this](std::uint32_t slot) {
+      evaluate(slot);
+      return true;
+    });
   }
 
   /// Re-evaluate logic slot `slot`; wake its fanouts if either value moved.
@@ -149,7 +128,7 @@ class Podem::Engine {
     if (good == good_[slot] && faulty == faulty_[slot]) return;
     good_[slot] = good;
     faulty_[slot] = faulty;
-    schedule_fanouts(slot);
+    events_.push_fanouts(slot);
   }
 
   // --------------------------------------------------------------- queries
@@ -395,9 +374,7 @@ class Podem::Engine {
   std::vector<std::uint32_t> dirty_;  ///< positions assigned since imply()
   std::vector<V3> good_;
   std::vector<V3> faulty_;
-  std::vector<std::uint64_t> pending_;  ///< slots awaiting evaluation
-  std::uint32_t first_pending_ = 0;     ///< word range holding them
-  std::uint32_t last_pending_ = 0;
+  gate::SlotQueue events_;  ///< slots awaiting evaluation
   /// The current run's fanout cone: in_cone_[s] == cone_epoch_.
   std::vector<std::uint32_t> in_cone_;
   std::uint32_t cone_epoch_ = 0;
@@ -413,7 +390,8 @@ Podem::Engine::Engine(const gate::GateNetlist& netlist)
     : netlist_(netlist),
       flat_(netlist),
       first_logic_(flat_.first_logic),
-      n_pi_(static_cast<std::uint32_t>(netlist.inputs().size())) {
+      n_pi_(static_cast<std::uint32_t>(netlist.inputs().size())),
+      events_(flat_) {
   const std::uint32_t slots = flat_.slot_count();
   observable_.assign(slots, 0);
   for (const std::uint32_t slot : flat_.outputs) observable_[slot] = 1;
@@ -458,8 +436,6 @@ Podem::Engine::Engine(const gate::GateNetlist& netlist)
   assign_.assign(first_logic_, V3::kX);
   good_ = base_;
   faulty_ = base_;
-  pending_.assign(slots / 64 + 1, 0);
-  first_pending_ = static_cast<std::uint32_t>(pending_.size());
   in_cone_.assign(slots, 0);
   seen_.assign(slots, 0);
 }
@@ -525,7 +501,7 @@ PodemResult Podem::Engine::run(std::span<const Fault> faults,
     if (s.slot < first_logic_) {
       dirty_.push_back(s.slot);
     } else {
-      schedule(s.slot);
+      events_.push(s.slot);
     }
   }
   PodemResult result = search(options);

@@ -3,9 +3,13 @@
 // A full-scan circuit is tested through its combinational view: every scan
 // pattern sets the primary inputs and the flip-flop contents (pseudo
 // primary inputs), and responses are observed at the primary outputs and
-// flip-flop D pins (pseudo primary outputs).  The simulator runs the good
-// machine once per pattern block, then replays each still-undetected
-// fault through the fault's fanout cone only, with fault dropping.
+// flip-flop D pins (pseudo primary outputs).  The simulator settles the
+// good machine once per pattern block, then replays each still-undetected
+// fault that its site excites, with fault dropping.  Both run on one
+// gate::FlatNetlist, built at construction, through one gate::SlotQueue:
+// a replay evaluates only the gates that read a diverged line, in level
+// order, stops at the first observation point that diverges, and then
+// restores the lines it diverged, so nothing is kept per fault site.
 //
 // Pattern blocks are Lane<W>s (lane.hpp) of 64, 256 or 512 patterns,
 // the width picked from how many patterns a run carries.  Detection
@@ -16,14 +20,12 @@
 // downstream of inputs that changed.
 #pragma once
 
-#include <cstdint>
 #include <memory>
 #include <vector>
 
-#include "socet/faultsim/cone.hpp"
 #include "socet/faultsim/faults.hpp"
 #include "socet/faultsim/pattern.hpp"
-#include "socet/util/bitvector.hpp"
+#include "socet/gate/flat.hpp"
 
 namespace socet::faultsim {
 
@@ -32,18 +34,14 @@ template <unsigned W>
 class BlockEngine;
 }  // namespace detail
 
-struct ScanSimOptions {
-  /// Starting value of the scratch epoch counter.  Test hook: placing the
-  /// counter just below 2^32 proves the 64-bit stamps survive the
-  /// boundary where a 32-bit counter wraps and corrupts lookups.
-  std::uint64_t initial_stamp = 0;
-};
-
 class ScanFaultSim {
  public:
-  explicit ScanFaultSim(const gate::GateNetlist& netlist,
-                        ScanSimOptions options = {});
+  /// `netlist` must outlive the simulator and stay unchanged.
+  explicit ScanFaultSim(const gate::GateNetlist& netlist);
   ~ScanFaultSim();
+
+  ScanFaultSim(const ScanFaultSim&) = delete;
+  ScanFaultSim& operator=(const ScanFaultSim&) = delete;
 
   /// Simulate `patterns` against `faults`; marks newly detected faults in
   /// `statuses` (kUndetected -> kDetected).  Other statuses are untouched.
@@ -52,23 +50,13 @@ class ScanFaultSim {
            const std::vector<ScanPattern>& patterns,
            std::vector<FaultStatus>& statuses);
 
-  /// Good-machine responses for one pattern: values of POs then PPOs.
-  /// Useful for building expected-response data.
-  util::BitVector good_response(const ScanPattern& pattern);
-
-  /// The response the circuit produces for `pattern` *with `fault`
-  /// injected* (same PO+PPO layout as good_response): a one-fault
-  /// reference the kernel tests check `run` against.
-  util::BitVector faulty_response(const Fault& fault,
-                                  const ScanPattern& pattern);
-
   /// Lane width in words (1, 4 or 8) for a run of `pattern_count`
   /// patterns: <=64 patterns: 1; <=256: 4; else 8.
   static unsigned auto_lane_words(std::size_t pattern_count);
 
  private:
-  ScanSimOptions options_;
-  ConeCache cones_;
+  const gate::GateNetlist& netlist_;
+  const gate::FlatNetlist flat_;
   /// One lazily created engine per width, reused across runs.
   std::unique_ptr<detail::BlockEngine<1>> engine1_;
   std::unique_ptr<detail::BlockEngine<4>> engine4_;

@@ -14,12 +14,15 @@
 #include <vector>
 
 #include "socet/faultsim/faults.hpp"
+#include "socet/gate/flat.hpp"
 #include "socet/util/bitvector.hpp"
 
 namespace socet::faultsim {
 
 class SequentialFaultSim {
  public:
+  /// Levelizes `netlist` once for every run(); `netlist` must outlive the
+  /// simulator and stay unchanged.
   explicit SequentialFaultSim(const gate::GateNetlist& netlist);
 
   /// Apply `sequence` (one BitVector per cycle, one bit per primary input,
@@ -32,6 +35,7 @@ class SequentialFaultSim {
 
  private:
   const gate::GateNetlist& netlist_;
+  gate::FlatNetlist flat_;
 };
 
 }  // namespace socet::faultsim

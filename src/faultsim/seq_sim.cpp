@@ -6,7 +6,6 @@
 #include "socet/faultsim/lane.hpp"
 #include "socet/faultsim/scan_sim.hpp"
 #include "socet/gate/eval.hpp"
-#include "socet/gate/flat.hpp"
 #include "socet/obs/metrics.hpp"
 #include "socet/obs/trace.hpp"
 #include "socet/util/error.hpp"
@@ -151,9 +150,9 @@ struct SeqRun {
   std::uint64_t gate_evals = 0;
 
   /// Run passes of 64·W − 1 faulty machines while W is still the right
-  /// width for the live fault count.
+  /// width for the live fault count.  Force-inlined (see narrow_passes).
   template <unsigned W>
-  void run_passes() {
+  SOCET_FORCE_INLINE void run_passes() {
     using L = Lane<W>;
     const std::size_t n_inputs = netlist.inputs().size();
     const std::size_t n_dffs = netlist.dffs().size();
@@ -227,10 +226,20 @@ struct SeqRun {
   }
 };
 
+/// The 1- and 4-word passes run at most once per call and stay out of
+/// line, while the 8-word passes, which carry nearly every machine of a
+/// large list, are inlined into run().  Compiled out of line (GCC 12,
+/// -O3), the 8-word loop kept its 64-byte lanes in scalar registers
+/// instead of vector ones and took about twice as long per gate.
+template <unsigned W>
+[[gnu::noinline]] void narrow_passes(SeqRun& r) {
+  r.run_passes<W>();
+}
+
 }  // namespace
 
 SequentialFaultSim::SequentialFaultSim(const gate::GateNetlist& netlist)
-    : netlist_(netlist) {}
+    : netlist_(netlist), flat_(netlist) {}
 
 void SequentialFaultSim::run(const std::vector<Fault>& faults,
                              const std::vector<util::BitVector>& sequence,
@@ -241,8 +250,7 @@ void SequentialFaultSim::run(const std::vector<Fault>& faults,
   const auto live = static_cast<std::size_t>(
       std::count(statuses.begin(), statuses.end(), FaultStatus::kUndetected));
   if (live == 0) return;
-  const FlatNetlist flat(netlist_);
-  SeqRun r{netlist_, flat, faults, sequence, statuses};
+  SeqRun r{netlist_, flat_, faults, sequence, statuses};
   r.live = live;
 
   // Widths only shrink as the live count falls: many 511-machine passes,
@@ -250,10 +258,10 @@ void SequentialFaultSim::run(const std::vector<Fault>& faults,
   while (r.live > 0) {
     switch (lane_words_for(r.live)) {
       case 1:
-        r.run_passes<1>();
+        narrow_passes<1>(r);
         break;
       case 4:
-        r.run_passes<4>();
+        narrow_passes<4>(r);
         break;
       default:
         r.run_passes<8>();

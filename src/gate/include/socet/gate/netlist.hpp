@@ -101,9 +101,6 @@ class GateNetlist {
   /// fanins.  Throws util::Error on a combinational cycle.
   const std::vector<GateId>& topo_order() const;
 
-  /// Fanout lists (computed lazily alongside topo_order).
-  const std::vector<std::vector<GateId>>& fanouts() const;
-
  private:
   void build_order() const;
 
@@ -113,8 +110,7 @@ class GateNetlist {
   std::vector<GateId> outputs_;
   std::vector<GateId> dffs_;
 
-  mutable std::vector<GateId> topo_;          // cached
-  mutable std::vector<std::vector<GateId>> fanouts_;  // cached
+  mutable std::vector<GateId> topo_;  // cached
   mutable bool order_valid_ = false;
 };
 

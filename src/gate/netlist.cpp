@@ -106,18 +106,13 @@ const std::vector<GateId>& GateNetlist::topo_order() const {
   return topo_;
 }
 
-const std::vector<std::vector<GateId>>& GateNetlist::fanouts() const {
-  if (!order_valid_) build_order();
-  return fanouts_;
-}
-
 void GateNetlist::build_order() const {
   const std::size_t n = gates_.size();
   for (const GateId id : dffs_) {
     util::require(gates_[id.index()].fanin.size() == 1,
                   "topo_order: DFF left floating in " + name_);
   }
-  fanouts_.assign(n, {});
+  std::vector<std::vector<GateId>> fanouts(n);
   std::vector<std::uint32_t> pending(n, 0);
 
   for (std::size_t i = 0; i < n; ++i) {
@@ -127,7 +122,7 @@ void GateNetlist::build_order() const {
   }
   for (std::size_t i = 0; i < n; ++i) {
     for (GateId f : gates_[i].fanin) {
-      fanouts_[f.index()].push_back(GateId(static_cast<std::uint32_t>(i)));
+      fanouts[f.index()].push_back(GateId(static_cast<std::uint32_t>(i)));
     }
   }
 
@@ -141,7 +136,7 @@ void GateNetlist::build_order() const {
     const GateId id = ready.back();
     ready.pop_back();
     topo_.push_back(id);
-    for (GateId out : fanouts_[id.index()]) {
+    for (GateId out : fanouts[id.index()]) {
       if (gates_[out.index()].kind == GateKind::kDff) continue;
       if (--pending[out.index()] == 0) ready.push_back(out);
     }

@@ -1,7 +1,8 @@
 // Tests for the scan fault-simulation kernel (scan_sim.hpp) at every
-// lane width, its 64-bit scratch stamps, and the sequential simulator's
-// lane kernel and pin-fault handling, all against naive one-pattern,
-// one-fault oracles that do not share the library's gate evaluator.
+// lane width and its event-driven good machine, and the sequential
+// simulator's lane kernel and pin-fault handling, all against naive
+// one-pattern, one-fault oracles that do not share the library's gate
+// evaluator.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -158,6 +159,16 @@ std::vector<FaultStatus> reference_statuses(
   return statuses;
 }
 
+/// Delta of a library counter across `body` (collection on meanwhile).
+template <typename Body>
+std::uint64_t counted(const char* name, Body body) {
+  obs::set_metrics_enabled(true);
+  const std::uint64_t before = obs::counter(name).value();
+  body();
+  obs::set_metrics_enabled(false);
+  return obs::counter(name).value() - before;
+}
+
 // ------------------------------------------------------------------ tests
 
 /// Pattern counts that reach every lane width through the auto policy:
@@ -182,6 +193,25 @@ TEST(KernelOracle, AllWidthsAndModesMatchNaiveReference) {
           << "seed=" << seed << " patterns=" << count << " W=" << width;
     }
   }
+
+  // One more input: z = a OR b under a = b = 1 masks both a s-a-0 and
+  // b s-a-0.  Each replay must leave no faulty value behind for the next
+  // to read, or b's replay sees a stuck at 0 and z falls to 0.
+  GateNetlist n("masked");
+  auto a = n.add_input("a");
+  auto b = n.add_input("b");
+  n.mark_output(n.add_gate(GateKind::kOr, {a, b}, "z"));
+  const std::vector<Fault> faults{Fault{a, -1, false}, Fault{b, -1, false}};
+  ScanPattern pattern;
+  pattern.pi = BitVector(2, 3);
+  pattern.ppi = BitVector(0);
+  for (const auto& [count, width] : kWidthCases) {
+    ScanFaultSim sim(n);
+    std::vector<FaultStatus> statuses(2, FaultStatus::kUndetected);
+    sim.run(faults, std::vector<ScanPattern>(count, pattern), statuses);
+    EXPECT_EQ(statuses, std::vector<FaultStatus>(2, FaultStatus::kUndetected))
+        << "W=" << width;
+  }
 }
 
 TEST(KernelOracle, SmallBatchesReuseTheGoodMachineAcrossRuns) {
@@ -203,85 +233,37 @@ TEST(KernelOracle, SmallBatchesReuseTheGoodMachineAcrossRuns) {
   EXPECT_EQ(statuses, reference_statuses(n, faults, patterns));
 }
 
-TEST(KernelOracle, ResponsesIdenticalAcrossEnginesAndThreads) {
-  Rng rng(11);
-  const auto n = make_random_netlist(rng, 6, 2, 50);
-  const auto faults = enumerate_faults(n);
-  const auto patterns = make_random_patterns(n, 20, rng);
-
-  // The oracle's values at the POs, then at each DFF's D fanin.
-  auto expected = [&](const ScanPattern& p, const Fault* fault) {
-    const auto values = reference_values(n, p, fault);
-    BitVector bits(n.outputs().size() + n.dffs().size());
-    std::size_t i = 0;
-    for (GateId po : n.outputs()) bits.set(i++, values[po.index()]);
-    for (GateId dff : n.dffs()) {
-      bits.set(i++, values[n.gate(dff).fanin[0].index()]);
-    }
-    return bits.to_string();
-  };
-
-  ScanFaultSim sim(n);
-  for (const ScanPattern& p : patterns) {
-    EXPECT_EQ(sim.good_response(p).to_string(), expected(p, nullptr));
-    for (std::size_t fi = 0; fi < faults.size(); fi += 7) {
-      EXPECT_EQ(sim.faulty_response(faults[fi], p).to_string(),
-                expected(p, &faults[fi]))
-          << describe_fault(n, faults[fi]);
-    }
-  }
-}
-
-// The seed simulator kept its scratch-epoch counter in a uint32_t.  Once
-// the counter wraps to 0 it collides with the never-touched entries of
-// the stamp array (all zero-initialized), so lookups return stale
-// scratch values instead of good-machine values.  The engines now use
-// 64-bit stamps; `initial_stamp` places the counter just below the old
-// wrap point to prove the boundary is survived.
-TEST(StampWrap, SurvivesThirtyTwoBitBoundary) {
-  GateNetlist n("wrap");
+TEST(KernelOracle, SettleEvaluatesOnlyTheGatesAChangedInputReaches) {
+  // z = AND(a, b) beside an unrelated 40-gate chain on c.  The first
+  // block sweeps all 41 gates; an identical block evaluates none; a
+  // block that changes only a evaluates z alone, and one that changes
+  // only c the 40 chain gates.  Twin of
+  // Podem.ImplicationEvaluatesOnlyTheGatesItsEventsReach.
+  GateNetlist n("apart");
   auto a = n.add_input("a");
   auto b = n.add_input("b");
-  auto z = n.add_gate(GateKind::kOr, {a, b}, "z");
-  n.mark_output(z);
-
-  // a s-a-0 under a=1,b=1 is masked (z stays 1): must stay undetected.
-  // A wrapped stamp makes lookup(b) return scratch(0), so the faulty z
-  // would read 0 != good 1 — a spurious detection.
-  const std::vector<Fault> faults{Fault{a, -1, false}};
-  ScanPattern pattern;
-  pattern.pi = BitVector(2);
-  pattern.pi.set(0, true);
-  pattern.pi.set(1, true);
-  pattern.ppi = BitVector(0);
-
-  for (const auto& [count, width] : kWidthCases) {
-    ScanSimOptions o;
-    o.initial_stamp = 0xFFFF'FFFFULL;  // next ++ crosses 2^32
-    ScanFaultSim sim(n, o);
-    std::vector<FaultStatus> statuses{FaultStatus::kUndetected};
-    sim.run(faults, std::vector<ScanPattern>(count, pattern), statuses);
-    EXPECT_EQ(statuses[0], FaultStatus::kUndetected) << "W=" << width;
+  n.mark_output(n.add_gate(GateKind::kAnd, {a, b}, "z"));
+  GateId chain = n.add_input("c");
+  for (int i = 0; i < 40; ++i) {
+    chain = n.add_gate(GateKind::kNot, {chain}, "n" + std::to_string(i));
   }
-}
+  n.mark_output(chain);
 
-TEST(StampWrap, ManyReplaysAcrossBoundaryStayCorrect) {
-  Rng rng(17);
-  const auto n = make_random_netlist(rng, 6, 0, 40);
-  const auto faults = enumerate_faults(n);
-  for (const auto& [count, width] : kWidthCases) {
-    const auto patterns = make_random_patterns(n, count, rng);
-    ScanSimOptions o;
-    // Every fault replay increments the epoch; starting a few below the
-    // boundary guarantees the run crosses it mid-flight.
-    o.initial_stamp = 0xFFFF'FFFFULL - 5;
-    ScanFaultSim sim(n, o);
-    std::vector<FaultStatus> statuses(faults.size(),
-                                      FaultStatus::kUndetected);
-    sim.run(faults, patterns, statuses);
-    EXPECT_EQ(statuses, reference_statuses(n, faults, patterns))
-        << "W=" << width;
-  }
+  ScanFaultSim sim(n);
+  const std::vector<Fault> no_faults;
+  std::vector<FaultStatus> no_statuses;
+  const auto good_evals = [&](std::uint64_t abc) {
+    ScanPattern pattern;
+    pattern.pi = BitVector(3, abc);
+    pattern.ppi = BitVector(0);
+    return counted("faultsim/good_gate_evals", [&] {
+      sim.run(no_faults, {pattern}, no_statuses);
+    });
+  };
+  EXPECT_EQ(good_evals(0b010), 41u);
+  EXPECT_EQ(good_evals(0b010), 0u);
+  EXPECT_EQ(good_evals(0b011), 1u);
+  EXPECT_EQ(good_evals(0b111), 40u);
 }
 
 // ------------------------------------------------ sequential lane kernel
@@ -341,16 +323,6 @@ std::vector<T> cycled(const std::vector<T>& base, std::size_t count) {
   std::vector<T> out;
   for (std::size_t i = 0; i < count; ++i) out.push_back(base[i % base.size()]);
   return out;
-}
-
-/// Delta of a library counter across `body` (collection on meanwhile).
-template <typename Body>
-std::uint64_t counted(const char* name, Body body) {
-  obs::set_metrics_enabled(true);
-  const std::uint64_t before = obs::counter(name).value();
-  body();
-  obs::set_metrics_enabled(false);
-  return obs::counter(name).value() - before;
 }
 
 TEST(SeqKernelOracle, MatchesNaiveReferenceAcrossWidthsAndPasses) {

@@ -167,13 +167,6 @@ TEST(ScanSim, ManyPatternsAcrossBlockBoundary) {
   EXPECT_DOUBLE_EQ(summarize(statuses).fault_coverage(), 100.0);
 }
 
-TEST(ScanSim, GoodResponseMatchesLogic) {
-  auto n = make_and2();
-  ScanFaultSim sim(n);
-  EXPECT_TRUE(sim.good_response(pat2(1, 1)).get(0));
-  EXPECT_FALSE(sim.good_response(pat2(1, 0)).get(0));
-}
-
 // --------------------------------------------------------------- seq sim
 
 TEST(SeqSim, DetectsFaultsInToggleCounter) {

@@ -172,7 +172,9 @@ TEST(Fuzz, MutatedFrameStreamsYieldFramesOrLatch) {
     EXPECT_EQ(bytewise.frames, whole.frames) << trial;
     EXPECT_EQ(bytewise.overflowed, whole.overflowed) << trial;
     // A latched reader drops what follows; otherwise nothing is lost.
-    if (!bytewise.overflowed) EXPECT_EQ(bytewise.buffered, whole.buffered);
+    if (!bytewise.overflowed) {
+      EXPECT_EQ(bytewise.buffered, whole.buffered);
+    }
     latched += bytewise.overflowed ? 1 : 0;
     yielded += bytewise.frames.empty() ? 0 : 1;
   }

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "socet/gate/flat.hpp"
 #include "socet/gate/netlist.hpp"
 #include "socet/gate/sim.hpp"
 #include "socet/util/error.hpp"
@@ -222,6 +226,76 @@ TEST(SequentialSim, WrongInputCountThrows) {
   n.add_input("a");
   SequentialSim sim(n);
   EXPECT_THROW(sim.step({}), Error);
+}
+
+// ------------------------------------------------------------ slot queue
+
+/// Input a, then `length` inverters in a row: slot k is the k-th
+/// inverter (slot 0 is a), and each gate's only reader is the next one.
+GateNetlist make_chain(int length) {
+  GateNetlist n("chain");
+  GateId prev = n.add_input("a");
+  for (int i = 0; i < length; ++i) {
+    prev = n.add_gate(GateKind::kNot, {prev}, "n" + std::to_string(i));
+  }
+  n.mark_output(prev);
+  return n;
+}
+
+/// Every slot one drain of `queue` visits, in visit order.
+template <typename Visit>
+std::vector<std::uint32_t> drained(SlotQueue& queue, Visit visit) {
+  std::vector<std::uint32_t> seen;
+  queue.drain([&](std::uint32_t slot) {
+    seen.push_back(slot);
+    return visit(slot);
+  });
+  return seen;
+}
+
+TEST(SlotQueue, DrainsInAscendingOrderAcrossWordsAndAtTheLastSlot) {
+  const GateNetlist n = make_chain(199);
+  const FlatNetlist flat(n);
+  ASSERT_EQ(flat.slot_count(), 200u);
+  SlotQueue queue(flat);
+  for (const std::uint32_t slot : {199u, 64u, 0u, 63u, 128u, 127u, 64u, 65u}) {
+    queue.push(slot);
+  }
+  const auto all = [](std::uint32_t) { return true; };
+  EXPECT_EQ(drained(queue, all),
+            (std::vector<std::uint32_t>{0, 63, 64, 65, 127, 128, 199}));
+  EXPECT_TRUE(drained(queue, all).empty());
+}
+
+TEST(SlotQueue, SlotsPushedDuringADrainAreVisitedInThatDrain) {
+  // Waking each visited gate's reader walks the whole chain in one
+  // drain, within a word and across both word boundaries.
+  const GateNetlist n = make_chain(199);
+  const FlatNetlist flat(n);
+  SlotQueue queue(flat);
+  queue.push_fanouts(0);
+  const auto seen = drained(queue, [&](std::uint32_t slot) {
+    queue.push_fanouts(slot);
+    return true;
+  });
+  std::vector<std::uint32_t> expected;
+  for (std::uint32_t slot = 1; slot < 200; ++slot) expected.push_back(slot);
+  EXPECT_EQ(seen, expected);
+}
+
+TEST(SlotQueue, AStoppedDrainKeepsOnlyTheSlotsPushedSince) {
+  const GateNetlist n = make_chain(199);
+  const FlatNetlist flat(n);
+  SlotQueue queue(flat);
+  for (const std::uint32_t slot : {3u, 10u, 130u}) queue.push(slot);
+  EXPECT_EQ(drained(queue, [](std::uint32_t) { return false; }),
+            (std::vector<std::uint32_t>{3}));
+  // 10 and 130 were dropped with the stopped drain; the next drain's
+  // range covers their words but must not find them.
+  queue.push(1);
+  queue.push(199);
+  EXPECT_EQ(drained(queue, [](std::uint32_t) { return true; }),
+            (std::vector<std::uint32_t>{1, 199}));
 }
 
 }  // namespace

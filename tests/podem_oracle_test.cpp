@@ -82,6 +82,13 @@ class ReferencePodem {
     assign_.assign(lines_.size(), V3::kX);
     good_.assign(netlist.gate_count(), V3::kX);
     faulty_.assign(netlist.gate_count(), V3::kX);
+    const auto& gates = netlist.gates();
+    fanouts_.resize(gates.size());
+    for (std::size_t i = 0; i < gates.size(); ++i) {
+      for (GateId f : gates[i].fanin) {
+        fanouts_[f.index()].push_back(GateId(static_cast<std::uint32_t>(i)));
+      }
+    }
 
     observe_ = netlist.outputs();
     for (GateId dff : netlist.dffs()) {
@@ -293,13 +300,12 @@ class ReferencePodem {
         seen[id.index()] = 1;
       }
     }
-    const auto& fanouts = netlist_.fanouts();
     std::vector<char> observable(netlist_.gate_count(), 0);
     for (GateId id : observe_) observable[id.index()] = 1;
     for (std::size_t head = 0; head < queue.size(); ++head) {
       const GateId id = queue[head];
       if (observable[id.index()]) return true;
-      for (GateId next : fanouts[id.index()]) {
+      for (GateId next : fanouts_[id.index()]) {
         if (seen[next.index()]) continue;
         if (netlist_.gate(next).kind == GateKind::kDff) continue;
         if (!is_x(next)) continue;
@@ -424,6 +430,7 @@ class ReferencePodem {
   std::vector<V3> assign_;
   std::vector<V3> good_;
   std::vector<V3> faulty_;
+  std::vector<std::vector<GateId>> fanouts_;
   std::vector<GateId> observe_;
   std::vector<unsigned> obs_dist_;
   std::vector<unsigned> depth_;
@@ -607,7 +614,9 @@ TEST(PodemOracle, MultiSiteQueriesOnUnrolledFramesMatch) {
     }
     EXPECT_GT(m.compared, faults.size() / 2) << frames << " frames";
     EXPECT_EQ(m.count, 0u) << frames << " frames" << m.first;
-    if (frames > 1) EXPECT_GT(m.multi_site_found, 0u) << frames << " frames";
+    if (frames > 1) {
+      EXPECT_GT(m.multi_site_found, 0u) << frames << " frames";
+    }
   }
 }
 

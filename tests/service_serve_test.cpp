@@ -3,6 +3,7 @@
 // isolation, admission control under a saturated queue, graceful drain,
 // the access log, the traced daemon's spans, and CLI round-trips
 // through the real `socet` binary.
+#include <fcntl.h>
 #include <gtest/gtest.h>
 #include <sys/socket.h>
 #include <sys/wait.h>
@@ -11,6 +12,7 @@
 #include <algorithm>
 #include <chrono>
 #include <condition_variable>
+#include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -946,7 +948,7 @@ CliRun run_cli(const std::string& arguments) {
   return run;
 }
 
-TEST(Cli, ClientAndBatchConnectMatchLocalBatch) {
+TEST(Cli, ClientJobsMatchLocalBatch) {
   service::ServerOptions options;
   options.threads = 2;
   service::Server server(std::move(options));
@@ -965,10 +967,6 @@ TEST(Cli, ClientAndBatchConnectMatchLocalBatch) {
       run_cli("client --connect " + connect + " --jobs " + path);
   EXPECT_EQ(remote_client.exit_code, 1);
   EXPECT_EQ(remote_client.output, local.output);
-  const CliRun remote_batch =
-      run_cli("batch --connect " + connect + " --jobs " + path);
-  EXPECT_EQ(remote_batch.exit_code, 1);
-  EXPECT_EQ(remote_batch.output, local.output);
 
   // `health`, `metrics` and `profile` are no longer client verbs.
   EXPECT_EQ(run_cli("client --connect " + connect + " health").exit_code, 1);
@@ -1024,6 +1022,9 @@ TEST(Cli, UnknownOptionsAreRejectedByName) {
        "error: unknown option '--profile' for 'batch'"},
       {"serve --metrics-port 0",
        "error: unknown option '--metrics-port' for 'serve'"},
+      // A job file goes to a daemon through `client --jobs` only.
+      {"batch --connect 127.0.0.1:1 --jobs " + jobs,
+       "error: unknown option '--connect' for 'batch'"},
       // An option given twice is refused, not read as its last value.
       {"plan --system barcode --system system2",
        "error: repeated option '--system' for 'plan'"},
@@ -1062,30 +1063,98 @@ TEST(Cli, RemoteRunsKeepStdoutIdenticalAndTraceTheirOwnProcess) {
     for (const std::string& line : kJobFile) file << line << "\n";
   }
   const std::string trace_path = testing::TempDir() + "serve_trace.json";
-  for (const std::string command : {"batch", "client"}) {
-    std::remove(trace_path.c_str());
-    const std::string run =
-        command + " --connect " + connect + " --jobs " + jobs_path;
-    const CliRun plain = run_cli(run);
-    const CliRun traced = run_cli(run + " --trace " + trace_path);
-    // --trace never changes what the command prints.
-    EXPECT_EQ(traced.exit_code, plain.exit_code) << command;
-    EXPECT_EQ(traced.output, plain.output) << command;
+  std::remove(trace_path.c_str());
+  const std::string run =
+      "client --connect " + connect + " --jobs " + jobs_path;
+  const CliRun plain = run_cli(run);
+  const CliRun traced = run_cli(run + " --trace " + trace_path);
+  // --trace never changes what the command prints.
+  EXPECT_EQ(traced.exit_code, plain.exit_code);
+  EXPECT_EQ(traced.output, plain.output);
 
-    // The file holds this process's spans, as on every other command.
-    std::ifstream file(trace_path);
-    ASSERT_TRUE(file.is_open()) << "no trace at " << trace_path;
-    std::ostringstream raw;
-    raw << file.rdbuf();
-    obs::analyze::TraceData trace;
-    std::string error;
-    ASSERT_TRUE(obs::analyze::load_trace(raw.str(), &trace, &error)) << error;
-    ASSERT_FALSE(trace.roots.empty()) << command;
-    EXPECT_EQ(trace.spans[static_cast<std::size_t>(trace.roots.front())].name,
-              "cli/" + command);
-  }
+  // The file holds this process's spans, as on every other command.
+  std::ifstream file(trace_path);
+  ASSERT_TRUE(file.is_open()) << "no trace at " << trace_path;
+  std::ostringstream raw;
+  raw << file.rdbuf();
+  obs::analyze::TraceData trace;
+  std::string error;
+  ASSERT_TRUE(obs::analyze::load_trace(raw.str(), &trace, &error)) << error;
+  ASSERT_FALSE(trace.roots.empty());
+  EXPECT_EQ(trace.spans[static_cast<std::size_t>(trace.roots.front())].name,
+            "cli/client");
   std::remove(jobs_path.c_str());
   std::remove(trace_path.c_str());
+}
+
+TEST(Cli, DaemonTraceLeadsWithAServeRootAndHasNoCliStage) {
+  // `serve` opens no cli/serve span: the daemon's own trace holds its
+  // per-request serve/* roots only, so trace-analyze's critical-path
+  // headline is one of them and no `cli` stage holds the daemon's idle
+  // lifetime.
+  const std::string dir = testing::TempDir();
+  const std::string port_file = dir + "daemon_trace_port.txt";
+  const std::string trace_path = dir + "daemon_trace.json";
+  const std::string jobs_path = dir + "daemon_trace_jobs.txt";
+  std::remove(port_file.c_str());
+  std::remove(trace_path.c_str());
+  {
+    std::ofstream file(jobs_path);
+    for (const std::string& line : kJobFile) file << line << "\n";
+  }
+  const pid_t daemon = ::fork();
+  ASSERT_GE(daemon, 0);
+  if (daemon == 0) {
+    const int null_fd = ::open("/dev/null", O_WRONLY);
+    if (null_fd >= 0) ::dup2(null_fd, STDERR_FILENO);
+    ::execl(SOCET_CLI_PATH, SOCET_CLI_PATH, "serve", "--port", "0",
+            "--port-file", port_file.c_str(), "--threads", "2", "--trace",
+            trace_path.c_str(), static_cast<char*>(nullptr));
+    ::_exit(127);
+  }
+  std::string port;
+  for (int i = 0; i < 200 && port.empty(); ++i) {
+    std::ifstream file(port_file);
+    std::ostringstream text;
+    text << file.rdbuf();
+    if (text.str().ends_with('\n')) {
+      port = text.str().substr(0, text.str().size() - 1);
+    } else {
+      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    }
+  }
+  if (port.empty()) {
+    ::kill(daemon, SIGKILL);
+    ::waitpid(daemon, nullptr, 0);
+    FAIL() << "the daemon wrote no port file";
+  }
+  EXPECT_EQ(
+      run_cli("client --connect 127.0.0.1:" + port + " --jobs " + jobs_path)
+          .exit_code,
+      1);  // kJobFile contains one failing job
+  ASSERT_EQ(::kill(daemon, SIGTERM), 0);
+  int status = 0;
+  ASSERT_EQ(::waitpid(daemon, &status, 0), daemon);
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 0);
+
+  const CliRun analysis = run_cli("trace-analyze " + trace_path);
+  EXPECT_EQ(analysis.exit_code, 0);
+  EXPECT_NE(analysis.output.find("critical path of slowest root 'serve/"),
+            std::string::npos)
+      << analysis.output;
+  std::ifstream file(trace_path);
+  std::ostringstream raw;
+  raw << file.rdbuf();
+  obs::analyze::TraceData trace;
+  std::string error;
+  ASSERT_TRUE(obs::analyze::load_trace(raw.str(), &trace, &error)) << error;
+  const auto stages = obs::analyze::aggregate({trace}).by_stage;
+  ASSERT_FALSE(stages.empty());
+  for (const auto& stage : stages) EXPECT_NE(stage.name, "cli");
+  std::remove(port_file.c_str());
+  std::remove(trace_path.c_str());
+  std::remove(jobs_path.c_str());
 }
 
 }  // namespace

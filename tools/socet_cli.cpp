@@ -25,6 +25,7 @@
 #include <iterator>
 #include <limits>
 #include <map>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -276,21 +277,20 @@ service::ClientOptions client_options(const Args& args) {
   return options;
 }
 
-/// Replay a job file against a daemon and print records to stdout —
-/// the remote path shared by `client --jobs` and `batch --connect`.
-int run_remote_jobs(const Args& args, const char* who) {
-  const auto lines = read_job_lines(args.get("jobs", ""), who);
+/// `client --jobs`: replay a job file against a daemon and print the
+/// records to stdout, as `batch` prints them.
+int run_remote_jobs(const Args& args) {
+  const auto lines = read_job_lines(args.get("jobs", ""), "client");
   service::Client client(client_options(args));
   const auto report = client.run_lines(lines);
   std::printf("%s", report.records_text().c_str());
-  std::fprintf(stderr, "%s: %zu jobs via %s, %zu errors, %zu busy\n", who,
+  std::fprintf(stderr, "client: %zu jobs via %s, %zu errors, %zu busy\n",
                report.jobs, args.get("connect", "").c_str(), report.errors,
                report.busy);
   return (report.errors == 0 && report.busy == 0) ? 0 : 1;
 }
 
 int cmd_batch(const Args& args) {
-  if (args.has("connect")) return run_remote_jobs(args, "batch");
   const auto lines = read_job_lines(args.get("jobs", ""), "batch");
   service::PlanningService service(service_options(args));
   const auto report = service.run_lines(lines);
@@ -345,7 +345,7 @@ int cmd_client(const Args& args) {
   }
   util::require(verb.empty(), "unknown client verb '" + verb +
                                   "' (use stats|journal or --jobs FILE)");
-  return run_remote_jobs(args, "client");
+  return run_remote_jobs(args);
 }
 
 /// `socet trace-analyze FILE... [--json] [--folded] [--top N] [--out F]`
@@ -547,9 +547,8 @@ int usage() {
       "  parallel  [--system ...] [--selection 1,2,3]\n"
       "  explore   [--system ...]\n"
       "  batch     --jobs FILE|- [--threads N] [--cache N]\n"
-      "            [--cache-bytes N] [--verbose] [--connect HOST:PORT]\n"
-      "            (planning service; one job per line, see docs/FORMATS.md;\n"
-      "            --connect replays the file against a running daemon)\n"
+      "            [--cache-bytes N] [--verbose]\n"
+      "            (planning service; one job per line, see docs/FORMATS.md)\n"
       "  serve     [--host H] [--port N] [--threads N] [--cache N]\n"
       "            [--cache-bytes N] [--max-queue N] [--window N]\n"
       "            [--port-file FILE] [--access-log FILE]\n"
@@ -605,8 +604,7 @@ const std::map<std::string, CommandSpec>& commands() {
        {cmd_optimize, {"system", "area-budget", "tat-budget", "w1", "w2"}}},
       {"explore", {cmd_explore, {"system"}}},
       {"batch",
-       {cmd_batch, {"jobs", "threads", "cache", "cache-bytes", "verbose",
-                    "connect", "window"}}},
+       {cmd_batch, {"jobs", "threads", "cache", "cache-bytes", "verbose"}}},
       {"serve",
        {cmd_serve, {"host", "port", "threads", "cache", "cache-bytes",
                     "max-queue", "window", "port-file", "access-log"}}},
@@ -618,7 +616,7 @@ const std::map<std::string, CommandSpec>& commands() {
       {"verilog", {cmd_verilog, {"core", "gates"}}},
       {"dot", {cmd_dot, {"core", "ccg", "system", "selection"}}},
       {"interface", {cmd_interface, {"core"}}},
-      {"explain", {cmd_explain, {"connect", "window"}}}};
+      {"explain", {cmd_explain, {"connect"}}}};
   return table;
 }
 
@@ -681,8 +679,11 @@ int main(int argc, char** argv) {
                                    obs::kMaxFlightCapacity));
     }
     // The span name must outlive export; the command key is a static.
+    // A daemon's roots are its per-request serve/* spans: a cli/serve
+    // root would time only its idle lifetime.
     static const std::string span_name = "cli/" + command->first;
-    obs::Span span(span_name.c_str());
+    std::optional<obs::Span> span;
+    if (command->first != "serve") span.emplace(span_name.c_str());
     status = command->second.run(args);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
