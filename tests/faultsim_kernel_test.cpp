@@ -193,10 +193,15 @@ TEST(KernelOracle, AllWidthsAndModesMatchNaiveReference) {
           << "seed=" << seed << " patterns=" << count << " W=" << width;
     }
   }
+}
 
-  // One more input: z = a OR b under a = b = 1 masks both a s-a-0 and
-  // b s-a-0.  Each replay must leave no faulty value behind for the next
-  // to read, or b's replay sees a stuck at 0 and z falls to 0.
+// Named for the seed simulator's 32-bit scratch stamps, whose wrap made
+// this masked fault read as detected.  The replay keeps no stamps now;
+// the same case guards its undo list instead.  z = a OR b under a = b = 1
+// masks both a s-a-0 and b s-a-0.  Each replay must leave no faulty value
+// behind for the next to read, or b's replay sees a stuck at 0 and z
+// falls to 0.
+TEST(StampWrap, SurvivesThirtyTwoBitBoundary) {
   GateNetlist n("masked");
   auto a = n.add_input("a");
   auto b = n.add_input("b");
