@@ -257,18 +257,22 @@ unsigned Netlist::flip_flop_count() const {
 
 void Netlist::check_connection(const Connection& conn) const {
   util::require(conn.width > 0, "connect: zero-width connection");
-  util::require(is_driver_pin(conn.from),
-                "connect: 'from' pin is not a driver: " +
-                    describe_pin(*this, conn.from));
-  util::require(!is_driver_pin(conn.to),
-                "connect: 'to' pin is not a sink: " +
-                    describe_pin(*this, conn.to));
-  util::require(conn.from_lo + conn.width <= pin_width(conn.from),
-                "connect: source slice exceeds pin width on " +
-                    describe_pin(*this, conn.from));
-  util::require(conn.to_lo + conn.width <= pin_width(conn.to),
-                "connect: sink slice exceeds pin width on " +
-                    describe_pin(*this, conn.to));
+  if (!is_driver_pin(conn.from)) {
+    util::raise("connect: 'from' pin is not a driver: " +
+                describe_pin(*this, conn.from));
+  }
+  if (is_driver_pin(conn.to)) {
+    util::raise("connect: 'to' pin is not a sink: " +
+                describe_pin(*this, conn.to));
+  }
+  if (conn.from_lo + conn.width > pin_width(conn.from)) {
+    util::raise("connect: source slice exceeds pin width on " +
+                describe_pin(*this, conn.from));
+  }
+  if (conn.to_lo + conn.width > pin_width(conn.to)) {
+    util::raise("connect: sink slice exceeds pin width on " +
+                describe_pin(*this, conn.to));
+  }
 }
 
 void Netlist::validate() const {
@@ -280,8 +284,10 @@ void Netlist::validate() const {
     auto& bits = driven[conn.to];
     bits.resize(pin_width(conn.to), false);
     for (unsigned b = conn.to_lo; b < conn.to_lo + conn.width; ++b) {
-      util::require(!bits[b], "validate: sink bit driven twice on " +
-                                  describe_pin(*this, conn.to));
+      if (bits[b]) {
+        util::raise("validate: sink bit driven twice on " +
+                    describe_pin(*this, conn.to));
+      }
       bits[b] = true;
     }
   }

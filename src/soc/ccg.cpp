@@ -16,10 +16,12 @@ Ccg::Ccg(const Soc& soc, const std::vector<unsigned>& selection) {
   for (std::uint32_t i = 0; i < soc.pis().size(); ++i) {
     nodes_.push_back(CcgNode{CcgNodeKind::kPi, i, {}});
   }
+  pi_count_ = static_cast<std::uint32_t>(nodes_.size());
   for (std::uint32_t i = 0; i < soc.pos().size(); ++i) {
     nodes_.push_back(CcgNode{CcgNodeKind::kPo, i, {}});
   }
   for (std::uint32_t c = 0; c < soc.cores().size(); ++c) {
+    core_base_.push_back(static_cast<std::uint32_t>(nodes_.size()));
     const auto& netlist = soc.core(c).netlist();
     for (std::uint32_t p = 0; p < netlist.ports().size(); ++p) {
       const rtl::PortId port(p);
@@ -29,6 +31,8 @@ Ccg::Ccg(const Soc& soc, const std::vector<unsigned>& selection) {
       nodes_.push_back(CcgNode{kind, 0, CorePortRef{c, port}});
     }
   }
+
+  core_base_.push_back(static_cast<std::uint32_t>(nodes_.size()));
 
   // Interconnect edges (latency 0), each with its own resource.
   auto from_node = [&](const std::variant<PiId, CorePortRef>& endpoint) {
@@ -81,33 +85,29 @@ std::uint32_t Ccg::pi_node(PiId pi) const {
   return static_cast<std::uint32_t>(pi.index());
 }
 
-std::uint32_t Ccg::po_node(PoId po) const {
-  // POs come right after the PIs; counts are implicit in node layout.
-  std::uint32_t base = 0;
-  while (base < nodes_.size() && nodes_[base].kind == CcgNodeKind::kPi) {
-    ++base;
+std::uint32_t Ccg::po_node(PoId po) const { return pi_count_ + po.value(); }
+
+std::uint32_t Ccg::core_port_node(const CorePortRef& ref, CcgNodeKind kind,
+                                  const char* missing) const {
+  if (std::size_t{ref.core} + 1 < core_base_.size()) {
+    const std::uint32_t base = core_base_[ref.core];
+    const std::uint32_t port = ref.port.value();
+    if (port < core_base_[ref.core + 1] - base &&
+        nodes_[base + port].kind == kind) {
+      return base + port;
+    }
   }
-  return base + po.value();
+  util::raise(missing);
 }
 
 std::uint32_t Ccg::core_in_node(const CorePortRef& ref) const {
-  for (std::uint32_t i = 0; i < nodes_.size(); ++i) {
-    if (nodes_[i].kind == CcgNodeKind::kCoreIn &&
-        nodes_[i].core_port == ref) {
-      return i;
-    }
-  }
-  util::raise("Ccg: core input node not found");
+  return core_port_node(ref, CcgNodeKind::kCoreIn,
+                        "Ccg: core input node not found");
 }
 
 std::uint32_t Ccg::core_out_node(const CorePortRef& ref) const {
-  for (std::uint32_t i = 0; i < nodes_.size(); ++i) {
-    if (nodes_[i].kind == CcgNodeKind::kCoreOut &&
-        nodes_[i].core_port == ref) {
-      return i;
-    }
-  }
-  util::raise("Ccg: core output node not found");
+  return core_port_node(ref, CcgNodeKind::kCoreOut,
+                        "Ccg: core output node not found");
 }
 
 std::string Ccg::node_name(const Soc& soc, std::uint32_t node) const {

@@ -11,6 +11,10 @@
 // group share one resource (their shared internal logic), so the
 // scheduler's reservations serialize them — the paper's "6 + 2 = 8"
 // CPU behaviour.
+//
+// Nodes are laid out as the PIs, the POs, then each core's ports in port
+// order, so the PIs are the node range [0, PI count) and every port lookup
+// is index arithmetic on offsets recorded at construction.
 #pragma once
 
 #include <cstdint>
@@ -51,6 +55,7 @@ class Ccg {
 
   std::uint32_t pi_node(PiId pi) const;
   std::uint32_t po_node(PoId po) const;
+  /// Throw util::Error unless `ref` names an input (output) port.
   std::uint32_t core_in_node(const CorePortRef& ref) const;
   std::uint32_t core_out_node(const CorePortRef& ref) const;
 
@@ -59,10 +64,18 @@ class Ccg {
   std::string node_name(const Soc& soc, std::uint32_t node) const;
 
  private:
+  /// Node of port `ref`; throws util::Error(`missing`) unless that port
+  /// exists and its node has `kind`.
+  std::uint32_t core_port_node(const CorePortRef& ref, CcgNodeKind kind,
+                               const char* missing) const;
+
   std::vector<CcgNode> nodes_;
   std::vector<CcgEdge> edges_;
   std::vector<std::vector<std::uint32_t>> adjacency_;
   std::uint32_t next_resource_ = 0;
+  std::uint32_t pi_count_ = 0;
+  /// First node of each core's ports, plus one past the last core's.
+  std::vector<std::uint32_t> core_base_;
 };
 
 }  // namespace socet::soc

@@ -7,6 +7,14 @@
 // departure slides past the existing reservations — exactly the paper's
 // "the edge (NUM, DB) can only be utilized from cycle 6 onwards".
 //
+// Each search stops at its answer: a route from the PIs once it pops its
+// target, a route to the POs once the heap top passes the arrival of the
+// first PO it popped, when every PO tied with that one is final.  A popped
+// node's arrival and predecessor edge never change afterwards, because
+// `earliest_free` never returns a time before its argument, so the routes
+// are those of a search that settles the whole CCG.  One plan runs all its
+// searches on one scratch and keeps one buffer per reservation ledger.
+//
 // Where no route exists, a system-level test multiplexer is inserted (the
 // PREPROCESSOR's Address output in Figure 9) at a recorded area cost.
 //
@@ -69,6 +77,8 @@ class Reservations {
   unsigned earliest_free(std::uint32_t resource, unsigned t,
                          unsigned duration) const;
   void reserve(std::uint32_t resource, unsigned t, unsigned duration);
+  /// Drop every interval, keeping the buffers for the next ledger.
+  void clear();
 
  private:
   std::vector<std::vector<std::pair<unsigned, unsigned>>> busy_;
@@ -110,7 +120,8 @@ std::optional<Route> route_from_pis(const Ccg& ccg, std::uint32_t target,
                                     unsigned earliest = 0,
                                     std::int32_t banned_core = -1);
 
-/// Route one value from `source` (a kCoreOut node) to any PO.
+/// Route one value from `source` (a kCoreOut node) to the PO it reaches
+/// earliest; among equal arrivals, the PO of lowest node index.
 std::optional<Route> route_to_pos(const Ccg& ccg, std::uint32_t source,
                                   Reservations& reservations,
                                   unsigned earliest = 0,

@@ -1,8 +1,8 @@
 #include "socet/soc/schedule.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <limits>
-#include <queue>
 
 #include <map>
 #include <set>
@@ -39,24 +39,58 @@ struct Label {
   }
 };
 
-/// Time-aware Dijkstra from a set of sources.  Returns per-node arrival
-/// times and predecessor edges.
-void dijkstra(const Ccg& ccg, const std::vector<std::uint32_t>& sources,
-              const Reservations& reservations, unsigned earliest,
-              std::int32_t banned_core, std::vector<unsigned>& arrival,
-              std::vector<std::int32_t>& pred_edge) {
-  SOCET_COUNT("ccg/dijkstra_runs");
-  arrival.assign(ccg.nodes().size(), kInf);
-  pred_edge.assign(ccg.nodes().size(), -1);
-  std::priority_queue<Label, std::vector<Label>, std::greater<>> heap;
-  for (std::uint32_t s : sources) {
-    arrival[s] = earliest;
-    heap.push(Label{earliest, s});
+/// Buffers of the time-aware Dijkstra, reused across the searches of one
+/// plan.  `arrival` and `pred_edge` stay sized to the CCG; a search lists
+/// every node it writes in `touched`, and `reset` restores those alone.
+struct SearchScratch {
+  std::vector<unsigned> arrival;
+  std::vector<std::int32_t> pred_edge;
+  std::vector<Label> heap;
+  std::vector<std::uint32_t> touched;
+
+  explicit SearchScratch(const Ccg& ccg)
+      : arrival(ccg.nodes().size(), kInf),
+        pred_edge(ccg.nodes().size(), -1) {}
+
+  void reset() {
+    for (std::uint32_t node : touched) {
+      arrival[node] = kInf;
+      pred_edge[node] = -1;
+    }
+    touched.clear();
+    heap.clear();
   }
-  while (!heap.empty()) {
-    const Label top = heap.top();
-    heap.pop();
-    if (top.arrival > arrival[top.node]) continue;
+
+  void push(std::uint32_t node, unsigned at, std::int32_t edge) {
+    if (arrival[node] == kInf) touched.push_back(node);
+    arrival[node] = at;
+    pred_edge[node] = edge;
+    heap.push_back(Label{at, node});
+    std::push_heap(heap.begin(), heap.end(), std::greater<>{});
+  }
+
+  Label pop() {
+    std::pop_heap(heap.begin(), heap.end(), std::greater<>{});
+    const Label top = heap.back();
+    heap.pop_back();
+    return top;
+  }
+};
+
+/// Time-aware Dijkstra from the sources already pushed on `scratch`.  Each
+/// popped node is offered to `settled`, which returns true to end the
+/// search.  A popped node's arrival and predecessor edge are final:
+/// `earliest_free` never returns a time before its argument, so every later
+/// relaxation arrives no earlier than the heap top.
+template <typename Settled>
+void dijkstra(const Ccg& ccg, const Reservations& reservations,
+              std::int32_t banned_core, SearchScratch& scratch,
+              Settled settled) {
+  SOCET_COUNT("ccg/dijkstra_runs");
+  while (!scratch.heap.empty()) {
+    const Label top = scratch.pop();
+    if (top.arrival > scratch.arrival[top.node]) continue;
+    if (settled(top)) return;
     for (std::uint32_t e : ccg.out_edges()[top.node]) {
       const CcgEdge& edge = ccg.edges()[e];
       // The core under test sits in scan mode: its own transparency
@@ -70,26 +104,23 @@ void dijkstra(const Ccg& ccg, const std::vector<std::uint32_t>& sources,
                                      duration_of(edge));
       if (depart != top.arrival) SOCET_COUNT("ccg/reservation_conflicts");
       const unsigned reach = depart + edge.latency;
-      if (reach < arrival[edge.dst]) {
-        arrival[edge.dst] = reach;
-        pred_edge[edge.dst] = static_cast<std::int32_t>(e);
-        heap.push(Label{reach, edge.dst});
+      if (reach < scratch.arrival[edge.dst]) {
+        scratch.push(edge.dst, reach, static_cast<std::int32_t>(e));
       }
     }
   }
 }
 
-Route extract_route(const Ccg& ccg, const std::vector<unsigned>& arrival,
-                    const std::vector<std::int32_t>& pred_edge,
+Route extract_route(const Ccg& ccg, const SearchScratch& scratch,
                     std::uint32_t target, Reservations& reservations) {
   SOCET_COUNT("ccg/routes_found");
   Route route;
-  route.arrival = arrival[target];
+  route.arrival = scratch.arrival[target];
   std::uint32_t node = target;
-  while (pred_edge[node] >= 0) {
-    const std::uint32_t e = static_cast<std::uint32_t>(pred_edge[node]);
+  while (scratch.pred_edge[node] >= 0) {
+    const std::uint32_t e = static_cast<std::uint32_t>(scratch.pred_edge[node]);
     const CcgEdge& edge = ccg.edges()[e];
-    const unsigned arrive = arrival[node];
+    const unsigned arrive = scratch.arrival[node];
     route.steps.push_back(RouteStep{e, arrive - edge.latency, arrive});
     node = edge.src;
   }
@@ -99,6 +130,51 @@ Route extract_route(const Ccg& ccg, const std::vector<unsigned>& arrival,
                          duration_of(ccg.edges()[step.edge]));
   }
   return route;
+}
+
+/// route_from_pis on caller-owned scratch: stops when it pops `target`.
+std::optional<Route> route_from_pis(const Ccg& ccg, std::uint32_t target,
+                                    Reservations& reservations,
+                                    unsigned earliest,
+                                    std::int32_t banned_core,
+                                    SearchScratch& scratch) {
+  scratch.reset();
+  // The CCG lists its PIs first.
+  const auto& nodes = ccg.nodes();
+  for (std::uint32_t i = 0;
+       i < nodes.size() && nodes[i].kind == CcgNodeKind::kPi; ++i) {
+    scratch.push(i, earliest, -1);
+  }
+  dijkstra(ccg, reservations, banned_core, scratch,
+           [target](const Label& top) { return top.node == target; });
+  if (scratch.arrival[target] >= kInf) return std::nullopt;
+  return extract_route(ccg, scratch, target, reservations);
+}
+
+/// route_to_pos on caller-owned scratch: stops once the heap top passes
+/// the first popped PO's arrival, when every PO tied with it is final, so
+/// the lowest-index PO among the earliest still wins.
+std::optional<Route> route_to_pos(const Ccg& ccg, std::uint32_t source,
+                                  Reservations& reservations,
+                                  unsigned earliest,
+                                  std::int32_t banned_core,
+                                  SearchScratch& scratch) {
+  scratch.reset();
+  scratch.push(source, earliest, -1);
+  std::uint32_t best = kInf;
+  unsigned best_arrival = kInf;
+  dijkstra(ccg, reservations, banned_core, scratch,
+           [&ccg, &best, &best_arrival](const Label& top) {
+             if (top.arrival > best_arrival) return true;
+             if (ccg.nodes()[top.node].kind == CcgNodeKind::kPo &&
+                 top.node < best) {
+               best = top.node;
+               best_arrival = top.arrival;
+             }
+             return false;
+           });
+  if (best_arrival >= kInf) return std::nullopt;
+  return extract_route(ccg, scratch, best, reservations);
 }
 
 }  // namespace
@@ -125,39 +201,26 @@ void Reservations::reserve(std::uint32_t resource, unsigned t,
   busy_.at(resource).emplace_back(t, t + duration);
 }
 
+void Reservations::clear() {
+  for (auto& intervals : busy_) intervals.clear();
+}
+
 std::optional<Route> route_from_pis(const Ccg& ccg, std::uint32_t target,
                                     Reservations& reservations,
                                     unsigned earliest,
                                     std::int32_t banned_core) {
-  std::vector<std::uint32_t> sources;
-  for (std::uint32_t i = 0; i < ccg.nodes().size(); ++i) {
-    if (ccg.nodes()[i].kind == CcgNodeKind::kPi) sources.push_back(i);
-  }
-  std::vector<unsigned> arrival;
-  std::vector<std::int32_t> pred;
-  dijkstra(ccg, sources, reservations, earliest, banned_core, arrival, pred);
-  if (arrival[target] >= kInf) return std::nullopt;
-  return extract_route(ccg, arrival, pred, target, reservations);
+  SearchScratch scratch(ccg);
+  return route_from_pis(ccg, target, reservations, earliest, banned_core,
+                        scratch);
 }
 
 std::optional<Route> route_to_pos(const Ccg& ccg, std::uint32_t source,
                                   Reservations& reservations,
                                   unsigned earliest,
                                   std::int32_t banned_core) {
-  std::vector<unsigned> arrival;
-  std::vector<std::int32_t> pred;
-  dijkstra(ccg, {source}, reservations, earliest, banned_core, arrival, pred);
-  std::uint32_t best = kInf;
-  unsigned best_arrival = kInf;
-  for (std::uint32_t i = 0; i < ccg.nodes().size(); ++i) {
-    if (ccg.nodes()[i].kind == CcgNodeKind::kPo &&
-        arrival[i] < best_arrival) {
-      best = i;
-      best_arrival = arrival[i];
-    }
-  }
-  if (best_arrival >= kInf) return std::nullopt;
-  return extract_route(ccg, arrival, pred, best, reservations);
+  SearchScratch scratch(ccg);
+  return route_to_pos(ccg, source, reservations, earliest, banned_core,
+                      scratch);
 }
 
 ChipTestPlan plan_chip_test(const Soc& soc,
@@ -172,6 +235,15 @@ ChipTestPlan plan_chip_test(const Soc& soc,
   for (std::uint32_t c = 0; c < soc.cores().size(); ++c) {
     plan.version_cells += soc.core(c).version(selection[c]).extra_cells;
   }
+
+  // One search scratch and one buffer per reservation ledger serve every
+  // route of the plan; `unreserved` is the fresh ledger each route gets
+  // under ignore_reservations.
+  SearchScratch scratch(ccg);
+  Reservations reservations(ccg.resource_count());
+  Reservations observe_reservations(ccg.resource_count());
+  Reservations unreserved(options.ignore_reservations ? ccg.resource_count()
+                                                      : 0);
 
   std::set<CorePortRef> forced_in(options.forced_input_muxes.begin(),
                                   options.forced_input_muxes.end());
@@ -203,13 +275,14 @@ ChipTestPlan plan_chip_test(const Soc& soc,
 
   for (std::uint32_t c = 0; c < soc.cores().size(); ++c) {
     const core::Core& cut = soc.core(c);
-    util::require(cut.scan_vectors() > 0,
-                  "plan_chip_test: core '" + cut.name() +
-                      "' has no test set (set_scan_vectors first)");
+    if (cut.scan_vectors() == 0) {
+      util::raise("plan_chip_test: core '" + cut.name() +
+                  "' has no test set (set_scan_vectors first)");
+    }
     SOCET_SPAN("ccg/plan_core");
     CoreTestPlan core_plan;
     core_plan.core = c;
-    Reservations reservations(ccg.resource_count());
+    reservations.clear();
 
     // Justify every input of the core under test from the chip PIs.
     unsigned period = 1;
@@ -219,14 +292,11 @@ ChipTestPlan plan_chip_test(const Soc& soc,
       const std::uint32_t target = ccg.core_in_node(CorePortRef{c, port});
       std::optional<Route> route;
       if (!forced_in.count(CorePortRef{c, port})) {
-        if (options.ignore_reservations) {
-          Reservations scratch(ccg.resource_count());
-          route = route_from_pis(ccg, target, scratch, 0,
-                                 static_cast<std::int32_t>(c));
-        } else {
-          route = route_from_pis(ccg, target, reservations, 0,
-                                 static_cast<std::int32_t>(c));
-        }
+        if (options.ignore_reservations) unreserved.clear();
+        route = route_from_pis(
+            ccg, target,
+            options.ignore_reservations ? unreserved : reservations, 0,
+            static_cast<std::int32_t>(c), scratch);
       }
       if (!route) {
         SOCET_COUNT("ccg/mux_fallbacks");
@@ -260,7 +330,7 @@ ChipTestPlan plan_chip_test(const Soc& soc,
     }
 
     // Observe every output at the chip POs.
-    Reservations observe_reservations(ccg.resource_count());
+    observe_reservations.clear();
     unsigned observe = 0;
     for (std::uint32_t p = 0; p < cut.netlist().ports().size(); ++p) {
       const rtl::PortId port(p);
@@ -268,14 +338,11 @@ ChipTestPlan plan_chip_test(const Soc& soc,
       const std::uint32_t source = ccg.core_out_node(CorePortRef{c, port});
       std::optional<Route> route;
       if (!forced_out.count(CorePortRef{c, port})) {
-        if (options.ignore_reservations) {
-          Reservations scratch(ccg.resource_count());
-          route = route_to_pos(ccg, source, scratch, 0,
-                               static_cast<std::int32_t>(c));
-        } else {
-          route = route_to_pos(ccg, source, observe_reservations, 0,
-                               static_cast<std::int32_t>(c));
-        }
+        if (options.ignore_reservations) unreserved.clear();
+        route = route_to_pos(
+            ccg, source,
+            options.ignore_reservations ? unreserved : observe_reservations,
+            0, static_cast<std::int32_t>(c), scratch);
       }
       if (!route) {
         SOCET_COUNT("ccg/mux_fallbacks");

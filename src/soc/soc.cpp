@@ -94,13 +94,16 @@ unsigned Soc::width_of(const std::variant<PoId, CorePortRef>& endpoint) const {
 void Soc::validate() const {
   std::map<std::variant<PoId, CorePortRef>, int> sink_count;
   for (const Link& link : links_) {
-    util::require(width_of(link.from) == width_of(link.to),
-                  "validate: width mismatch on a chip-level link in " + name_);
+    if (width_of(link.from) != width_of(link.to)) {
+      util::raise("validate: width mismatch on a chip-level link in " + name_);
+    }
     ++sink_count[link.to];
   }
   for (const auto& [sink, count] : sink_count) {
-    util::require(count == 1, "validate: a core input or PO in " + name_ +
-                                  " is driven more than once");
+    if (count != 1) {
+      util::raise("validate: a core input or PO in " + name_ +
+                  " is driven more than once");
+    }
   }
 }
 

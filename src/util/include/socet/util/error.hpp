@@ -26,6 +26,11 @@ inline void require(bool cond, const std::string& message) {
   if (!cond) raise(message);
 }
 
+/// The same for a literal message, which becomes a string only on failure.
+inline void require(bool cond, const char* message) {
+  if (!cond) raise(message);
+}
+
 }  // namespace socet::util
 
 // Internal invariant check.  Kept enabled in release builds: the algorithms

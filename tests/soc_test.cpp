@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "socet/obs/metrics.hpp"
 #include "socet/soc/ccg.hpp"
 #include "socet/soc/schedule.hpp"
 #include "socet/soc/soc.hpp"
@@ -62,6 +63,39 @@ struct TwoCoreChip {
     soc.validate();
   }
 };
+
+/// A pipeline of `cores` pass-through cores: PI -> c0 -> c1 -> ... -> PO.
+struct PipelineChip {
+  std::vector<core::Core> cores;
+  Soc soc{"pipeline"};
+
+  explicit PipelineChip(unsigned count) {
+    cores.reserve(count);
+    for (unsigned i = 0; i < count; ++i) {
+      cores.push_back(
+          core::Core::prepare(make_pass_core("c" + std::to_string(i), 8)));
+      cores.back().set_scan_vectors(5);
+      soc.add_core(&cores.back());
+    }
+    auto pi = soc.add_pi("PI", 8);
+    auto po = soc.add_po("PO", 8);
+    soc.connect(pi, 0, "IN");
+    for (unsigned i = 0; i + 1 < count; ++i) {
+      soc.connect(i, "OUT", i + 1, "IN");
+    }
+    soc.connect(count - 1, "OUT", po);
+  }
+};
+
+/// How much `body` adds to the counter `name`.
+template <typename Body>
+std::uint64_t counted(const char* name, Body body) {
+  obs::set_metrics_enabled(true);
+  const std::uint64_t before = obs::counter(name).value();
+  body();
+  obs::set_metrics_enabled(false);
+  return obs::counter(name).value() - before;
+}
 
 // -------------------------------------------------------------------- Soc
 
@@ -143,6 +177,58 @@ TEST(Ccg, ResourceIdsWellFormed) {
   EXPECT_LE(ccg.resource_count(), ccg.edges().size());
 }
 
+TEST(Ccg, PortLookupsInvertTheNodeList) {
+  TwoCoreChip chip;
+  Ccg ccg(chip.soc, {0, 0});
+  for (std::uint32_t i = 0; i < ccg.nodes().size(); ++i) {
+    const CcgNode& node = ccg.nodes()[i];
+    switch (node.kind) {
+      case CcgNodeKind::kPi:
+        EXPECT_EQ(ccg.pi_node(PiId(node.pin)), i);
+        break;
+      case CcgNodeKind::kPo:
+        EXPECT_EQ(ccg.po_node(PoId(node.pin)), i);
+        break;
+      case CcgNodeKind::kCoreIn:
+        EXPECT_EQ(ccg.core_in_node(node.core_port), i);
+        break;
+      case CcgNodeKind::kCoreOut:
+        EXPECT_EQ(ccg.core_out_node(node.core_port), i);
+        break;
+    }
+  }
+}
+
+TEST(Ccg, BadPortRefThrows) {
+  TwoCoreChip chip;
+  Ccg ccg(chip.soc, {0, 0});
+  const rtl::PortId in = chip.a.netlist().find_port("IN");
+  const rtl::PortId out = chip.a.netlist().find_port("OUT");
+  const auto message = [](auto lookup) -> std::string {
+    try {
+      lookup();
+    } catch (const util::Error& error) {
+      return error.what();
+    }
+    return "no error";
+  };
+  // Core out of range.
+  EXPECT_EQ(message([&] { ccg.core_in_node(CorePortRef{2, in}); }),
+            "Ccg: core input node not found");
+  EXPECT_EQ(message([&] { ccg.core_out_node(CorePortRef{~0u, out}); }),
+            "Ccg: core output node not found");
+  // Port out of range, and the invalid port id.
+  EXPECT_EQ(message([&] { ccg.core_in_node(CorePortRef{0, rtl::PortId(2)}); }),
+            "Ccg: core input node not found");
+  EXPECT_EQ(message([&] { ccg.core_out_node(CorePortRef{1, rtl::PortId()}); }),
+            "Ccg: core output node not found");
+  // A port of the other direction.
+  EXPECT_EQ(message([&] { ccg.core_out_node(CorePortRef{0, in}); }),
+            "Ccg: core output node not found");
+  EXPECT_EQ(message([&] { ccg.core_in_node(CorePortRef{1, out}); }),
+            "Ccg: core input node not found");
+}
+
 // ------------------------------------------------------------ Reservations
 
 TEST(Reservations, EarliestFreeSkipsBusyWindows) {
@@ -163,6 +249,95 @@ TEST(Reservations, BackToBackWindows) {
   r.reserve(0, 0, 6);
   r.reserve(0, 6, 2);
   EXPECT_EQ(r.earliest_free(0, 0, 1), 8u);
+}
+
+TEST(Reservations, ClearDropsEveryInterval) {
+  Reservations r(2);
+  r.reserve(0, 0, 5);
+  r.reserve(1, 2, 3);
+  r.clear();
+  EXPECT_EQ(r.earliest_free(0, 0, 3), 0u);
+  EXPECT_EQ(r.earliest_free(1, 0, 3), 0u);
+  r.reserve(1, 0, 4);
+  EXPECT_EQ(r.earliest_free(1, 0, 1), 4u);
+}
+
+// ---------------------------------------------------------------- routing
+
+TEST(Route, SearchStopsAtItsAnswer) {
+  // Routing core 0's input settles the PI and then pops its target: only
+  // the PI's one out-edge is relaxed, not the 2 x 6 edges downstream.
+  // Observing the last core's output likewise relaxes its one edge to the
+  // PO.  An exhaustive search would relax all 13 edges for the input.
+  PipelineChip chip(6);
+  Ccg ccg(chip.soc, std::vector<unsigned>(6, 0));
+  ASSERT_EQ(ccg.edges().size(), 13u);
+  const rtl::PortId in = chip.cores[0].netlist().find_port("IN");
+  const rtl::PortId out = chip.cores[5].netlist().find_port("OUT");
+  Reservations reservations(ccg.resource_count());
+  std::optional<Route> route;
+  EXPECT_EQ(counted("ccg/relaxations",
+                    [&] {
+                      route = route_from_pis(
+                          ccg, ccg.core_in_node(CorePortRef{0, in}),
+                          reservations);
+                    }),
+            1u);
+  ASSERT_TRUE(route);
+  EXPECT_EQ(route->steps.size(), 1u);
+  EXPECT_EQ(counted("ccg/relaxations",
+                    [&] {
+                      route = route_to_pos(
+                          ccg, ccg.core_out_node(CorePortRef{5, out}),
+                          reservations);
+                    }),
+            1u);
+  ASSERT_TRUE(route);
+  EXPECT_EQ(route->steps.size(), 1u);
+  // Core 3's input lies three cores in: two edges per core before it, one
+  // from the PI.
+  const rtl::PortId in3 = chip.cores[3].netlist().find_port("IN");
+  EXPECT_EQ(counted("ccg/relaxations",
+                    [&] {
+                      route = route_from_pis(
+                          ccg, ccg.core_in_node(CorePortRef{3, in3}),
+                          reservations);
+                    }),
+            7u);
+}
+
+TEST(Route, FromPisReturnsOnlyWhenItPopsItsTarget) {
+  // A core input of a validated SOC has one driver, so the first arrival a
+  // search offers it is final.  This SOC is left unvalidated to drive T's
+  // input twice: straight from P, whose wire is reserved until cycle 10,
+  // and from Q through S's 3-cycle transparency.  The first arrival
+  // offered (10, from P) is not the earliest (3, through S).
+  core::Core s = core::Core::prepare(make_slow_core("S", 8));
+  core::Core t = core::Core::prepare(make_pass_core("T", 8));
+  Soc soc("two-drivers");
+  auto cs = soc.add_core(&s);
+  auto ct = soc.add_core(&t);
+  auto p = soc.add_pi("P", 8);
+  auto q = soc.add_pi("Q", 8);
+  soc.connect(p, ct, "IN");
+  soc.connect(q, cs, "IN");
+  soc.connect(cs, "OUT", ct, "IN");
+  ASSERT_THROW(soc.validate(), util::Error);
+
+  Ccg ccg(soc, {0, 0});
+  const std::uint32_t target =
+      ccg.core_in_node(CorePortRef{ct, t.netlist().find_port("IN")});
+  Reservations reservations(ccg.resource_count());
+  for (const CcgEdge& edge : ccg.edges()) {
+    if (edge.src == ccg.pi_node(p) && edge.dst == target) {
+      reservations.reserve(edge.resource, 0, 10);
+    }
+  }
+  const auto route = route_from_pis(ccg, target, reservations);
+  ASSERT_TRUE(route);
+  EXPECT_EQ(route->arrival, 3u);
+  ASSERT_EQ(route->steps.size(), 3u);
+  EXPECT_EQ(ccg.edges()[route->steps.front().edge].src, ccg.pi_node(q));
 }
 
 // --------------------------------------------------------------- planning
